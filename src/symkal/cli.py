@@ -23,7 +23,7 @@ from .documents import (
     physical_to_document,
     system_to_document,
 )
-from .errors import DocumentError, RankAmbiguityError, SymkalError
+from .errors import ConsistencyError, DocumentError, RankAmbiguityError, SymkalError
 from .kalman import (
     LABEL_MEANINGS,
     class_dimension_oracles,
@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except RankAmbiguityError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_AMBIGUOUS
+    except ConsistencyError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_VERIFY
     except SymkalError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_INVALID

@@ -123,6 +123,11 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
     of F J F^T and l = rank(F) - 2k, both thresholded by ``policy``.  When
     those decisions cannot be reconciled, a RankAmbiguityError carrying the
     two spectra is raised rather than guessing.
+
+    Both decisions and Ker F depend only on the row space of F, so one SVD
+    first compresses the s x 2r input to at most 2r rows, at O(s (2r)^2).
+    Everything after that works on 2r x 2r data at O((2r)^3), apart from
+    lifting the paired columns back and completing the s x s Q.
     """
     if mode not in ("strict", "relaxed"):
         raise StructureError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
@@ -134,16 +139,24 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
     policy = policy or DEFAULT_POLICY
     J = jmat(r)
 
-    sv_full = np.linalg.svd(A, compute_uv=False)
-    sigma_f = float(sv_full[0]) if sv_full.size else 0.0
-    M_raw = A @ J @ A.T
+    # One SVD F = U_F Sigma V^T compresses the stack to its row space:
+    # F = U_F F_c with F_c = Sigma V^T of p = min(s, 2r) rows, so that
+    # F J F^T = U_F (F_c J F_c^T) U_F^T and every rank decision below runs on
+    # p x p data.  V^T is kept whole because for s < 2r the kernel of F lies
+    # beyond the thin factor.
+    U_F, sv, Vh = np.linalg.svd(A, full_matrices=s < cols)
+    sigma_f = float(sv[0])
+    F_c = sv[:, None] * Vh[:sv.size]
+    M_raw = F_c @ J @ F_c.T
     M = 0.5 * (M_raw - M_raw.T)  # remove the rounding asymmetry of the product
-    # Rounding in the product M sits at the eps * sigma_f^2 level, so the
-    # skew spectrum needs an absolute floor at that scale.
+    # Rounding in F J F^T sits at the eps * sigma_f^2 level, so the skew
+    # spectrum needs an absolute floor at that scale.  The floor keeps the
+    # shape of the uncompressed product: mu_max <= sigma_f^2 makes it the
+    # active cutoff, so compression moves no rank decision.
     canon = skew_canonical(M, policy=policy, floor=max(s, cols) * EPS * sigma_f * sigma_f)
     k = canon.k
 
-    rank_f, _, kernel_f, sv = numerical_rank(A, policy)
+    rank_f = int(np.sum(sv > policy.cutoff(A.shape, sigma_f)))
     l = rank_f - 2 * k
     d = r - k - l
     if l < 0 or d < 0:
@@ -152,16 +165,15 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
             singular_values=sv, skew_values=canon.mus)
 
     xi = np.sqrt(canon.mus)
-    u_cols = canon.U[:, 0:2 * k:2]
-    v_cols = canon.U[:, 1:2 * k:2]
-    if k:
-        Za = (J @ (A.T @ v_cols)) / xi[None, :]
-        Za_partner = -(J @ (A.T @ u_cols)) / xi[None, :]
-    else:
-        Za = np.zeros((2 * r, 0))
-        Za_partner = np.zeros((2 * r, 0))
+    u_c = canon.U[:, 0:2 * k:2]
+    v_c = canon.U[:, 1:2 * k:2]
+    u_cols = U_F @ u_c
+    v_cols = U_F @ v_c
+    # F^T U_F = F_c^T, so the lifted columns map back through F_c alone.
+    Za = (J @ (F_c.T @ v_c)) / xi[None, :]
+    Za_partner = -(J @ (F_c.T @ u_c)) / xi[None, :]
 
-    N = kernel_f.basis
+    N = Vh[rank_f:].T
     if N.shape[1]:
         G_raw = N.T @ J @ N
         G = 0.5 * (G_raw - G_raw.T)
@@ -187,7 +199,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
             singular_values=sv, skew_values=canon.mus)
 
     if l:
-        Zb = _paired_directions(A, J, Za, Za_partner, Zc, Zc_partner, W0, policy, sv)
+        Zb = _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy, sv)
     else:
         Zb = np.zeros((2 * r, 0))
 
@@ -235,13 +247,14 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
         Q = Q_lead
 
     E = CanonicalE(s=s, r=r, k=k, l=l, xi_top=xi, xi_mid=xi.copy(), ones_block=ones)
-    residual = float(np.linalg.norm(A @ Z - Q @ E.materialize()))
+    # rows of E past 2k + l are zero, so Q E = Q_lead E[:2k + l]
+    residual = float(np.linalg.norm(A @ Z - Q_lead @ E.materialize()[:Q_lead.shape[1]]))
     z_condition = float(np.linalg.cond(Z))
     return SymplecticFactorization(Q=Q, E=E, Z=Z, mode=mode,
                                    residual=residual, z_condition=z_condition)
 
 
-def _paired_directions(A, J, Za, Za_partner, Zc, Zc_partner, W0, policy, sv):
+def _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy, sv):
     """Directions dual to the kernel radical W0.
 
     They live in the form-orthogonal complement of the paired blocks, carry
@@ -313,17 +326,20 @@ def factor_count_oracles(F, policy: TolerancePolicy | None = None) -> tuple[int,
     """Independent (k, l) from SVD ranks: k = rank(F J F^T) / 2, l = rank(F) - 2k.
 
     Computed without the eigendecomposition route the factorization uses.
-    An odd thresholded rank of F J F^T raises a RankAmbiguityError.
+    Both ranks are read off the triangular factor of F = Q_F R, which has
+    at most 2r rows and the row space of F, so F J F^T = Q_F (R J R^T) Q_F^T
+    is never formed; the cutoffs keep the shapes of F and F J F^T.  An odd
+    thresholded rank of F J F^T raises a RankAmbiguityError.
     """
     A = as_matrix(F, "F")
     s, cols = A.shape
     r = cols // 2
     policy = policy or DEFAULT_POLICY
-    sv_f = np.linalg.svd(A, compute_uv=False)
+    R = np.linalg.qr(A, mode="r")
+    sv_f = np.linalg.svd(R, compute_uv=False)
     sigma_f = float(sv_f[0]) if sv_f.size else 0.0
-    M = A @ jmat(r) @ A.T
-    sv_m = np.linalg.svd(M, compute_uv=False)
-    cut_m = policy.cutoff(M.shape, float(sv_m[0]) if sv_m.size else 0.0,
+    sv_m = np.linalg.svd(R @ jmat(r) @ R.T, compute_uv=False)
+    cut_m = policy.cutoff((s, s), float(sv_m[0]) if sv_m.size else 0.0,
                           floor=max(s, cols) * EPS * sigma_f * sigma_f)
     rank_m = int(np.sum(sv_m > cut_m))
     if rank_m % 2:

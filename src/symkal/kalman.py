@@ -22,6 +22,7 @@ from .errors import (
 from .factorization import (
     CanonicalE,
     SymplecticFactorization,
+    factor_count_oracles,
     one_sided_symplectic_svd,
 )
 from .linalg import (
@@ -38,7 +39,7 @@ from .linalg import (
     readonly,
     sharp_adjoint,
 )
-from .model import QuadratureSystem, krylov_matrices
+from .model import KrylovMatrices, QuadratureSystem, krylov_matrices
 
 LABEL_CO = "co"
 LABEL_NCO = "nco"
@@ -226,29 +227,16 @@ def _transformed(sys: QuadratureSystem, V: np.ndarray):
     return V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv, sys.D
 
 
-def _count_oracles(obs: np.ndarray, n: int, policy) -> tuple[int, int]:
-    M = obs @ jmat(n) @ obs.T
-    sv_o = np.linalg.svd(obs, compute_uv=False)
-    sigma = float(sv_o[0]) if sv_o.size else 0.0
-    sv_m = np.linalg.svd(M, compute_uv=False)
-    cut_m = policy.cutoff(M.shape, float(sv_m[0]) if sv_m.size else 0.0,
-                          floor=max(M.shape[0], 2 * n) * EPS * sigma * sigma)
-    k2 = int(np.sum(sv_m > cut_m))
-    rank_o = int(np.sum(sv_o > policy.cutoff(obs.shape, sigma)))
-    return k2 // 2, rank_o - k2
-
-
 def class_dimension_oracles(sys: QuadratureSystem,
                             policy: TolerancePolicy | None = None) -> tuple[int, int]:
     """Independent (k, l) for a system: half the rank of the form carried by
     the observability stack, and its rank beyond those paired directions."""
-    policy = policy or DEFAULT_POLICY
-    obs = np.asarray(krylov_matrices(sys, variant="jr").observability)
-    return _count_oracles(obs, sys.n, policy)
+    return factor_count_oracles(krylov_matrices(sys, variant="jr").observability, policy)
 
 
 def _run_checks(sys: QuadratureSystem, V: np.ndarray, A_hat, B_hat, C_hat,
-                k: int, l: int, d: int, tol: float, policy) -> DecompositionChecks:
+                k: int, l: int, d: int, tol: float, policy,
+                kry: KrylovMatrices | None = None) -> DecompositionChecks:
     n = sys.n
     J = jmat(n)
     ccr_residual = float(np.linalg.norm(V @ J @ V.T - J))
@@ -256,10 +244,10 @@ def _run_checks(sys: QuadratureSystem, V: np.ndarray, A_hat, B_hat, C_hat,
     pattern_scale = tol * (1.0 + float(np.linalg.norm(A_hat)))
     pattern_ok = max(pattern_a, pattern_b, pattern_c) <= pattern_scale
 
-    kry = krylov_matrices(sys, variant="jr")
+    if kry is None:
+        kry = krylov_matrices(sys, variant="jr")
     obs = np.asarray(kry.observability)
-    ctl = np.asarray(kry.controllability)
-    controllable = numerical_rank(ctl, policy).image
+    controllable = SubspaceBasis(orthonormal_columns(np.asarray(kry.controllability), policy))
     unobservable = numerical_rank(obs, policy).kernel
 
     V_inv = sharp_adjoint(V)
@@ -284,7 +272,7 @@ def _run_checks(sys: QuadratureSystem, V: np.ndarray, A_hat, B_hat, C_hat,
         unobservable_angle = float(np.pi / 2)
         unobs_ok = False
 
-    k_oracle, l_oracle = _count_oracles(obs, n, policy)
+    k_oracle, l_oracle = factor_count_oracles(obs, policy)
     return DecompositionChecks(
         ccr_residual=ccr_residual,
         ccr_ok=ccr_residual <= 1e-9,
@@ -316,14 +304,14 @@ def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = Non
     returning a silently inconsistent decomposition.
     """
     policy = policy or DEFAULT_POLICY
-    obs = np.asarray(krylov_matrices(sys, variant="jr").observability)
-    fact = one_sided_symplectic_svd(obs, policy=policy, mode=mode)
+    kry = krylov_matrices(sys, variant="jr")
+    fact = one_sided_symplectic_svd(kry.observability, policy=policy, mode=mode)
     n = sys.n
     k, l = fact.E.k, fact.E.l
     d = n - k - l
     V = sharp_adjoint(fact.Z)
     A_hat, B_hat, C_hat, D = _transformed(sys, V)
-    checks = _run_checks(sys, V, A_hat, B_hat, C_hat, k, l, d, tol, policy)
+    checks = _run_checks(sys, V, A_hat, B_hat, C_hat, k, l, d, tol, policy, kry)
     if not checks.passed:
         raise ConsistencyError("decomposition failed verification", report=checks)
     return KalmanDecomposition(

@@ -167,7 +167,10 @@ def numerical_rank(F, policy: TolerancePolicy | None = None) -> RankResult:
     if A.size == 0:
         raise StructureError("numerical_rank needs a nonempty matrix")
     policy = policy or DEFAULT_POLICY
-    U, sv, Vh = np.linalg.svd(A)
+    # thin on tall inputs: the image needs only rank columns of U, and the
+    # kernel needs all of V^T, which only a wide input leaves out of the
+    # thin factorization
+    U, sv, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     cut = policy.cutoff(A.shape, float(sv[0]) if sv.size else 0.0)
     rank = int(np.sum(sv > cut))
     return RankResult(rank, SubspaceBasis(U[:, :rank]), SubspaceBasis(Vh[rank:].T), sv)

@@ -15,12 +15,10 @@ from scipy.linalg import block_diag, expm
 
 from .errors import StructureError, ValidationError
 from .linalg import (
-    TolerancePolicy,
     as_complex_matrix,
     as_matrix,
     is_symplectic,
     jmat,
-    numerical_rank,
     readonly,
     sharp_adjoint,
 )
@@ -164,37 +162,21 @@ class KrylovMatrices:
         object.__setattr__(self, "observability", readonly(self.observability))
 
 
-def krylov_matrices(sys: QuadratureSystem, variant: str = "jr",
-                    early_stop: bool = False,
-                    policy: TolerancePolicy | None = None) -> KrylovMatrices:
+def krylov_matrices(sys: QuadratureSystem, variant: str = "jr") -> KrylovMatrices:
     """Build [B, G B, ..., G^{d-1} B] and the stacked [C; C G; ...; C G^{d-1}].
 
     ``variant`` selects the power basis G: the drift matrix A ("a") or the
     closed-loop-free generator J R ("jr").  Both give the same image and
-    kernel.  The full depth is d = 2n; with ``early_stop`` the iteration
-    ends once both ranks are unchanged by one extra power.
+    kernel.  The depth is d = 2n.
     """
     if variant not in ("a", "jr"):
         raise StructureError(f"variant must be 'a' or 'jr', got {variant!r}")
     G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
-    B = sys.B
-    C = sys.C
-    ctl_blocks = [B]
-    obs_blocks = [C]
-    if early_stop:
-        prev_ctl = prev_obs = -1
-        for _ in range(2 * sys.n - 1):
-            ctl_blocks.append(G @ ctl_blocks[-1])
-            obs_blocks.append(obs_blocks[-1] @ G)
-            rank_ctl = numerical_rank(np.hstack(ctl_blocks), policy).rank
-            rank_obs = numerical_rank(np.vstack(obs_blocks), policy).rank
-            if rank_ctl == prev_ctl and rank_obs == prev_obs:
-                break
-            prev_ctl, prev_obs = rank_ctl, rank_obs
-    else:
-        for _ in range(2 * sys.n - 1):
-            ctl_blocks.append(G @ ctl_blocks[-1])
-            obs_blocks.append(obs_blocks[-1] @ G)
+    ctl_blocks = [sys.B]
+    obs_blocks = [sys.C]
+    for _ in range(2 * sys.n - 1):
+        ctl_blocks.append(G @ ctl_blocks[-1])
+        obs_blocks.append(obs_blocks[-1] @ G)
     return KrylovMatrices(
         controllability=np.hstack(ctl_blocks),
         observability=np.vstack(obs_blocks),

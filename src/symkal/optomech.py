@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .factorization import CanonicalE
 from .kalman import KalmanDecomposition, RefinementPair, kalman_decompose, refine
 from .linalg import TolerancePolicy, nullspace_rows
 from .model import PhysicalSpec, QuadratureSystem, build_system, from_physical
@@ -108,7 +107,3 @@ def run(omega: float = 1.0, lam: float = 1.0, gamma: float = 1.0,
     refined = refine(dec, dec.factorization.E, pair, policy=policy)
     a, b = aux_coefficients(omega)
     return system, dec, refined, pair, a, b
-
-
-def canonical_e(dec: KalmanDecomposition) -> CanonicalE:
-    return dec.factorization.E

@@ -10,7 +10,7 @@ from symkal.documents import (
     parse_system_document,
     system_to_document,
 )
-from symkal.errors import DocumentError
+from symkal.errors import ConsistencyError, DocumentError
 
 
 @pytest.fixture()
@@ -75,6 +75,17 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", system_doc)
         assert code == 3
         assert "ambiguous" in err
+
+    def test_failed_self_verification_exits_5(self, system_doc, capsys, monkeypatch):
+        import symkal.cli as cli_mod
+
+        def explode(*args, **kwargs):
+            raise ConsistencyError("forced for the exit-code contract")
+
+        monkeypatch.setattr(cli_mod, "kalman_decompose", explode)
+        code, _, err = run_cli(capsys, "decompose", system_doc)
+        assert code == 5
+        assert "consistency" in err
 
 
 class TestDecompose:

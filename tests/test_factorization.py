@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import factor_case, factor_population, random_symplectic
+from helpers import (
+    POPULATION_POLICY,
+    factor_case,
+    factor_population,
+    random_symplectic,
+    structured_system,
+)
 from symkal import (
     CanonicalE,
     RankAmbiguityError,
@@ -12,11 +18,13 @@ from symkal import (
     numerical_rank,
     one_sided_symplectic_svd,
     principal_angles,
+    random_system,
     skew_canonical,
     verify_factorization,
 )
 from symkal.factorization import SymplecticFactorization, factor_count_oracles
 from symkal.linalg import orthonormal_columns
+from symkal.model import krylov_matrices
 
 
 class TestCanonicalE:
@@ -209,3 +217,72 @@ class TestRankAmbiguity:
         # F J F^T odd on an odd-row input
         with pytest.raises(RankAmbiguityError):
             factor_count_oracles(np.zeros((3, 4)), _InconsistentPolicy())
+
+
+def _dense_counts(F, scale: float = 1.0) -> tuple[int, int]:
+    """(k, l) from the full s x s product F J F^T, with plain numpy: the
+    route the factorization compresses away, kept here as the reference."""
+    s, cols = F.shape
+    r = cols // 2
+    eps = np.finfo(float).eps
+    J = np.block([[np.zeros((r, r)), np.eye(r)], [-np.eye(r), np.zeros((r, r))]])
+    sv_f = np.linalg.svd(F, compute_uv=False)
+    sv_m = np.linalg.svd(F @ J @ F.T, compute_uv=False)
+    cut_m = scale * max(s * eps * sv_m[0], max(s, cols) * eps * sv_f[0] ** 2)
+    cut_f = scale * max(s, cols) * eps * sv_f[0]
+    rank_m = int(np.sum(sv_m > cut_m))
+    rank_f = int(np.sum(sv_f > cut_f))
+    assert rank_m % 2 == 0
+    return rank_m // 2, rank_f - rank_m
+
+
+def _tall_stacks():
+    """(stack, policy, known (k, l) or None): the 384 x 12 stack of a
+    random n=6, m=16 system and the 80 x 10 stack of a structured
+    (k, l, d) = (2, 2, 1) system."""
+    wide = random_system(6, 16, seed=3)
+    structured = structured_system(5, 2, 2, 1, m_core=2)
+    return [
+        (np.asarray(krylov_matrices(wide).observability), TolerancePolicy(), None),
+        (np.asarray(krylov_matrices(structured).observability), POPULATION_POLICY, (2, 2)),
+    ]
+
+
+class TestCompressedRoute:
+    @pytest.mark.parametrize("case", range(2))
+    def test_tall_stack_counts_match_dense_reference(self, case):
+        F, policy, known = _tall_stacks()[case]
+        assert F.shape[0] > 4 * F.shape[1]
+        dense = _dense_counts(F, policy.scale)
+        if known is not None:
+            assert dense == known
+        assert factor_count_oracles(F, policy) == dense
+        for mode in ("strict", "relaxed"):
+            fact = one_sided_symplectic_svd(F, policy=policy, mode=mode)
+            assert (fact.E.k, fact.E.l) == dense
+            report = verify_factorization(F, fact, policy=policy)
+            assert report.passed, (mode, report.as_dict())
+
+    @pytest.mark.parametrize("shape", [(3, 8), (5, 12)])
+    def test_wide_input(self, shape):
+        # s < 2r: the kernel lies beyond the thin SVD factor
+        F = np.random.default_rng(shape[0]).standard_normal(shape)
+        for mode in ("strict", "relaxed"):
+            fact = one_sided_symplectic_svd(F, mode=mode)
+            assert (fact.E.k, fact.E.l) == _dense_counts(F)
+            assert verify_factorization(F, fact).passed
+
+    def test_no_stack_sized_eigh(self, monkeypatch):
+        F = _tall_stacks()[0][0]
+        two_r = F.shape[1]
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        one_sided_symplectic_svd(F)
+        assert shapes
+        assert all(max(shape) <= two_r for shape in shapes), shapes

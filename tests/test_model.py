@@ -144,14 +144,6 @@ class TestKrylov:
         assert kry.controllability.shape == (4, 8)
         assert kry.observability.shape == (8, 4)
 
-    def test_early_stop_keeps_ranks(self):
-        sys = random_system(3, 1, seed=5)
-        full = krylov_matrices(sys)
-        short = krylov_matrices(sys, early_stop=True)
-        assert short.depth <= full.depth
-        assert numerical_rank(short.controllability).rank == numerical_rank(full.controllability).rank
-        assert numerical_rank(short.observability).rank == numerical_rank(full.observability).rank
-
     def test_bad_variant(self):
         with pytest.raises(StructureError):
             krylov_matrices(random_system(1, 1, seed=0), variant="b")
