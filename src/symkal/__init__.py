@@ -6,7 +6,6 @@ from .errors import (
     ConsistencyError,
     DegenerateDimensionError,
     DocumentError,
-    PairingDegeneracyError,
     RankAmbiguityError,
     RefinementRejectedError,
     StructureError,
@@ -24,7 +23,6 @@ from .linalg import (
     principal_angles,
     sharp_adjoint,
     skew_canonical,
-    symplectic_complete,
 )
 from .model import (
     KrylovMatrices,
@@ -57,6 +55,7 @@ from .kalman import (
     refine,
     state_labels,
     verify_decomposition,
+    verify_transformation,
 )
 from . import optomech
 
@@ -64,12 +63,12 @@ __all__ = [
     "__version__",
     # errors
     "SymkalError", "StructureError", "DegenerateDimensionError", "ValidationError",
-    "DocumentError", "PairingDegeneracyError", "RankAmbiguityError",
+    "DocumentError", "RankAmbiguityError",
     "RefinementRejectedError", "ConsistencyError",
     # linear algebra
     "TolerancePolicy", "SubspaceBasis", "SkewCanonicalForm", "SymplecticCheck",
     "jmat", "sharp_adjoint", "is_symplectic", "numerical_rank", "skew_canonical",
-    "symplectic_complete", "principal_angles",
+    "principal_angles",
     # model
     "QuadratureSystem", "PhysicalSpec", "KrylovMatrices", "build_system",
     "from_physical", "krylov_matrices", "t0_matrix", "random_system", "transfer_matrix",
@@ -79,8 +78,8 @@ __all__ = [
     # kalman
     "KalmanDecomposition", "RefinementPair", "DecompositionChecks",
     "StateClassification", "LABEL_MEANINGS", "kalman_decompose",
-    "verify_decomposition", "refine", "classify_states", "state_labels",
-    "class_dimension_oracles",
+    "verify_decomposition", "verify_transformation", "refine", "classify_states",
+    "state_labels", "class_dimension_oracles",
     # demo
     "optomech",
 ]

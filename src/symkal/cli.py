@@ -8,6 +8,7 @@ failure, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,12 +27,12 @@ from .documents import (
 from .errors import ConsistencyError, DocumentError, RankAmbiguityError, SymkalError
 from .kalman import (
     LABEL_MEANINGS,
-    class_dimension_oracles,
+    _transformed,
     kalman_decompose,
-    pattern_residuals,
     state_labels,
+    verify_transformation,
 )
-from .linalg import TolerancePolicy, jmat, sharp_adjoint
+from .linalg import TolerancePolicy
 from .model import random_system
 
 EXIT_OK = 0
@@ -41,6 +42,7 @@ EXIT_WRITE = 4
 EXIT_VERIFY = 5
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symkal",
@@ -166,51 +168,31 @@ def cmd_verify(args) -> int:
     system, policy = _load_system(args.input, args.tolerance)
     stored = parse_report(_load_json(args.report))
     n = system.n
-    tol = args.check_tol
-    if stored["k"] + stored["l"] + stored["d"] != n:
-        sys.stderr.write(f"dims: k+l+d = {stored['k'] + stored['l'] + stored['d']} != n = {n}\n")
+    k, l, d = stored["k"], stored["l"], stored["d"]
+    if k + l + d != n:
+        sys.stderr.write(f"dims: k+l+d = {k + l + d} != n = {n}\n")
         return EXIT_VERIFY
 
+    tol = args.check_tol
     V = stored["V"]
-    k, l, d = stored["k"], stored["l"], stored["d"]
-    J = jmat(n)
-    failures = []
-    results = {}
+    checks = verify_transformation(system, V, k, l, d, stored["A_hat"], stored["B_hat"],
+                                   stored["C_hat"], tol, policy)
+    consistency = max(float(np.linalg.norm(stored[name] - value)) for name, value in
+                      zip(("A_hat", "B_hat", "C_hat", "D"), _transformed(system, V)))
+    consistency_ok = consistency <= tol * (1.0 + float(np.linalg.norm(stored["A_hat"])))
 
-    ccr = float(np.linalg.norm(V @ J @ V.T - J))
-    results["symplecticity"] = ccr
-    if ccr > max(tol, 1e-9):
-        failures.append("symplecticity")
-
-    V_inv = sharp_adjoint(V)
-    scale = 1.0 + float(np.linalg.norm(stored["A_hat"]))
-    consistency = max(
-        float(np.linalg.norm(stored["A_hat"] - V @ system.A @ V_inv)),
-        float(np.linalg.norm(stored["B_hat"] - V @ system.B)),
-        float(np.linalg.norm(stored["C_hat"] - system.C @ V_inv)),
-        float(np.linalg.norm(stored["D"] - system.D)),
-    )
-    results["transformed_matrices"] = consistency
-    if consistency > tol * scale:
-        failures.append("transformed_matrices")
-
-    pattern = max(pattern_residuals(stored["A_hat"], stored["B_hat"], stored["C_hat"], k, l, d))
-    results["pattern"] = pattern
-    if pattern > tol * scale:
-        failures.append("pattern")
-
-    k_oracle, l_oracle = class_dimension_oracles(system, policy)
-    results["k_oracle"] = k_oracle
-    results["l_oracle"] = l_oracle
-    if (k_oracle, l_oracle) != (k, l):
-        failures.append("dims_vs_oracles")
-
-    if list(stored["labels"]) != list(state_labels(k, l, d)):
-        failures.append("labels")
-
+    results = dict(checks.as_dict(), transformed_matrices=consistency)
     for name, value in results.items():
         sys.stdout.write(f"{name}: {value:.6e}\n" if isinstance(value, float)
                          else f"{name}: {value}\n")
+    failures = [name for name, ok in (
+        ("symplecticity", checks.ccr_ok),
+        ("transformed_matrices", consistency_ok),
+        ("pattern", checks.pattern_ok),
+        ("subspaces", checks.subspaces_ok),
+        ("dims_vs_oracles", checks.counts_ok),
+        ("labels", list(stored["labels"]) == list(state_labels(k, l, d))),
+    ) if not ok]
     if failures:
         sys.stderr.write("failed checks: " + ", ".join(failures) + "\n")
         return EXIT_VERIFY

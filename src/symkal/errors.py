@@ -41,17 +41,6 @@ class DocumentError(ValidationError):
         super().__init__(invariant=f"document field '{field}'", residual=residual, detail=detail)
 
 
-class PairingDegeneracyError(SymkalError):
-    """No symplectic partner with pairing above tolerance exists for a vector."""
-
-    def __init__(self, index: int, detail: str = ""):
-        self.index = index
-        msg = f"no symplectic partner above tolerance for vector {index}"
-        if detail:
-            msg += f"; {detail}"
-        super().__init__(msg)
-
-
 class RankAmbiguityError(SymkalError):
     """Rank decisions near the tolerance are mutually inconsistent.
 

@@ -9,7 +9,7 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -303,23 +303,7 @@ class FactorizationChecks:
                 and self.pattern_exact and self.counts_ok and self.kernel_ok)
 
     def as_dict(self) -> dict:
-        return {
-            "reconstruction_residual": self.reconstruction_residual,
-            "reconstruction_ok": self.reconstruction_ok,
-            "z_symplectic_residual": self.z_symplectic_residual,
-            "z_symplectic_ok": self.z_symplectic_ok,
-            "q_residual": self.q_residual,
-            "q_ok": self.q_ok,
-            "q_condition": self.q_condition,
-            "pattern_exact": self.pattern_exact,
-            "k": self.k,
-            "l": self.l,
-            "k_oracle": self.k_oracle,
-            "l_oracle": self.l_oracle,
-            "counts_ok": self.counts_ok,
-            "kernel_angle": self.kernel_angle,
-            "kernel_ok": self.kernel_ok,
-        }
+        return asdict(self)
 
 
 def factor_count_oracles(F, policy: TolerancePolicy | None = None) -> tuple[int, int]:

@@ -9,7 +9,7 @@ observability classes while keeping conjugate coordinate pairs together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,24 +139,7 @@ class DecompositionChecks:
         return self.ccr_ok and self.pattern_ok and self.subspaces_ok and self.counts_ok
 
     def as_dict(self) -> dict:
-        return {
-            "ccr_residual": self.ccr_residual,
-            "ccr_ok": self.ccr_ok,
-            "pattern_a": self.pattern_a,
-            "pattern_b": self.pattern_b,
-            "pattern_c": self.pattern_c,
-            "pattern_scale": self.pattern_scale,
-            "pattern_ok": self.pattern_ok,
-            "controllable_angle": self.controllable_angle,
-            "unobservable_angle": self.unobservable_angle,
-            "subspaces_ok": self.subspaces_ok,
-            "k": self.k,
-            "l": self.l,
-            "d": self.d,
-            "k_oracle": self.k_oracle,
-            "l_oracle": self.l_oracle,
-            "counts_ok": self.counts_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -234,10 +217,23 @@ def class_dimension_oracles(sys: QuadratureSystem,
     return factor_count_oracles(krylov_matrices(sys, variant="jr").observability, policy)
 
 
-def _run_checks(sys: QuadratureSystem, V: np.ndarray, A_hat, B_hat, C_hat,
-                k: int, l: int, d: int, tol: float, policy,
-                kry: KrylovMatrices | None = None) -> DecompositionChecks:
+def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,
+                          A_hat, B_hat, C_hat, tol: float = 1e-8,
+                          policy: TolerancePolicy | None = None,
+                          kry: KrylovMatrices | None = None) -> DecompositionChecks:
+    """Check a state transformation V and its claimed (k, l, d) on a system.
+
+    Judges the symplecticity of V, the block-zero pattern of the given
+    transformed matrices, the principal angles between the controllable and
+    unobservable subspaces of the system and the spans V assigns them, and
+    (k, l) against the count oracle.  ``kry`` reuses a Krylov stack the
+    caller already built for this system.
+    """
+    policy = policy or DEFAULT_POLICY
     n = sys.n
+    V = np.asarray(V)
+    if V.shape != (2 * n, 2 * n):
+        raise StructureError(f"V has shape {V.shape}, expected {(2 * n, 2 * n)}")
     J = jmat(n)
     ccr_residual = float(np.linalg.norm(V @ J @ V.T - J))
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
@@ -303,7 +299,6 @@ def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = Non
     A ConsistencyError (with the full report attached) is raised instead of
     returning a silently inconsistent decomposition.
     """
-    policy = policy or DEFAULT_POLICY
     kry = krylov_matrices(sys, variant="jr")
     fact = one_sided_symplectic_svd(kry.observability, policy=policy, mode=mode)
     n = sys.n
@@ -311,7 +306,7 @@ def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = Non
     d = n - k - l
     V = sharp_adjoint(fact.Z)
     A_hat, B_hat, C_hat, D = _transformed(sys, V)
-    checks = _run_checks(sys, V, A_hat, B_hat, C_hat, k, l, d, tol, policy, kry)
+    checks = verify_transformation(sys, V, k, l, d, A_hat, B_hat, C_hat, tol, policy, kry)
     if not checks.passed:
         raise ConsistencyError("decomposition failed verification", report=checks)
     return KalmanDecomposition(
@@ -324,13 +319,8 @@ def verify_decomposition(sys: QuadratureSystem, dec: KalmanDecomposition,
                          tol: float = 1e-8,
                          policy: TolerancePolicy | None = None) -> DecompositionChecks:
     """Re-derive every invariant of a decomposition from scratch."""
-    policy = policy or DEFAULT_POLICY
-    if dec.V.shape != (2 * sys.n, 2 * sys.n):
-        raise StructureError(
-            f"V has shape {dec.V.shape}, expected {(2 * sys.n, 2 * sys.n)}")
-    return _run_checks(sys, np.asarray(dec.V), np.asarray(dec.A_hat),
-                       np.asarray(dec.B_hat), np.asarray(dec.C_hat),
-                       dec.k, dec.l, dec.d, tol, policy)
+    return verify_transformation(sys, dec.V, dec.k, dec.l, dec.d,
+                                 dec.A_hat, dec.B_hat, dec.C_hat, tol, policy)
 
 
 @dataclass(frozen=True)
@@ -390,7 +380,6 @@ def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
     diagonals.  Counts and labels are preserved; every invariant is
     re-verified on the result.
     """
-    policy = policy or DEFAULT_POLICY
     E_mat = E.materialize()
     if pair.X.shape[0] != E.s or pair.Y.shape[0] != 2 * E.r:
         raise StructureError(
@@ -410,8 +399,8 @@ def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
 
     V_new = sharp_adjoint(pair.Y) @ dec.V
     A_hat, B_hat, C_hat, D = _transformed(dec.system, V_new)
-    checks = _run_checks(dec.system, V_new, A_hat, B_hat, C_hat,
-                         dec.k, dec.l, dec.d, tol, policy)
+    checks = verify_transformation(dec.system, V_new, dec.k, dec.l, dec.d,
+                                   A_hat, B_hat, C_hat, tol, policy)
     if not checks.passed:
         raise ConsistencyError("refined decomposition failed verification", report=checks)
     return KalmanDecomposition(

@@ -12,12 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateDimensionError,
-    PairingDegeneracyError,
-    RankAmbiguityError,
-    StructureError,
-)
+from .errors import DegenerateDimensionError, RankAmbiguityError, StructureError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -138,10 +133,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceBasis":
-        return cls(np.eye(ambient_dim))
 
     @classmethod
     def from_columns(cls, columns, policy: TolerancePolicy | None = None) -> "SubspaceBasis":
@@ -360,8 +351,7 @@ def symplectic_gram_schmidt(Z: np.ndarray, r: int, min_pairing: float = 0.1):
     for i in range(r):
         for col in (i, r + i):
             x = Z[:, col]
-            for j in range(i):
-                x = x - (x @ JZ[:, r + j]) * Z[:, j] + (x @ JZ[:, j]) * Z[:, r + j]
+            x = x - Z[:, :i] @ (x @ JZ[:, r:r + i]) + Z[:, r:r + i] @ (x @ JZ[:, :i])
             Z[:, col] = x
             JZ[:, col] = J @ x
         w = float(Z[:, i] @ JZ[:, r + i])
@@ -373,89 +363,3 @@ def symplectic_gram_schmidt(Z: np.ndarray, r: int, min_pairing: float = 0.1):
         JZ[:, [i, r + i]] *= sc
         scales[i] = sc
     return Z, scales
-
-
-def symplectic_complete(vectors, within: SubspaceBasis | None = None,
-                        tol: float = 1e-9,
-                        policy: TolerancePolicy | None = None) -> np.ndarray:
-    """Extend an isotropic family to a symplectic basis of a subspace.
-
-    ``vectors`` holds t columns z_1 ... z_t of R^{2r} that are mutually
-    form-orthogonal and lie inside ``within`` (the whole space when omitted).
-    The result has columns (z_1, ..., z_w, z_1', ..., z_w') where the first t
-    of the z's are the inputs verbatim, omega(z_i, z_j') = delta_ij, and both
-    halves are isotropic; w is half the dimension of ``within``.
-
-    Raises PairingDegeneracyError, reporting the offending input index, when
-    some input has no partner with pairing above tolerance inside the
-    subspace.
-    """
-    P = as_matrix(vectors, "vectors")
-    two_r, t = P.shape
-    if two_r == 0 or two_r % 2:
-        raise StructureError(f"ambient dimension must be even and positive, got {two_r}")
-    r = two_r // 2
-    J = jmat(r)
-    policy = policy or DEFAULT_POLICY
-    if within is None:
-        within = SubspaceBasis.full(two_r)
-    if within.ambient_dim != two_r:
-        raise StructureError("subspace ambient dimension does not match the vectors")
-    if within.dim % 2:
-        raise StructureError("target subspace has odd dimension, so it carries no symplectic basis")
-    w = within.dim // 2
-    if t > w:
-        raise StructureError(f"{t} vectors cannot be isotropic in a {within.dim}-dimensional symplectic space")
-    S = within.basis
-
-    if t:
-        resid = P - S @ (S.T @ P)
-        for jcol in range(t):
-            if np.linalg.norm(resid[:, jcol]) > tol * max(1.0, np.linalg.norm(P[:, jcol])):
-                raise StructureError(f"vector {jcol} is not inside the target subspace")
-        sv = np.linalg.svd(P, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
-            raise StructureError("input vectors are linearly dependent")
-        gram = P.T @ J @ P
-        if np.max(np.abs(gram)) > tol * max(1.0, float(sv[0]) ** 2):
-            raise StructureError("input vectors are not isotropic")
-
-    Gform = S.T @ J @ S
-    Pc = S.T @ P
-
-    if t:
-        # partner candidates: the Euclidean complement of the inputs inside the subspace
-        comp = nullspace_rows(Pc.T, expected_dim=within.dim - t, policy=policy)
-        pairing = Pc.T @ Gform @ comp  # omega(z_i, cand_j)
-        Upair, sv_pair, Vhpair = np.linalg.svd(pairing, full_matrices=False)
-        if sv_pair[-1] <= tol * max(1.0, sv_pair[0]):
-            weights = np.abs(Upair[:, -1])
-            raise PairingDegeneracyError(int(np.argmax(weights)))
-        H = Vhpair.T @ np.diag(1.0 / sv_pair) @ Upair.T  # right inverse: pairing @ H = I
-        duals = comp @ H
-        shear = duals.T @ Gform @ duals
-        duals = duals + Pc @ (shear / 2.0)
-    else:
-        duals = np.zeros((within.dim, 0))
-
-    if 2 * t < within.dim:
-        used = np.hstack([Pc, duals])
-        constraints = used.T @ Gform if t else np.zeros((0, within.dim))
-        rest = nullspace_rows(constraints, expected_dim=within.dim - 2 * t, policy=policy)
-        Grest = rest.T @ Gform @ rest
-        canon = skew_canonical(Grest, policy=policy, floor=two_r * EPS)
-        expected_pairs = (within.dim - 2 * t) // 2
-        if canon.k < expected_pairs:
-            raise StructureError("the symplectic form is degenerate on the target subspace")
-        roots = np.sqrt(canon.mus[:expected_pairs])
-        paircols = rest @ canon.U[:, : 2 * expected_pairs]
-        fill_a = paircols[:, 0::2] / roots[None, :]
-        fill_b = paircols[:, 1::2] / roots[None, :]
-    else:
-        fill_a = np.zeros((within.dim, 0))
-        fill_b = np.zeros((within.dim, 0))
-
-    coords = np.hstack([Pc, fill_a, duals, fill_b])
-    out = S @ coords
-    out[:, :t] = P  # keep the inputs bit-exact
-    return out

@@ -3,10 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from symkal import RankAmbiguityError, build_system, random_system
+import symkal.cli
+import symkal.kalman
+from symkal import (
+    RankAmbiguityError,
+    RefinementPair,
+    build_system,
+    kalman_decompose,
+    random_system,
+    refine,
+    sharp_adjoint,
+    verify_decomposition,
+)
 from symkal.cli import main
 from symkal.documents import (
     canonical_json,
+    matrix_to_lists,
     parse_system_document,
     system_to_document,
 )
@@ -157,11 +169,77 @@ class TestVerify:
                              "--tolerance", "10.0")
         assert code == 0
 
+    def test_swapped_pairs_fail_subspaces(self, tmp_path, capsys):
+        # swapping the co and ncno pairs keeps V symplectic; with the stored
+        # matrices recomputed from the new V only the structure is wrong
+        _, out, _ = run_cli(capsys, "example")
+        system_doc = tmp_path / "example.json"
+        system_doc.write_text(canonical_json(json.loads(out)["system"]))
+        report_path = self._decompose(system_doc, tmp_path, capsys)
+        report = json.loads(report_path.read_text())
+        assert report["dims"] == {"k": 1, "l": 1, "d": 1}
+        system, _ = parse_system_document(json.loads(system_doc.read_text()))
+        V = np.array(report["V"])[[2, 1, 0, 5, 4, 3]]
+        V_inv = sharp_adjoint(V)
+        for name, value in (("V", V), ("A_hat", V @ system.A @ V_inv),
+                            ("B_hat", V @ system.B), ("C_hat", system.C @ V_inv)):
+            report[name] = matrix_to_lists(value)
+        report_path.write_text(canonical_json(report))
+        code, out, err = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 5
+        assert "subspaces" in err
+        assert "symplecticity" not in err and "transformed_matrices" not in err
+        assert "controllable_angle:" in out and "unobservable_angle:" in out
+
     def test_malformed_report_exits_2(self, system_doc, tmp_path, capsys):
         report_path = tmp_path / "broken.json"
         report_path.write_text('{"schema": 1}\n')
         code, _, err = run_cli(capsys, "verify", system_doc, report_path)
         assert code == 2
+
+
+class TestOneVerifier:
+    """The library, refine and ``symkal verify`` share one verifier."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        verifier = symkal.kalman.verify_transformation
+        assert symkal.cli.verify_transformation is verifier
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return verifier(*args, **kwargs)
+
+        monkeypatch.setattr(symkal.kalman, "verify_transformation", counted)
+        monkeypatch.setattr(symkal.cli, "verify_transformation", counted)
+        return calls
+
+    def test_kalman_decompose(self, calls):
+        kalman_decompose(random_system(2, 1, seed=11))
+        assert len(calls) == 1
+
+    def test_verify_decomposition(self, calls):
+        system = random_system(2, 1, seed=11)
+        dec = kalman_decompose(system)
+        calls.clear()
+        verify_decomposition(system, dec)
+        assert len(calls) == 1
+
+    def test_refine(self, calls):
+        dec = kalman_decompose(random_system(2, 1, seed=11))
+        E = dec.factorization.E
+        calls.clear()
+        refine(dec, E, RefinementPair(X=np.eye(E.s), Y=np.eye(2 * E.r)))
+        assert len(calls) == 1
+
+    def test_cli_verify(self, system_doc, tmp_path, capsys, calls):
+        report_path = tmp_path / "report.json"
+        assert run_cli(capsys, "decompose", system_doc, "--output", report_path)[0] == 0
+        calls.clear()
+        code, _, _ = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestExample:

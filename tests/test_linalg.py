@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from symkal import (
     DegenerateDimensionError,
-    PairingDegeneracyError,
     StructureError,
     SubspaceBasis,
     TolerancePolicy,
@@ -15,7 +14,6 @@ from symkal import (
     principal_angles,
     sharp_adjoint,
     skew_canonical,
-    symplectic_complete,
 )
 from symkal.errors import RankAmbiguityError
 from symkal.linalg import nullspace_rows, symplectic_gram_schmidt
@@ -196,73 +194,6 @@ class TestSkewCanonical:
             assert lead > 0
 
 
-class TestSymplecticComplete:
-    def test_single_vector(self):
-        out = symplectic_complete(np.array([[1.0], [0.0]]))
-        assert np.allclose(out, np.eye(2))
-
-    def test_scaled_vector_partner(self):
-        out = symplectic_complete(np.array([[2.0], [0.0]]))
-        assert np.allclose(out[:, 0], [2.0, 0.0])
-        assert np.allclose(out[:, 1], [0.0, 0.5])
-
-    def test_two_vectors_in_r4(self):
-        P = np.eye(4)[:, :2]
-        out = symplectic_complete(P)
-        J = jmat(2)
-        assert np.allclose(out[:, :2], P)
-        assert np.allclose(out.T @ J @ out, J, atol=1e-12)
-        assert np.allclose(np.abs(out[:, 2:]), np.eye(4)[:, 2:])
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_symplectic_gram(self, seed):
-        rng = np.random.default_rng(seed)
-        r = int(rng.integers(1, 5))
-        t = int(rng.integers(0, r + 1))
-        from helpers import random_symplectic
-        T = random_symplectic(r, rng)
-        P = T[:, :t] @ rng.standard_normal((t, t)) if t else np.zeros((2 * r, 0))
-        sv = np.linalg.svd(P, compute_uv=False) if t else [1.0]
-        if t and sv[-1] < 1e-3:
-            return
-        out = symplectic_complete(P)
-        J = jmat(r)
-        assert np.linalg.norm(out.T @ J @ out - J) <= 1e-9
-        if t:
-            assert np.allclose(out[:, :t], P)
-
-    def test_inside_subspace(self):
-        basis = SubspaceBasis(np.eye(6)[:, [0, 1, 3, 4]])
-        vec = np.zeros((6, 1))
-        vec[0] = 1.0
-        out = symplectic_complete(vec, within=basis)
-        assert out.shape == (6, 4)
-        gram = out.T @ jmat(3) @ out
-        assert np.allclose(gram, jmat(2), atol=1e-12)
-        # every output column stays inside the subspace
-        proj = basis.basis @ (basis.basis.T @ out)
-        assert np.allclose(proj, out, atol=1e-12)
-
-    def test_degenerate_pairing_reports_index(self):
-        # the subspace spanned by two positions is isotropic, so no partner exists
-        basis = SubspaceBasis(np.eye(4)[:, :2])
-        vec = np.eye(4)[:, :1]
-        with pytest.raises(PairingDegeneracyError) as info:
-            symplectic_complete(vec, within=basis)
-        assert info.value.index == 0
-
-    def test_dependent_inputs_rejected(self):
-        P = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(StructureError):
-            symplectic_complete(P)
-
-    def test_non_isotropic_rejected(self):
-        P = np.eye(4)[:, [0, 2]]  # a conjugate pair, omega = 1
-        with pytest.raises(StructureError):
-            symplectic_complete(P)
-
-
 class TestPrincipalAngles:
     def test_identical(self):
         B = SubspaceBasis(np.eye(4)[:, :2])
@@ -293,9 +224,6 @@ class TestSubspaceBasis:
         with pytest.raises(StructureError):
             SubspaceBasis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
-    def test_full(self):
-        assert SubspaceBasis.full(3).dim == 3
-
     def test_from_columns_orthonormalizes(self):
         cols = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
         basis = SubspaceBasis.from_columns(cols)
@@ -315,3 +243,29 @@ class TestInternalHelpers:
         J = jmat(3)
         assert np.linalg.norm(polished.T @ J @ polished - J) < 1e-12
         assert np.allclose(scales, 1.0, atol=1e-4)
+
+    def test_gram_schmidt_matches_pairwise_sweep(self):
+        # reference: the same sweep projecting out one earlier pair at a time
+        def pairwise(Z, r):
+            J = jmat(r)
+            Z = Z.copy()
+            JZ = J @ Z
+            for i in range(r):
+                for col in (i, r + i):
+                    x = Z[:, col]
+                    for j in range(i):
+                        x = x - (x @ JZ[:, r + j]) * Z[:, j] + (x @ JZ[:, j]) * Z[:, r + j]
+                    Z[:, col] = x
+                    JZ[:, col] = J @ x
+                sc = 1.0 / np.sqrt(float(Z[:, i] @ JZ[:, r + i]))
+                Z[:, [i, r + i]] *= sc
+                JZ[:, [i, r + i]] *= sc
+            return Z
+
+        rng = np.random.default_rng(8)
+        from helpers import random_symplectic
+        for r in (1, 4, 12):
+            Z = random_symplectic(r, rng) + 1e-4 * rng.standard_normal((2 * r, 2 * r))
+            polished, _ = symplectic_gram_schmidt(Z, r)
+            reference = pairwise(Z, r)
+            assert np.linalg.norm(polished - reference) <= 1e-12 * np.linalg.norm(reference)
