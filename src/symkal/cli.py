@@ -166,7 +166,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     system, policy = _load_system(args.input, args.tolerance)
-    stored = parse_report(_load_json(args.report))
+    stored = parse_report(_load_json(args.report), system.m)
     n = system.n
     k, l, d = stored["k"], stored["l"], stored["d"]
     if k + l + d != n:

@@ -171,8 +171,12 @@ def decomposition_to_report(dec: KalmanDecomposition, mode: str,
     }
 
 
-def parse_report(data) -> dict:
-    """Validate the shape of a decomposition report and return its pieces."""
+def parse_report(data, m: int) -> dict:
+    """Validate the shape of a decomposition report and return its pieces.
+
+    ``m`` is the field count of the system the report claims to decompose;
+    B_hat, C_hat and D must match it.
+    """
     if not isinstance(data, dict):
         raise DocumentError("report", "top level must be a JSON object")
     schema = _require(data, "schema", int)
@@ -190,16 +194,10 @@ def parse_report(data) -> dict:
         "labels": _require(data, "labels", list),
         "V": _array(data, "V", (2 * n, 2 * n)),
         "A_hat": _array(data, "A_hat", (2 * n, 2 * n)),
+        "B_hat": _array(data, "B_hat", (2 * n, 2 * m)),
+        "C_hat": _array(data, "C_hat", (2 * m, 2 * n)),
+        "D": _array(data, "D", (2 * m, 2 * m)),
     }
-    for field in ("B_hat", "C_hat", "D"):
-        raw = _require(data, field, list)
-        try:
-            arr = np.array(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(field, f"not a numeric array: {exc}") from None
-        if arr.ndim != 2 or not np.isfinite(arr).all():
-            raise DocumentError(field, "must be a finite 2-D array")
-        out[field] = arr
     residuals = _require(data, "residuals", dict)
     for field in ("symplecticity", "pattern", "reconstruction"):
         value = _require(residuals, field, (int, float))

@@ -4,12 +4,14 @@ Any real F of shape s x 2r factors with Q invertible (orthogonal in strict
 mode), Z real symplectic, and E in a fixed sparse canonical pattern whose
 shape is controlled by two integers: k, half the rank of the form F J F^T
 carried onto the row space, and l, the rank of F beyond those paired
-directions.
+directions.  The decomposition reads only Z and the counts in E; the square
+Q is completed from its leading columns when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,9 +91,13 @@ class CanonicalE:
 
 @dataclass(frozen=True)
 class SymplecticFactorization:
-    """The triple (Q, E, Z) with F Z = Q E and Z symplectic."""
+    """The triple (Q, E, Z) with F Z = Q E and Z symplectic.
 
-    Q: np.ndarray
+    ``Q_lead`` holds the 2k + l leading columns of Q, the only ones F Z = Q E
+    uses; the rows of E past them are zero.
+    """
+
+    Q_lead: np.ndarray
     E: CanonicalE
     Z: np.ndarray
     mode: str
@@ -99,8 +105,21 @@ class SymplecticFactorization:
     z_condition: float
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", readonly(self.Q))
+        object.__setattr__(self, "Q_lead", readonly(self.Q_lead))
         object.__setattr__(self, "Z", readonly(self.Z))
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The square Q: Q_lead completed by an orthonormal basis of the
+        complement of its span.  The factorization has already checked that
+        Q_lead has full column rank."""
+        s, p = self.Q_lead.shape
+        if p == s:
+            return self.Q_lead
+        if p == 0:
+            return readonly(np.eye(s))
+        _, _, Vh = np.linalg.svd(self.Q_lead.T)
+        return readonly(np.hstack([self.Q_lead, Vh[p:].T]))
 
     @property
     def k(self) -> int:
@@ -127,7 +146,8 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
     Both decisions and Ker F depend only on the row space of F, so one SVD
     first compresses the s x 2r input to at most 2r rows, at O(s (2r)^2).
     Everything after that works on 2r x 2r data at O((2r)^3), apart from
-    lifting the paired columns back and completing the s x s Q.
+    lifting the paired columns back; the s x s Q is completed only when the
+    ``Q`` attribute is first read.
     """
     if mode not in ("strict", "relaxed"):
         raise StructureError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
@@ -212,13 +232,18 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
         W0 = Z[:, r + k:r + k + l]
         Qb_raw = A @ Zb
         if mode == "strict":
-            gram = Qb_raw.T @ Qb_raw
-            try:
-                L = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError as exc:
+            # the same two-sided test _paired_directions applies to its
+            # pairing matrix: a Gram matrix that rounding alone keeps
+            # positive definite is not a rank decision
+            sv_b = np.linalg.svd(Qb_raw, compute_uv=False)
+            if sv_b[-1] <= policy.cutoff(A.shape, sigma_f) or sv_b[-1] < 1e-8 * sv_b[0]:
                 raise RankAmbiguityError(
                     "image of the paired directions is numerically rank deficient",
-                    singular_values=sv) from exc
+                    singular_values=sv, skew_values=sv_b)
+            # L L^T = Qb_raw^T Qb_raw from the triangular factor of Qb_raw,
+            # without squaring its condition as a Cholesky of the Gram would
+            R = np.linalg.qr(Qb_raw, mode="r")
+            L = (R * np.where(np.diag(R) < 0, -1.0, 1.0)[:, None]).T
             W0 = W0 @ L
             Zb = Zb @ np.linalg.inv(L).T
             Qb = A @ Zb
@@ -239,18 +264,22 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
         ones = np.zeros(0)
 
     Q_lead = np.hstack([u_cols, Qb, v_cols])
-    if Q_lead.shape[1] < s:
-        Q_rest = (nullspace_rows(Q_lead.T, expected_dim=s - Q_lead.shape[1], policy=policy)
-                  if Q_lead.shape[1] else np.eye(s))
-        Q = np.hstack([Q_lead, Q_rest])
-    else:
-        Q = Q_lead
+    p = Q_lead.shape[1]
+    if 0 < p < s:
+        # the rank check of the completion, made here so that reading Q later
+        # cannot fail: the p leading columns must be independent
+        sv_q = np.linalg.svd(Q_lead, compute_uv=False)
+        rank_q = int(np.sum(sv_q > policy.cutoff((p, s), float(sv_q[0]))))
+        if rank_q != p:
+            raise RankAmbiguityError(
+                f"kernel dimension {s - rank_q} does not match the expected {s - p}",
+                singular_values=sv_q)
 
     E = CanonicalE(s=s, r=r, k=k, l=l, xi_top=xi, xi_mid=xi.copy(), ones_block=ones)
     # rows of E past 2k + l are zero, so Q E = Q_lead E[:2k + l]
-    residual = float(np.linalg.norm(A @ Z - Q_lead @ E.materialize()[:Q_lead.shape[1]]))
+    residual = float(np.linalg.norm(A @ Z - Q_lead @ E.materialize()[:p]))
     z_condition = float(np.linalg.cond(Z))
-    return SymplecticFactorization(Q=Q, E=E, Z=Z, mode=mode,
+    return SymplecticFactorization(Q_lead=Q_lead, E=E, Z=Z, mode=mode,
                                    residual=residual, z_condition=z_condition)
 
 

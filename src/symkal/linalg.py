@@ -256,22 +256,10 @@ def skew_canonical(M, tol: float = 1e-9, policy: TolerancePolicy | None = None,
     sigma_max = float(np.max(np.abs(lam)))
     cut = policy.cutoff((s_dim, s_dim), sigma_max, floor)
 
-    pairs = []
-    for i in range(s_dim - 1, -1, -1):
-        if lam[i] <= cut:
-            break
-        u, v, mu = _canonical_pair(K, W[:, i])
-        pairs.append((mu, u, v))
-    # descending mu; ties keep the eigensolver's descending-eigenvalue order
-    pairs.sort(key=lambda item: -item[0])
-    k = len(pairs)
-
-    U_pairs = np.zeros((s_dim, 2 * k))
-    mus = np.zeros(k)
-    for i, (mu, u, v) in enumerate(pairs):
-        U_pairs[:, 2 * i] = u
-        U_pairs[:, 2 * i + 1] = v
-        mus[i] = mu
+    # eigenvalues come ascending, so the pairs come from the trailing columns
+    k = int(np.count_nonzero(lam > cut))
+    U_pairs, mus = (_canonical_pairs(K, W.T[::-1][:k]) if k
+                    else (np.zeros((s_dim, 0)), np.zeros(0)))
 
     nker = s_dim - 2 * k
     if nker:
@@ -286,38 +274,52 @@ def skew_canonical(M, tol: float = 1e-9, policy: TolerancePolicy | None = None,
     return SkewCanonicalForm(U=U, mus=mus, k=k)
 
 
-def _canonical_pair(K: np.ndarray, w: np.ndarray):
-    """Extract an orthonormal (u, v) with K u = -mu v, K v = mu u from an
-    eigenvector of 1j*K, with a deterministic in-plane orientation."""
-    Ew = np.column_stack([w.real, w.imag])
-    Uo, sv, _ = np.linalg.svd(Ew, full_matrices=False)
-    if sv[1] >= 0.3 * sv[0]:
-        # clean complex eigenvector: its real and imaginary parts already
-        # carry the invariant 2-plane
-        g1, g2 = Uo[:, 0], Uo[:, 1]
-    else:
-        # +mu and -mu eigenvectors mixed (mu at rounding scale); recover the
-        # second plane direction through K itself
-        g1 = Uo[:, 0]
-        t = K @ g1
-        t = t - g1 * (g1 @ t)
-        g2 = t / np.linalg.norm(t)
-    plane = np.column_stack([g1, g2])
+def _dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise inner products as a column, each computed by the same BLAS
+    dot as for two 1-D operands."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0]
+
+
+def _canonical_pairs(K: np.ndarray, eigvecs: np.ndarray):
+    """Orthonormal pairs (u, v) with K u = -mu v, K v = mu u, one from each
+    eigenvector of 1j*K in the rows of ``eigvecs``, all in one batched pass.
+
+    Returns the interleaved columns (u_1, v_1, u_2, v_2, ...) and the mus in
+    descending order; ties keep the row order of ``eigvecs``.  Each in-plane
+    orientation is deterministic.
+    """
+    k, s = eigvecs.shape
+    # the (real, imaginary) planes, s x 2 each, as a view of the complex rows
+    planes = np.ascontiguousarray(eigvecs).view(np.float64).reshape(k, s, 2)
+    G, sv, _ = np.linalg.svd(planes, full_matrices=False)
+    # a clean complex eigenvector's real and imaginary parts already carry
+    # the invariant 2-plane; where the +mu and -mu eigenvectors mixed (mu at
+    # rounding scale), recover the second plane direction through K itself
+    mixed = sv[:, 1] < 0.3 * sv[:, 0]
+    if mixed.any():
+        g1 = G[mixed, :, 0]
+        t = np.matmul(K, g1[:, :, None])[:, :, 0]
+        t = t - g1 * _dot_rows(g1, t)
+        G[mixed, :, 1] = t / np.sqrt(_dot_rows(t, t))
+    g1, g2 = G[:, :, 0], G[:, :, 1]
     # orient u toward the first standard axis with a solid footprint in the plane
-    rows = np.linalg.norm(plane, axis=1)
-    j = int(np.argmax(rows >= 1e-2 * rows.max()))
-    u = plane @ plane[j]
-    u = u / np.linalg.norm(u)
+    rows = np.sqrt((G * G).sum(axis=2))
+    anchor = (rows >= 1e-2 * rows.max(axis=1, keepdims=True)).argmax(axis=1)
+    u = np.matmul(G, G[np.arange(k), anchor][:, :, None])[:, :, 0]
+    u = u / np.sqrt(_dot_rows(u, u))
     # the partner is the in-plane unit vector orthogonal to u, oriented so
     # that u^T K v > 0; staying inside the plane avoids amplifying rounding
     # by the spread of the spectrum
-    v = g2 * (u @ g1) - g1 * (u @ g2)
-    v = v / np.linalg.norm(v)
-    t_val = float(u @ K @ v)
-    if t_val < 0:
-        v = -v
-        t_val = -t_val
-    return u, v, t_val
+    v = g2 * _dot_rows(u, g1) - g1 * _dot_rows(u, g2)
+    v = v / np.sqrt(_dot_rows(v, v))
+    mus = _dot_rows(np.matmul(u[:, None, :], K)[:, 0], v)[:, 0]
+    v *= np.where(mus < 0, -1.0, 1.0)[:, None]
+    mus = np.abs(mus)
+    order = np.argsort(-mus, kind="stable")
+    U = np.empty((s, 2 * k))
+    U[:, 0::2] = u[order].T
+    U[:, 1::2] = v[order].T
+    return U, mus[order]
 
 
 def principal_angles(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:

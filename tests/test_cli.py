@@ -197,6 +197,19 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", system_doc, report_path)
         assert code == 2
 
+    @pytest.mark.parametrize("field, cut", [
+        ("B_hat", lambda rows: rows[:3]),
+        ("D", lambda rows: [row[:1] for row in rows]),
+    ], ids=["B_hat_3_rows", "D_1_column"])
+    def test_mis_shaped_stored_matrix_exits_2(self, field, cut, system_doc, tmp_path, capsys):
+        report_path = self._decompose(system_doc, tmp_path, capsys)
+        report = json.loads(report_path.read_text())
+        report[field] = cut(report[field])
+        report_path.write_text(canonical_json(report))
+        code, _, err = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 2
+        assert field in err
+
 
 class TestOneVerifier:
     """The library, refine and ``symkal verify`` share one verifier."""

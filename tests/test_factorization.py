@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from symkal import (
     SubspaceBasis,
     TolerancePolicy,
     jmat,
+    kalman_decompose,
     numerical_rank,
     one_sided_symplectic_svd,
     principal_angles,
@@ -22,8 +25,8 @@ from symkal import (
     skew_canonical,
     verify_factorization,
 )
-from symkal.factorization import SymplecticFactorization, factor_count_oracles
-from symkal.linalg import orthonormal_columns
+from symkal.factorization import factor_count_oracles
+from symkal.linalg import nullspace_rows, orthonormal_columns
 from symkal.model import krylov_matrices
 
 
@@ -174,9 +177,7 @@ class TestVerifyFactorization:
         fact = one_sided_symplectic_svd(F)
         Z_bad = np.array(fact.Z)
         Z_bad[0, 0] += 0.1
-        corrupted = SymplecticFactorization(
-            Q=fact.Q, E=fact.E, Z=Z_bad, mode=fact.mode,
-            residual=fact.residual, z_condition=fact.z_condition)
+        corrupted = dataclasses.replace(fact, Z=Z_bad)
         report = verify_factorization(F, corrupted)
         assert not report.z_symplectic_ok
         assert not report.passed
@@ -286,3 +287,68 @@ class TestCompressedRoute:
         one_sided_symplectic_svd(F)
         assert shapes
         assert all(max(shape) <= two_r for shape in shapes), shapes
+
+
+def _isotropic_image_stack(rho: float, seed: int) -> np.ndarray:
+    """F = M W^T of shape 12 x 8 with (k, l) = (0, 2): W holds two
+    position-only columns of a random orthogonal 4 x 4, and M has singular
+    values (1, rho), so the image of the paired directions has condition
+    1 / rho."""
+    rng = np.random.default_rng(seed)
+    O, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    W = np.vstack([O[:, :2], np.zeros((4, 2))])
+    U, _ = np.linalg.qr(rng.standard_normal((12, 2)))
+    V, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    return (U * [1.0, rho]) @ V.T @ W.T
+
+
+class TestStrictWhitening:
+    """Strict mode whitens the l-block image through a thresholded SVD and
+    the triangular factor of that image, not a Cholesky of its Gram matrix."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ill_conditioned_image_verifies(self, seed):
+        F = _isotropic_image_stack(1e-6, seed)
+        fact = one_sided_symplectic_svd(F)
+        assert (fact.k, fact.l) == (0, 2)
+        report = verify_factorization(F, fact)
+        assert report.passed, report.as_dict()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_deficient_image_raises(self, seed):
+        F = _isotropic_image_stack(1e-9, seed)
+        with pytest.raises(RankAmbiguityError):
+            one_sided_symplectic_svd(F)
+
+
+class TestLazyQ:
+    """The s x s Q is completed on first read, never on the decompose path."""
+
+    def test_no_stack_squared_svd(self, monkeypatch):
+        system = random_system(6, 16, seed=3)
+        s = 4 * system.n * system.m
+        sizes = []
+        svd = np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            out = svd(*args, **kwargs)
+            sizes.extend(np.size(part) for part in (out if isinstance(out, tuple) else (out,)))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        kalman_decompose(system)
+        assert sizes
+        assert max(sizes) < s * s, max(sizes)
+
+    def test_q_completed_on_first_read(self):
+        F = np.asarray(krylov_matrices(random_system(6, 16, seed=3)).observability)
+        fact = one_sided_symplectic_svd(F)
+        s, p = fact.Q_lead.shape
+        assert s == 384 and p < s
+        Q = fact.Q
+        assert Q.shape == (s, s)
+        assert not Q.flags.writeable
+        assert fact.Q is Q
+        expected = np.hstack([fact.Q_lead, nullspace_rows(fact.Q_lead.T, expected_dim=s - p)])
+        assert np.array_equal(Q, expected)
+        assert verify_factorization(F, fact).passed

@@ -194,6 +194,106 @@ class TestSkewCanonical:
             assert lead > 0
 
 
+def _canonical_pair(K: np.ndarray, w: np.ndarray):
+    """Extract an orthonormal (u, v) with K u = -mu v, K v = mu u from an
+    eigenvector of 1j*K, with a deterministic in-plane orientation."""
+    Ew = np.column_stack([w.real, w.imag])
+    Uo, sv, _ = np.linalg.svd(Ew, full_matrices=False)
+    if sv[1] >= 0.3 * sv[0]:
+        # clean complex eigenvector: its real and imaginary parts already
+        # carry the invariant 2-plane
+        g1, g2 = Uo[:, 0], Uo[:, 1]
+    else:
+        # +mu and -mu eigenvectors mixed (mu at rounding scale); recover the
+        # second plane direction through K itself
+        g1 = Uo[:, 0]
+        t = K @ g1
+        t = t - g1 * (g1 @ t)
+        g2 = t / np.linalg.norm(t)
+    plane = np.column_stack([g1, g2])
+    # orient u toward the first standard axis with a solid footprint in the plane
+    rows = np.linalg.norm(plane, axis=1)
+    j = int(np.argmax(rows >= 1e-2 * rows.max()))
+    u = plane @ plane[j]
+    u = u / np.linalg.norm(u)
+    # the partner is the in-plane unit vector orthogonal to u, oriented so
+    # that u^T K v > 0; staying inside the plane avoids amplifying rounding
+    # by the spread of the spectrum
+    v = g2 * (u @ g1) - g1 * (u @ g2)
+    v = v / np.linalg.norm(v)
+    t_val = float(u @ K @ v)
+    if t_val < 0:
+        v = -v
+        t_val = -t_val
+    return u, v, t_val
+
+
+def _pairwise_canonical(M: np.ndarray, policy: TolerancePolicy):
+    """Reference for the pairs of skew_canonical: one eigenvector at a time,
+    then a stable sort by descending mu.  Returns (U_pairs, mus, mixed)
+    with ``mixed`` the number of pairs that took the fallback through K."""
+    K = 0.5 * (M - M.T)
+    lam, W = np.linalg.eigh(1j * K)
+    cut = policy.cutoff(K.shape, float(np.max(np.abs(lam))))
+    pairs = []
+    mixed = 0
+    for i in range(K.shape[0] - 1, -1, -1):
+        if lam[i] <= cut:
+            break
+        sv = np.linalg.svd(np.column_stack([W[:, i].real, W[:, i].imag]), compute_uv=False)
+        mixed += int(sv[1] < 0.3 * sv[0])
+        u, v, mu = _canonical_pair(K, W[:, i])
+        pairs.append((mu, u, v))
+    pairs.sort(key=lambda item: -item[0])
+    U = np.zeros((K.shape[0], 2 * len(pairs)))
+    for i, (_, u, v) in enumerate(pairs):
+        U[:, 2 * i] = u
+        U[:, 2 * i + 1] = v
+    return U, np.array([mu for mu, _, _ in pairs]), mixed
+
+
+def _block_skew(mus, size: int, seed: int) -> np.ndarray:
+    """Q blockdiag(mu_1 J_2, ..., 0) Q^T with a Haar orthogonal Q."""
+    B = np.zeros((size, size))
+    for i, mu in enumerate(mus):
+        B[2 * i, 2 * i + 1] = mu
+        B[2 * i + 1, 2 * i] = -mu
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((size, size)))
+    return Q @ B @ Q.T
+
+
+class TestBatchedPairs:
+    """skew_canonical extracts every pair in one batched pass; the loop over
+    eigenvectors it replaced is the reference."""
+
+    @staticmethod
+    def _assert_matches(M, policy=TolerancePolicy()):
+        U_ref, mus_ref, mixed = _pairwise_canonical(M, policy)
+        form = skew_canonical(M, policy=policy)
+        assert form.k == mus_ref.size
+        assert np.max(np.abs(form.U[:, :2 * form.k] - U_ref), initial=0.0) <= 1e-12
+        assert np.max(np.abs(form.mus - mus_ref), initial=0.0) <= 1e-12
+        return mixed
+
+    def test_random_skew(self):
+        rng = np.random.default_rng(12)
+        for size in range(2, 61):
+            A = rng.standard_normal((size, size))
+            assert self._assert_matches(A - A.T) == 0
+
+    def test_repeated_mu(self):
+        for seed in range(10):
+            self._assert_matches(_block_skew([2.0, 2.0, 2.0, 1.0], 10, seed))
+
+    def test_rounding_scale_mu_takes_mixed_fallback(self):
+        # a policy below the default scale keeps a mu at rounding scale, whose
+        # +mu and -mu eigenvectors the eigensolver mixes
+        policy = TolerancePolicy(scale=1e-2)
+        mixed = sum(self._assert_matches(_block_skew([1.0, 0.5, 1e-15], 8, seed), policy)
+                    for seed in range(20))
+        assert mixed > 0
+
+
 class TestPrincipalAngles:
     def test_identical(self):
         B = SubspaceBasis(np.eye(4)[:, :2])
