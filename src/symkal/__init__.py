@@ -19,6 +19,7 @@ from .linalg import (
     TolerancePolicy,
     is_symplectic,
     jmat,
+    largest_angle,
     numerical_rank,
     principal_angles,
     sharp_adjoint,
@@ -68,7 +69,7 @@ __all__ = [
     # linear algebra
     "TolerancePolicy", "SubspaceBasis", "SkewCanonicalForm", "SymplecticCheck",
     "jmat", "sharp_adjoint", "is_symplectic", "numerical_rank", "skew_canonical",
-    "principal_angles",
+    "principal_angles", "largest_angle",
     # model
     "QuadratureSystem", "PhysicalSpec", "KrylovMatrices", "build_system",
     "from_physical", "krylov_matrices", "t0_matrix", "random_system", "transfer_matrix",

@@ -28,18 +28,19 @@ from .factorization import (
 from .linalg import (
     DEFAULT_POLICY,
     EPS,
-    SubspaceBasis,
     TolerancePolicy,
     as_matrix,
     is_symplectic,
     jmat,
+    largest_angle,
     numerical_rank,
-    orthonormal_columns,
-    principal_angles,
     readonly,
     sharp_adjoint,
 )
 from .model import KrylovMatrices, QuadratureSystem, krylov_matrices
+
+# relative tolerance of the block-zero checks in kalman_decompose and refine
+CHECK_TOL = 1e-8
 
 LABEL_CO = "co"
 LABEL_NCO = "nco"
@@ -172,10 +173,6 @@ class KalmanDecomposition:
     def n(self) -> int:
         return self.system.n
 
-    def v_inverse(self) -> np.ndarray:
-        """Exact inverse of the symplectic V via the sharp adjoint."""
-        return sharp_adjoint(self.V)
-
     def classical_block(self, name: str) -> np.ndarray:
         """Named view into A_hat/B_hat/C_hat in classical grouping.
 
@@ -218,7 +215,7 @@ def class_dimension_oracles(sys: QuadratureSystem,
 
 
 def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,
-                          A_hat, B_hat, C_hat, tol: float = 1e-8,
+                          A_hat, B_hat, C_hat, tol: float = CHECK_TOL,
                           policy: TolerancePolicy | None = None,
                           kry: KrylovMatrices | None = None) -> DecompositionChecks:
     """Check a state transformation V and its claimed (k, l, d) on a system.
@@ -228,6 +225,12 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     unobservable subspaces of the system and the spans V assigns them, and
     (k, l) against the count oracle.  ``kry`` reuses a Krylov stack the
     caller already built for this system.
+
+    The controllable subspace is compared through its orthogonal complement,
+    the kernel of the transposed 2n x 4nm controllability stack: that is a
+    thin SVD of a tall matrix, where the image would need one of the wide
+    stack.  Complements of subspaces of equal dimension have the same
+    nonzero principal angles.
     """
     policy = policy or DEFAULT_POLICY
     n = sys.n
@@ -243,30 +246,14 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     if kry is None:
         kry = krylov_matrices(sys, variant="jr")
     obs = np.asarray(kry.observability)
-    controllable = SubspaceBasis(orthonormal_columns(np.asarray(kry.controllability), policy))
-    unobservable = numerical_rank(obs, policy).kernel
-
     V_inv = sharp_adjoint(V)
     ctl_slots = list(range(k)) + list(range(n, n + k + l))
     unobs_slots = list(range(k + l, n)) + list(range(n + k, 2 * n))
-    ctl_span = SubspaceBasis(orthonormal_columns(V_inv[:, ctl_slots], policy))
-    unobs_span = SubspaceBasis(orthonormal_columns(V_inv[:, unobs_slots], policy))
-
-    angle_tol = 1e-7
-    if controllable.dim == ctl_span.dim:
-        controllable_angle = (float(np.max(principal_angles(controllable, ctl_span)))
-                              if controllable.dim else 0.0)
-        ctl_ok = controllable_angle <= angle_tol
-    else:
-        controllable_angle = float(np.pi / 2)
-        ctl_ok = False
-    if unobservable.dim == unobs_span.dim:
-        unobservable_angle = (float(np.max(principal_angles(unobservable, unobs_span)))
-                              if unobservable.dim else 0.0)
-        unobs_ok = unobservable_angle <= angle_tol
-    else:
-        unobservable_angle = float(np.pi / 2)
-        unobs_ok = False
+    controllable_angle = largest_angle(
+        numerical_rank(np.asarray(kry.controllability).T, policy).kernel,
+        numerical_rank(V_inv[:, ctl_slots].T, policy).kernel)
+    unobservable_angle = largest_angle(numerical_rank(obs, policy).kernel,
+                                       numerical_rank(V_inv[:, unobs_slots], policy).image)
 
     k_oracle, l_oracle = factor_count_oracles(obs, policy)
     return DecompositionChecks(
@@ -279,7 +266,7 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
         pattern_ok=pattern_ok,
         controllable_angle=controllable_angle,
         unobservable_angle=unobservable_angle,
-        subspaces_ok=ctl_ok and unobs_ok,
+        subspaces_ok=max(controllable_angle, unobservable_angle) <= 1e-7,
         k=k,
         l=l,
         d=d,
@@ -290,7 +277,7 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
 
 
 def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = None,
-                     mode: str = "strict", tol: float = 1e-8) -> KalmanDecomposition:
+                     mode: str = "strict") -> KalmanDecomposition:
     """Decompose a system into its four controllability/observability classes.
 
     Factors the observability stack, takes V = Z^{-1}, and verifies the
@@ -306,7 +293,7 @@ def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = Non
     d = n - k - l
     V = sharp_adjoint(fact.Z)
     A_hat, B_hat, C_hat, D = _transformed(sys, V)
-    checks = verify_transformation(sys, V, k, l, d, A_hat, B_hat, C_hat, tol, policy, kry)
+    checks = verify_transformation(sys, V, k, l, d, A_hat, B_hat, C_hat, policy=policy, kry=kry)
     if not checks.passed:
         raise ConsistencyError("decomposition failed verification", report=checks)
     return KalmanDecomposition(
@@ -316,7 +303,7 @@ def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = Non
 
 
 def verify_decomposition(sys: QuadratureSystem, dec: KalmanDecomposition,
-                         tol: float = 1e-8,
+                         tol: float = CHECK_TOL,
                          policy: TolerancePolicy | None = None) -> DecompositionChecks:
     """Re-derive every invariant of a decomposition from scratch."""
     return verify_transformation(sys, dec.V, dec.k, dec.l, dec.d,
@@ -343,35 +330,7 @@ class RefinementPair:
         object.__setattr__(self, "Y", readonly(Y))
 
 
-def _pattern_violations(T: np.ndarray, k: int, l: int, r: int, tol: float):
-    """Offending 4x6 block coordinates of a matrix tested against the
-    refined-E pattern, plus any vanishing mandated diagonal entries."""
-    s = T.shape[0]
-    row_sizes = (k, l, k, s - 2 * k - l)
-    col_sizes = (k, l, r - k - l, k, l, r - k - l)
-    row_off = np.concatenate([[0], np.cumsum(row_sizes)])
-    col_off = np.concatenate([[0], np.cumsum(col_sizes)])
-    scale = tol * (1.0 + float(np.linalg.norm(T)))
-    diag_blocks = {(0, 0), (1, 1), (2, 3)}
-    bad = []
-    for i in range(4):
-        for j in range(6):
-            piece = T[row_off[i]:row_off[i + 1], col_off[j]:col_off[j + 1]]
-            if not piece.size:
-                continue
-            if (i, j) in diag_blocks:
-                off = piece - np.diag(np.diag(piece))
-                if float(np.max(np.abs(off))) > scale:
-                    bad.append((i, j))
-                elif np.any(np.abs(np.diag(piece)) <= scale):
-                    bad.append((i, j))
-            elif float(np.max(np.abs(piece))) > scale:
-                bad.append((i, j))
-    return bad
-
-
 def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
-           tol: float = 1e-8,
            policy: TolerancePolicy | None = None) -> KalmanDecomposition:
     """Rebuild the decomposition with V' = Y^{-1} V for a validated pair.
 
@@ -392,7 +351,7 @@ def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
         raise ValidationError("X invertible", residual=float(sv_x[-1]))
 
     transformed_E = pair.X @ E_mat @ pair.Y
-    violations = _pattern_violations(transformed_E, E.k, E.l, E.r, tol)
+    violations = E.pattern_violations(transformed_E, CHECK_TOL)
     if violations:
         raise RefinementRejectedError(
             "X E Y does not match the canonical pattern", blocks=violations)
@@ -400,7 +359,7 @@ def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
     V_new = sharp_adjoint(pair.Y) @ dec.V
     A_hat, B_hat, C_hat, D = _transformed(dec.system, V_new)
     checks = verify_transformation(dec.system, V_new, dec.k, dec.l, dec.d,
-                                   A_hat, B_hat, C_hat, tol, policy)
+                                   A_hat, B_hat, C_hat, policy=policy)
     if not checks.passed:
         raise ConsistencyError("refined decomposition failed verification", report=checks)
     return KalmanDecomposition(

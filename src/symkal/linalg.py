@@ -15,6 +15,10 @@ import numpy as np
 from .errors import DegenerateDimensionError, RankAmbiguityError, StructureError
 
 EPS = float(np.finfo(np.float64).eps)
+# relative asymmetry above which skew_canonical rejects its input
+SKEW_TOL = 1e-9
+# smallest pairing omega(z_i, z_{r+i}) the Gram-Schmidt polish accepts
+MIN_PAIRING = 0.1
 
 
 @dataclass(frozen=True)
@@ -134,12 +138,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @classmethod
-    def from_columns(cls, columns, policy: TolerancePolicy | None = None) -> "SubspaceBasis":
-        """Orthonormalize a spanning set (possibly rank deficient) into a basis."""
-        cols = as_matrix(columns, "columns")
-        return cls(orthonormal_columns(cols, policy))
-
 
 class RankResult(NamedTuple):
     rank: int
@@ -148,15 +146,16 @@ class RankResult(NamedTuple):
     singular_values: np.ndarray
 
 
-def numerical_rank(F, policy: TolerancePolicy | None = None) -> RankResult:
+def numerical_rank(F, policy: TolerancePolicy | None = None,
+                   expected_rank: int | None = None) -> RankResult:
     """Rank with orthonormal image and kernel bases from an SVD.
 
     The image lives in the column space (R^rows), the kernel in R^cols;
-    rank + kernel.dim = cols always holds.
+    rank + kernel.dim = cols always holds, empty inputs included.  When
+    ``expected_rank`` is given and the thresholded rank disagrees, a
+    RankAmbiguityError is raised with the spectrum attached.
     """
     A = as_matrix(F, "F")
-    if A.size == 0:
-        raise StructureError("numerical_rank needs a nonempty matrix")
     policy = policy or DEFAULT_POLICY
     # thin on tall inputs: the image needs only rank columns of U, and the
     # kernel needs all of V^T, which only a wide input leaves out of the
@@ -164,40 +163,10 @@ def numerical_rank(F, policy: TolerancePolicy | None = None) -> RankResult:
     U, sv, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     cut = policy.cutoff(A.shape, float(sv[0]) if sv.size else 0.0)
     rank = int(np.sum(sv > cut))
-    return RankResult(rank, SubspaceBasis(U[:, :rank]), SubspaceBasis(Vh[rank:].T), sv)
-
-
-def orthonormal_columns(A: np.ndarray, policy: TolerancePolicy | None = None) -> np.ndarray:
-    """Orthonormal basis of the column span, empty-safe."""
-    if A.shape[1] == 0:
-        return A.copy()
-    policy = policy or DEFAULT_POLICY
-    U, sv, _ = np.linalg.svd(A, full_matrices=False)
-    cut = policy.cutoff(A.shape, float(sv[0]) if sv.size else 0.0)
-    return U[:, : int(np.sum(sv > cut))]
-
-
-def nullspace_rows(A: np.ndarray, expected_dim: int | None = None,
-                   policy: TolerancePolicy | None = None) -> np.ndarray:
-    """Orthonormal basis of {x : A x = 0}.
-
-    When ``expected_dim`` is given and the thresholded kernel dimension
-    disagrees, a RankAmbiguityError is raised with the spectrum attached.
-    """
-    rows, cols = A.shape
-    if rows == 0:
-        return np.eye(cols)
-    policy = policy or DEFAULT_POLICY
-    _, sv, Vh = np.linalg.svd(A)
-    cut = policy.cutoff(A.shape, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > cut))
-    kernel = Vh[rank:].T
-    if expected_dim is not None and kernel.shape[1] != expected_dim:
+    if expected_rank is not None and rank != expected_rank:
         raise RankAmbiguityError(
-            f"kernel dimension {kernel.shape[1]} does not match the expected {expected_dim}",
-            singular_values=sv,
-        )
-    return kernel
+            f"rank {rank} does not match the expected {expected_rank}", singular_values=sv)
+    return RankResult(rank, SubspaceBasis(U[:, :rank]), SubspaceBasis(Vh[rank:].T), sv)
 
 
 @dataclass(frozen=True)
@@ -231,11 +200,11 @@ class SkewCanonicalForm:
         return B
 
 
-def skew_canonical(M, tol: float = 1e-9, policy: TolerancePolicy | None = None,
+def skew_canonical(M, policy: TolerancePolicy | None = None,
                    floor: float = 0.0) -> SkewCanonicalForm:
     """Canonical form of a skew-symmetric matrix under orthogonal congruence.
 
-    The input is checked to be skew within ``tol`` relative to its norm and
+    The input is checked to be skew within ``SKEW_TOL`` relative to its norm and
     then symmetrized to (M - M^T)/2 exactly.  ``floor`` raises the absolute
     cutoff below which spectral values count as zero; callers that build M
     as a product should pass a floor at the rounding level of that product.
@@ -245,7 +214,7 @@ def skew_canonical(M, tol: float = 1e-9, policy: TolerancePolicy | None = None,
     if s_dim != cols:
         raise StructureError(f"skew_canonical needs a square matrix, got {A.shape}")
     scale = float(np.linalg.norm(A))
-    if scale > 0 and float(np.linalg.norm(A + A.T)) > tol * scale:
+    if scale > 0 and float(np.linalg.norm(A + A.T)) > SKEW_TOL * scale:
         raise StructureError("matrix is not skew-symmetric within tolerance")
     if s_dim == 0:
         return SkewCanonicalForm(U=np.zeros((0, 0)), mus=np.zeros(0), k=0)
@@ -337,7 +306,24 @@ def principal_angles(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
     return np.arccos(np.clip(sv, -1.0, 1.0))
 
 
-def symplectic_gram_schmidt(Z: np.ndarray, r: int, min_pairing: float = 0.1):
+def largest_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
+    """Largest principal angle between two subspaces, in radians.
+
+    pi/2 when the dimensions differ, 0 when both are empty.  Small angles
+    come from their sine, the norm of B's component outside A, because the
+    cosine of an angle below 1e-8 rounds to 1.
+    """
+    if A.dim != B.dim:
+        return float(np.pi / 2)
+    if A.dim == 0:
+        return 0.0
+    sine = float(np.linalg.svd(B.basis - A.basis @ (A.basis.T @ B.basis), compute_uv=False)[0])
+    if sine < np.sqrt(0.5):
+        return float(np.arcsin(sine))
+    return float(np.max(principal_angles(A, B)))
+
+
+def symplectic_gram_schmidt(Z: np.ndarray, r: int):
     """Polish columns paired as (i, r+i) into an exactly symplectic basis.
 
     One sweep of symplectic Gram-Schmidt in pair order: each pair is made
@@ -357,7 +343,7 @@ def symplectic_gram_schmidt(Z: np.ndarray, r: int, min_pairing: float = 0.1):
             Z[:, col] = x
             JZ[:, col] = J @ x
         w = float(Z[:, i] @ JZ[:, r + i])
-        if w <= min_pairing:
+        if w <= MIN_PAIRING:
             raise RankAmbiguityError(
                 f"column pair {i} lost its symplectic pairing during polishing (omega={w:.3e})")
         sc = 1.0 / np.sqrt(w)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kalman import KalmanDecomposition, RefinementPair, kalman_decompose, refine
-from .linalg import TolerancePolicy, nullspace_rows
+from .linalg import TolerancePolicy, numerical_rank
 from .model import PhysicalSpec, QuadratureSystem, build_system, from_physical
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -87,7 +87,7 @@ def refinement_pair(dec: KalmanDecomposition) -> RefinementPair:
     E_mat = dec.factorization.E.materialize()
     EY = E_mat @ Y
     lead = EY[:, [0, 1, 3]]
-    comp = nullspace_rows(lead.T, expected_dim=EY.shape[0] - 3)
+    comp = numerical_rank(lead.T, expected_rank=3).kernel.basis
     target = np.eye(EY.shape[0])
     for pos, norm in enumerate(np.linalg.norm(lead, axis=0)):
         target[pos, pos] = norm

@@ -14,7 +14,6 @@ from symkal import (
     CanonicalE,
     RankAmbiguityError,
     StructureError,
-    SubspaceBasis,
     TolerancePolicy,
     jmat,
     kalman_decompose,
@@ -26,7 +25,6 @@ from symkal import (
     verify_factorization,
 )
 from symkal.factorization import factor_count_oracles
-from symkal.linalg import nullspace_rows, orthonormal_columns
 from symkal.model import krylov_matrices
 
 
@@ -149,8 +147,8 @@ class TestPostconditionBattery:
             F = factor_case(seed, "deficient")
             fact = one_sided_symplectic_svd(F)
             kernel = numerical_rank(F).kernel
-            z_kernel = SubspaceBasis(orthonormal_columns(
-                np.asarray(fact.Z)[:, fact.E.kernel_column_indices()]))
+            z_kernel = numerical_rank(
+                np.asarray(fact.Z)[:, fact.E.kernel_column_indices()]).image
             assert kernel.dim == z_kernel.dim
             if kernel.dim:
                 assert np.max(principal_angles(kernel, z_kernel)) <= 1e-7
@@ -349,6 +347,22 @@ class TestLazyQ:
         assert Q.shape == (s, s)
         assert not Q.flags.writeable
         assert fact.Q is Q
-        expected = np.hstack([fact.Q_lead, nullspace_rows(fact.Q_lead.T, expected_dim=s - p)])
+        expected = np.hstack([fact.Q_lead, numerical_rank(fact.Q_lead.T, expected_rank=p).kernel.basis])
         assert np.array_equal(Q, expected)
         assert verify_factorization(F, fact).passed
+
+    @pytest.mark.parametrize("case", range(2))
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_verify_reads_only_q_lead(self, case, mode):
+        F, policy, _ = _tall_stacks()[case]
+        fact = one_sided_symplectic_svd(F, policy=policy, mode=mode)
+        report = verify_factorization(F, fact, policy=policy)
+        assert report.passed, report.as_dict()
+        assert "Q" not in vars(fact)
+        # reference: the checks on the completed square Q
+        Q = fact.Q
+        s = Q.shape[0]
+        assert abs(report.q_residual - np.linalg.norm(Q.T @ Q - np.eye(s))) <= 1e-12
+        assert abs(report.q_condition - np.linalg.cond(Q)) <= 1e-12 * np.linalg.cond(Q)
+        reconstruction = np.linalg.norm(F @ fact.Z - Q @ fact.E.materialize())
+        assert abs(report.reconstruction_residual - reconstruction) <= 1e-12 * np.linalg.norm(F)

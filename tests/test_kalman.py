@@ -4,6 +4,10 @@ import pytest
 from helpers import POPULATION_POLICY, mixed_population, random_symplectic, structured_system
 from symkal import (
     KalmanDecomposition,
+    krylov_matrices,
+    largest_angle,
+    numerical_rank,
+    optomech,
     RefinementPair,
     RefinementRejectedError,
     StructureError,
@@ -17,6 +21,7 @@ from symkal import (
     sharp_adjoint,
     transfer_matrix,
     verify_decomposition,
+    verify_transformation,
 )
 from symkal.kalman import (
     A_ZERO_BLOCKS,
@@ -24,6 +29,7 @@ from symkal.kalman import (
     LABEL_CO,
     LABEL_NCNO,
     LABEL_NCO,
+    _transformed,
     block_slices,
     pattern_residuals,
     state_labels,
@@ -248,9 +254,7 @@ class TestClassifyStates:
 class TestSubspaceAgreement:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)])
     def test_against_krylov_oracles(self, shape):
-        from symkal import krylov_matrices, numerical_rank, principal_angles
-        from symkal.linalg import orthonormal_columns
-        from symkal import SubspaceBasis
+        from symkal import principal_angles
 
         sys = structured_system(77, *shape)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
@@ -261,11 +265,46 @@ class TestSubspaceAgreement:
         V_inv = sharp_adjoint(dec.V)
         ctl_slots = [i for i, lab in enumerate(dec.labels) if lab in (LABEL_CO, LABEL_CNO)]
         unobs_slots = [i for i, lab in enumerate(dec.labels) if lab in (LABEL_CNO, LABEL_NCNO)]
-        ctl_span = SubspaceBasis(orthonormal_columns(V_inv[:, ctl_slots]))
-        unobs_span = SubspaceBasis(orthonormal_columns(V_inv[:, unobs_slots]))
+        ctl_span = numerical_rank(V_inv[:, ctl_slots]).image
+        unobs_span = numerical_rank(V_inv[:, unobs_slots]).image
         assert controllable.dim == len(ctl_slots)
         assert unobservable.dim == len(unobs_slots)
         if controllable.dim:
             assert np.max(principal_angles(controllable, ctl_span)) <= 1e-7
         if unobservable.dim:
             assert np.max(principal_angles(unobservable, unobs_span)) <= 1e-7
+
+
+def _direct_controllable_angle(sys, V, k, l, policy=None):
+    """Reference: the controllable-subspace angle through the image of the
+    wide controllability stack, where the verifier compares complements."""
+    n = sys.n
+    V_inv = sharp_adjoint(V)
+    ctl_slots = list(range(k)) + list(range(n, n + k + l))
+    controllable = numerical_rank(krylov_matrices(sys, variant="jr").controllability, policy).image
+    return largest_angle(controllable, numerical_rank(V_inv[:, ctl_slots], policy).image)
+
+
+class TestControllableComplement:
+    @pytest.mark.parametrize("idx", range(24))
+    def test_matches_direct_route(self, idx):
+        sys = mixed_population(24, base_seed=40)[idx]
+        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
+        reference = _direct_controllable_angle(sys, dec.V, dec.k, dec.l, POPULATION_POLICY)
+        assert abs(dec.residual_report.controllable_angle - reference) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.3, np.pi / 2])
+    def test_matches_direct_route_on_rotated_pairs(self, t):
+        # rotating the co pair of the demo into its ncno pair by t keeps V
+        # symplectic but moves the controllable slots off the subspace;
+        # t = pi/2 swaps the two pairs
+        G = np.eye(3)
+        G[np.ix_([0, 2], [0, 2])] = [[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]
+        sys = optomech.build()
+        V = np.kron(np.eye(2), G) @ kalman_decompose(sys).V
+        A_hat, B_hat, C_hat, _ = _transformed(sys, V)
+        checks = verify_transformation(sys, V, 1, 1, 1, A_hat, B_hat, C_hat)
+        assert not checks.subspaces_ok
+        reference = _direct_controllable_angle(sys, V, 1, 1)
+        assert reference > 0.1
+        assert abs(checks.controllable_angle - reference) <= 1e-12

@@ -10,13 +10,14 @@ from symkal import (
     TolerancePolicy,
     is_symplectic,
     jmat,
+    largest_angle,
     numerical_rank,
     principal_angles,
     sharp_adjoint,
     skew_canonical,
 )
 from symkal.errors import RankAmbiguityError
-from symkal.linalg import nullspace_rows, symplectic_gram_schmidt
+from symkal.linalg import symplectic_gram_schmidt
 
 
 class TestJmat:
@@ -137,6 +138,25 @@ class TestNumericalRank:
         F = np.diag([1.0, 1e-9])
         assert numerical_rank(F).rank == 2
         assert numerical_rank(F, TolerancePolicy(scale=1e8)).rank == 1
+
+    def test_parallel_columns(self):
+        res = numerical_rank(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+        assert res.rank == 1 and res.image.dim == 1 and res.kernel.dim == 1
+        assert np.allclose(np.abs(res.image.basis), [[1.0], [1.0], [0.0]] / np.sqrt(2.0))
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 4)])
+    def test_empty_input(self, shape):
+        res = numerical_rank(np.zeros(shape))
+        assert res.rank == 0 and res.singular_values.size == 0
+        assert res.image.basis.shape == (shape[0], 0)
+        assert res.kernel.basis.shape == (shape[1], shape[1])
+        assert np.allclose(res.kernel.basis.T @ res.kernel.basis, np.eye(shape[1]))
+
+    def test_expected_rank_mismatch(self):
+        assert numerical_rank(np.eye(3), expected_rank=3).rank == 3
+        with pytest.raises(RankAmbiguityError) as info:
+            numerical_rank(np.eye(3), expected_rank=2)
+        assert np.array_equal(info.value.singular_values, np.ones(3))
 
 
 class TestSkewCanonical:
@@ -319,22 +339,31 @@ class TestPrincipalAngles:
         assert principal_angles(A, B).size == 0
 
 
+class TestLargestAngle:
+    def test_dimension_mismatch_is_right_angle(self):
+        A = SubspaceBasis(np.eye(3)[:, :1])
+        B = SubspaceBasis(np.eye(3)[:, :2])
+        assert largest_angle(A, B) == np.pi / 2
+
+    def test_both_empty(self):
+        assert largest_angle(SubspaceBasis(np.zeros((3, 0))), SubspaceBasis(np.zeros((3, 0)))) == 0.0
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-5, 0.3, np.pi / 4, 1.2, np.pi / 2])
+    def test_plane_rotated_by_t(self, t):
+        # span(e0, e1) against span(e0, cos t e1 + sin t e2); below 1e-8 the
+        # cosine of t rounds to 1, so this fails where the angle is read off it
+        A = SubspaceBasis(np.eye(3)[:, :2])
+        B = SubspaceBasis(np.array([[1.0, 0.0], [0.0, np.cos(t)], [0.0, np.sin(t)]]))
+        assert abs(largest_angle(A, B) - t) <= 1e-15 + 1e-14 * t
+
+
 class TestSubspaceBasis:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(StructureError):
             SubspaceBasis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
-    def test_from_columns_orthonormalizes(self):
-        cols = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-        basis = SubspaceBasis.from_columns(cols)
-        assert basis.dim == 1
-
 
 class TestInternalHelpers:
-    def test_nullspace_expected_dim_mismatch(self):
-        with pytest.raises(RankAmbiguityError):
-            nullspace_rows(np.eye(3), expected_dim=1)
-
     def test_gram_schmidt_polish(self):
         rng = np.random.default_rng(5)
         from helpers import random_symplectic
