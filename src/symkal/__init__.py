@@ -13,6 +13,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    RankDecision,
     SkewCanonicalForm,
     SubspaceBasis,
     SymplecticCheck,
@@ -21,7 +22,6 @@ from .linalg import (
     jmat,
     largest_angle,
     numerical_rank,
-    principal_angles,
     sharp_adjoint,
     skew_canonical,
 )
@@ -50,7 +50,6 @@ from .kalman import (
     KalmanDecomposition,
     RefinementPair,
     StateClassification,
-    class_dimension_oracles,
     classify_states,
     kalman_decompose,
     refine,
@@ -67,9 +66,9 @@ __all__ = [
     "DocumentError", "RankAmbiguityError",
     "RefinementRejectedError", "ConsistencyError",
     # linear algebra
-    "TolerancePolicy", "SubspaceBasis", "SkewCanonicalForm", "SymplecticCheck",
+    "TolerancePolicy", "RankDecision", "SubspaceBasis", "SkewCanonicalForm", "SymplecticCheck",
     "jmat", "sharp_adjoint", "is_symplectic", "numerical_rank", "skew_canonical",
-    "principal_angles", "largest_angle",
+    "largest_angle",
     # model
     "QuadratureSystem", "PhysicalSpec", "KrylovMatrices", "build_system",
     "from_physical", "krylov_matrices", "t0_matrix", "random_system", "transfer_matrix",
@@ -80,7 +79,7 @@ __all__ = [
     "KalmanDecomposition", "RefinementPair", "DecompositionChecks",
     "StateClassification", "LABEL_MEANINGS", "kalman_decompose",
     "verify_decomposition", "verify_transformation", "refine", "classify_states",
-    "state_labels", "class_dimension_oracles",
+    "state_labels",
     # demo
     "optomech",
 ]

@@ -201,10 +201,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    system, dec, refined, pair, a, b = optomech.run(
-        args.omega, args.lam, args.gamma,
-        policy=TolerancePolicy(scale=args.tolerance), mode=args.mode)
     policy = TolerancePolicy(scale=args.tolerance)
+    system, dec, refined, pair, a, b = optomech.run(
+        args.omega, args.lam, args.gamma, policy=policy, mode=args.mode)
     payload = {
         "schema": 1,
         "parameters": {"omega": args.omega, "lambda": args.lam, "gamma": args.gamma},

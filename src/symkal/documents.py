@@ -155,7 +155,7 @@ def decomposition_to_report(dec: KalmanDecomposition, mode: str,
         "schema": SCHEMA_VERSION,
         "tool_version": __version__,
         "mode": mode,
-        "tolerance_policy": {"scale": policy.scale, "absolute_floor": policy.absolute_floor},
+        "tolerance_policy": {"scale": policy.scale},
         "dims": {"k": dec.k, "l": dec.l, "d": dec.d},
         "labels": list(dec.labels),
         "V": matrix_to_lists(dec.V),

@@ -44,14 +44,15 @@ class DocumentError(ValidationError):
 class RankAmbiguityError(SymkalError):
     """Rank decisions near the tolerance are mutually inconsistent.
 
-    Carries the singular spectrum and the skew-canonical spectrum that led to
-    the conflict so the caller can pick a better tolerance scale.
+    Carries the rank decisions that conflicted, each with its values, cutoff
+    and margin, and lists them one per line in the message, so the caller
+    can pick a better tolerance scale.
     """
 
-    def __init__(self, detail: str, singular_values=None, skew_values=None):
-        self.singular_values = singular_values
-        self.skew_values = skew_values
-        super().__init__(f"ambiguous rank decision: {detail}")
+    def __init__(self, detail: str, *decisions):
+        self.decisions = decisions
+        super().__init__("\n  ".join([f"ambiguous rank decision: {detail}"]
+                                      + [str(decision) for decision in decisions]))
 
 
 class RefinementRejectedError(SymkalError):

@@ -10,7 +10,7 @@ Q is completed from its leading columns when first read.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +29,10 @@ from .linalg import (
     skew_canonical,
     symplectic_gram_schmidt,
 )
+
+# smallest reciprocal condition a full-rank decision accepts: a Gram matrix
+# that rounding alone keeps positive definite is not a rank decision
+MIN_RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -165,9 +169,9 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
     norms in E instead of orthonormalizing.
 
     The counts are pinned to independent rank decisions: k is half the rank
-    of F J F^T and l = rank(F) - 2k, both thresholded by ``policy``.  When
+    of F J F^T and l = rank(F) - 2k, both made by ``policy.decide``.  When
     those decisions cannot be reconciled, a RankAmbiguityError carrying the
-    two spectra is raised rather than guessing.
+    decisions is raised rather than guessing.
 
     Both decisions and Ker F depend only on the row space of F, so one SVD
     first compresses the s x 2r input to at most 2r rows, at O(s (2r)^2).
@@ -197,19 +201,20 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
     M_raw = F_c @ J @ F_c.T
     M = 0.5 * (M_raw - M_raw.T)  # remove the rounding asymmetry of the product
     # Rounding in F J F^T sits at the eps * sigma_f^2 level, so the skew
-    # spectrum needs an absolute floor at that scale.  The floor keeps the
-    # shape of the uncompressed product: mu_max <= sigma_f^2 makes it the
-    # active cutoff, so compression moves no rank decision.
-    canon = skew_canonical(M, policy=policy, floor=max(s, cols) * EPS * sigma_f * sigma_f)
+    # spectrum is decided against the bound of the uncompressed s x s
+    # product, max(s, 2r) sigma_f^2, which mu_max <= sigma_f^2 never exceeds:
+    # compression moves no rank decision.
+    size = max(s, cols)
+    canon = skew_canonical(M, policy=policy, bound=size * sigma_f * sigma_f)
     k = canon.k
 
-    rank_f = int(np.sum(sv > policy.cutoff(A.shape, sigma_f)))
-    l = rank_f - 2 * k
+    rank_f = policy.decide(sv, size * sigma_f, "rank F")
+    decisions = (rank_f, canon.decision)
+    l = rank_f.rank - 2 * k
     d = r - k - l
     if l < 0 or d < 0:
         raise RankAmbiguityError(
-            f"rank(F)={rank_f} and rank(F J F^T)={2 * k} imply l={l}, d={d}",
-            singular_values=sv, skew_values=canon.mus)
+            f"rank(F)={rank_f.rank} and rank(F J F^T)={2 * k} imply l={l}, d={d}", *decisions)
 
     xi = np.sqrt(canon.mus)
     u_c = canon.U[:, 0:2 * k:2]
@@ -220,15 +225,17 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
     Za = (J @ (F_c.T @ v_c)) / xi[None, :]
     Za_partner = -(J @ (F_c.T @ u_c)) / xi[None, :]
 
-    N = Vh[rank_f:].T
+    N = Vh[rank_f.rank:].T
     if N.shape[1]:
         G_raw = N.T @ J @ N
         G = 0.5 * (G_raw - G_raw.T)
-        canon_ker = skew_canonical(G, policy=policy, floor=cols * EPS)
+        # N is orthonormal, so the form's rounding sits at the level of J
+        canon_ker = skew_canonical(G, policy=policy, bound=cols)
+        decisions += (replace(canon_ker.decision, stage="skew_canonical on Ker F"),)
         if canon_ker.k < d:
             raise RankAmbiguityError(
                 f"kernel of F carries only {canon_ker.k} symplectic pairs, expected {d}",
-                singular_values=sv, skew_values=canon_ker.mus)
+                *decisions)
         # Pairs beyond the d mandated ones are threshold noise on an exactly
         # degenerate form; fold them into the radical.
         pair_cols = N @ canon_ker.U[:, :2 * d]
@@ -242,11 +249,10 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
         W0 = np.zeros((2 * r, 0))
     if W0.shape[1] != l:
         raise RankAmbiguityError(
-            f"kernel radical has dimension {W0.shape[1]}, expected l={l}",
-            singular_values=sv, skew_values=canon.mus)
+            f"kernel radical has dimension {W0.shape[1]}, expected l={l}", *decisions)
 
     if l:
-        Zb = _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy, sv)
+        Zb = _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy)
     else:
         Zb = np.zeros((2 * r, 0))
 
@@ -259,14 +265,8 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
         W0 = Z[:, r + k:r + k + l]
         Qb_raw = A @ Zb
         if mode == "strict":
-            # the same two-sided test _paired_directions applies to its
-            # pairing matrix: a Gram matrix that rounding alone keeps
-            # positive definite is not a rank decision
-            sv_b = np.linalg.svd(Qb_raw, compute_uv=False)
-            if sv_b[-1] <= policy.cutoff(A.shape, sigma_f) or sv_b[-1] < 1e-8 * sv_b[0]:
-                raise RankAmbiguityError(
-                    "image of the paired directions is numerically rank deficient",
-                    singular_values=sv, skew_values=sv_b)
+            _require_full_rank(policy, np.linalg.svd(Qb_raw, compute_uv=False),
+                               size * sigma_f, "image of the paired directions")
             # L L^T = Qb_raw^T Qb_raw from the triangular factor of Qb_raw,
             # without squaring its condition as a Cholesky of the Gram would
             R = np.linalg.qr(Qb_raw, mode="r")
@@ -277,10 +277,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
             ones = np.ones(l)
         else:
             norms = np.linalg.norm(Qb_raw, axis=0)
-            if np.any(norms <= policy.cutoff(A.shape, sigma_f)):
-                raise RankAmbiguityError(
-                    "a paired direction maps below the rank threshold",
-                    singular_values=sv)
+            policy.decide(norms, size * sigma_f, "norms of the paired directions", expected=l)
             Qb = Qb_raw / norms[None, :]
             ones = norms
         Z = Z.copy()
@@ -303,7 +300,16 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
     return SymplecticFactorization(Q_lead=Q_lead, E=E, Z=Z, mode=mode, residual=residual)
 
 
-def _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy, sv):
+def _require_full_rank(policy: TolerancePolicy, values, bound: float, stage: str):
+    """Require full rank of descending singular values, with a reciprocal
+    condition of at least MIN_RCOND."""
+    decision = policy.decide(values, bound, stage, expected=len(values))
+    if values[-1] < MIN_RCOND * values[0]:
+        raise RankAmbiguityError(f"{stage} has reciprocal condition below {MIN_RCOND:g}",
+                                 decision)
+
+
+def _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy):
     """Directions dual to the kernel radical W0.
 
     They live in the form-orthogonal complement of the paired blocks, carry
@@ -317,10 +323,8 @@ def _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy, sv):
                                 expected_rank=J.shape[0] - W0.shape[1]).kernel.basis
     pairing = candidates.T @ J @ W0
     sv_pair = np.linalg.svd(pairing, compute_uv=False)
-    if sv_pair[-1] <= policy.cutoff(pairing.shape, float(sv_pair[0])) or sv_pair[-1] < 1e-8 * sv_pair[0]:
-        raise RankAmbiguityError(
-            "pairing between the kernel radical and its complement is numerically degenerate",
-            singular_values=sv, skew_values=sv_pair)
+    _require_full_rank(policy, sv_pair, max(pairing.shape) * float(sv_pair[0]),
+                       "pairing of the kernel radical with its complement")
     Zb = candidates @ np.linalg.inv(pairing).T
     shear = Zb.T @ J @ Zb
     return Zb + W0 @ (-shear / 2.0)
@@ -360,8 +364,8 @@ def factor_count_oracles(F, policy: TolerancePolicy | None = None) -> tuple[int,
     Computed without the eigendecomposition route the factorization uses.
     Both ranks are read off the triangular factor of F = Q_F R, which has
     at most 2r rows and the row space of F, so F J F^T = Q_F (R J R^T) Q_F^T
-    is never formed; the cutoffs keep the shapes of F and F J F^T.  An odd
-    thresholded rank of F J F^T raises a RankAmbiguityError.
+    is never formed; the bounds are the factorization's.  An odd rank of
+    F J F^T raises a RankAmbiguityError.
     """
     A = as_matrix(F, "F")
     s, cols = A.shape
@@ -370,17 +374,13 @@ def factor_count_oracles(F, policy: TolerancePolicy | None = None) -> tuple[int,
     R = np.linalg.qr(A, mode="r")
     sv_f = np.linalg.svd(R, compute_uv=False)
     sigma_f = float(sv_f[0]) if sv_f.size else 0.0
+    size = max(s, cols)
     sv_m = np.linalg.svd(R @ jmat(r) @ R.T, compute_uv=False)
-    cut_m = policy.cutoff((s, s), float(sv_m[0]) if sv_m.size else 0.0,
-                          floor=max(s, cols) * EPS * sigma_f * sigma_f)
-    rank_m = int(np.sum(sv_m > cut_m))
-    if rank_m % 2:
-        raise RankAmbiguityError(
-            f"rank of F J F^T thresholded to the odd value {rank_m}",
-            singular_values=sv_f, skew_values=sv_m)
-    cut_f = policy.cutoff(A.shape, sigma_f)
-    rank_f = int(np.sum(sv_f > cut_f))
-    return rank_m // 2, rank_f - rank_m
+    form = policy.decide(sv_m, size * sigma_f * sigma_f, "oracle rank F J F^T")
+    if form.rank % 2:
+        raise RankAmbiguityError(f"rank of F J F^T decided as the odd value {form.rank}", form)
+    rank_f = policy.decide(sv_f, size * sigma_f, "oracle rank F").rank
+    return form.rank // 2, rank_f - form.rank
 
 
 def verify_factorization(F, fact: SymplecticFactorization, tol: float = 1e-8,

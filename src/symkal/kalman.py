@@ -27,7 +27,6 @@ from .factorization import (
 )
 from .linalg import (
     DEFAULT_POLICY,
-    EPS,
     TolerancePolicy,
     as_matrix,
     is_symplectic,
@@ -207,13 +206,6 @@ def _transformed(sys: QuadratureSystem, V: np.ndarray):
     return V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv, sys.D
 
 
-def class_dimension_oracles(sys: QuadratureSystem,
-                            policy: TolerancePolicy | None = None) -> tuple[int, int]:
-    """Independent (k, l) for a system: half the rank of the form carried by
-    the observability stack, and its rank beyond those paired directions."""
-    return factor_count_oracles(krylov_matrices(sys, variant="jr").observability, policy)
-
-
 def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,
                           A_hat, B_hat, C_hat, tol: float = CHECK_TOL,
                           policy: TolerancePolicy | None = None,
@@ -335,9 +327,9 @@ def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
     """Rebuild the decomposition with V' = Y^{-1} V for a validated pair.
 
     The pair is validated against the supplied E: Y symplectic, X
-    invertible, and X E Y matching the canonical pattern with nonzero
-    diagonals.  Counts and labels are preserved; every invariant is
-    re-verified on the result.
+    invertible under ``policy``, and X E Y matching the canonical pattern
+    with nonzero diagonals.  Counts and labels are preserved; every
+    invariant is re-verified on the result.
     """
     E_mat = E.materialize()
     if pair.X.shape[0] != E.s or pair.Y.shape[0] != 2 * E.r:
@@ -347,8 +339,9 @@ def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
     if not y_check.ok:
         raise ValidationError("Y symplectic", residual=y_check.residual)
     sv_x = np.linalg.svd(pair.X, compute_uv=False)
-    if sv_x[-1] <= E.s * EPS * sv_x[0]:
-        raise ValidationError("X invertible", residual=float(sv_x[-1]))
+    x_rank = (policy or DEFAULT_POLICY).decide(sv_x, E.s * sv_x[0], "rank X")
+    if x_rank.rank < E.s:
+        raise ValidationError("X invertible", residual=float(sv_x[-1]), detail=str(x_rank))
 
     transformed_E = pair.X @ E_mat @ pair.Y
     violations = E.pattern_violations(transformed_E, CHECK_TOL)

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DegenerateDimensionError, RankAmbiguityError, StructureError
 
 EPS = float(np.finfo(np.float64).eps)
+# a rank bound below this means the data is identically zero
+ZERO_LEVEL = 1e-300
 # relative asymmetry above which skew_canonical rejects its input
 SKEW_TOL = 1e-9
 # smallest pairing omega(z_i, z_{r+i}) the Gram-Schmidt polish accepts
@@ -22,22 +24,58 @@ MIN_PAIRING = 0.1
 
 
 @dataclass(frozen=True)
-class TolerancePolicy:
-    """Thresholds for rank decisions.
+class RankDecision:
+    """One thresholded rank: the values it was read off, in descending
+    order, the cutoff they were compared against, and the count above it."""
 
-    The cutoff for a spectrum with largest value sigma_max is
-    ``scale * max(shape) * eps * sigma_max``, optionally raised to an
-    absolute ``floor`` supplied by the caller.  Spectra whose largest value
-    falls below ``absolute_floor`` are treated as identically zero.
+    stage: str
+    rank: int
+    cutoff: float
+    values: np.ndarray
+
+    @property
+    def margin(self) -> float:
+        """min(sigma_r / cutoff, cutoff / sigma_{r+1}): how far the nearest
+        value sits from the cutoff, as a ratio.  A side with no positive
+        value does not limit it."""
+        margin = np.inf
+        if self.rank:
+            margin = self.values[self.rank - 1] / self.cutoff
+        if self.rank < self.values.size and self.values[self.rank] > 0:
+            margin = min(margin, self.cutoff / self.values[self.rank])
+        return float(margin)
+
+    def __str__(self) -> str:
+        return f"{self.stage}: rank {self.rank} at cutoff {self.cutoff:.3e} (margin {self.margin:.3g})"
+
+
+@dataclass(frozen=True)
+class TolerancePolicy:
+    """The one rule behind every rank decision.
+
+    Values computed from data of size times norm ``bound`` count as nonzero
+    above ``scale * eps * bound``; a bound below ``ZERO_LEVEL`` means the
+    data is zero, and then the cutoff is ``ZERO_LEVEL`` itself.
     """
 
     scale: float = 1.0
-    absolute_floor: float = 1e-300
 
-    def cutoff(self, shape, sigma_max: float, floor: float = 0.0) -> float:
-        if sigma_max < self.absolute_floor and floor <= self.absolute_floor:
-            return self.absolute_floor
-        return max(self.scale * max(shape) * EPS * sigma_max, self.scale * floor)
+    def cutoff(self, bound: float) -> float:
+        if bound < ZERO_LEVEL:
+            return ZERO_LEVEL
+        return self.scale * EPS * bound
+
+    def decide(self, values, bound: float, stage: str, expected: int | None = None) -> RankDecision:
+        """Count the values above the cutoff of ``bound``.  When ``expected``
+        is given and the count differs, raise a RankAmbiguityError carrying
+        the decision."""
+        values = np.sort(np.asarray(values, dtype=float))[::-1]
+        cut = self.cutoff(float(bound))
+        decision = RankDecision(stage, int(np.count_nonzero(values > cut)), cut, values)
+        if expected is not None and decision.rank != expected:
+            raise RankAmbiguityError(f"{stage} gives rank {decision.rank}, expected {expected}",
+                                     decision)
+        return decision
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -143,7 +181,7 @@ class RankResult(NamedTuple):
     rank: int
     image: SubspaceBasis
     kernel: SubspaceBasis
-    singular_values: np.ndarray
+    decision: RankDecision
 
 
 def numerical_rank(F, policy: TolerancePolicy | None = None,
@@ -153,7 +191,7 @@ def numerical_rank(F, policy: TolerancePolicy | None = None,
     The image lives in the column space (R^rows), the kernel in R^cols;
     rank + kernel.dim = cols always holds, empty inputs included.  When
     ``expected_rank`` is given and the thresholded rank disagrees, a
-    RankAmbiguityError is raised with the spectrum attached.
+    RankAmbiguityError is raised with the decision attached.
     """
     A = as_matrix(F, "F")
     policy = policy or DEFAULT_POLICY
@@ -161,12 +199,10 @@ def numerical_rank(F, policy: TolerancePolicy | None = None,
     # kernel needs all of V^T, which only a wide input leaves out of the
     # thin factorization
     U, sv, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    cut = policy.cutoff(A.shape, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > cut))
-    if expected_rank is not None and rank != expected_rank:
-        raise RankAmbiguityError(
-            f"rank {rank} does not match the expected {expected_rank}", singular_values=sv)
-    return RankResult(rank, SubspaceBasis(U[:, :rank]), SubspaceBasis(Vh[rank:].T), sv)
+    decision = policy.decide(sv, max(A.shape) * (float(sv[0]) if sv.size else 0.0),
+                             "numerical_rank", expected_rank)
+    rank = decision.rank
+    return RankResult(rank, SubspaceBasis(U[:, :rank]), SubspaceBasis(Vh[rank:].T), decision)
 
 
 @dataclass(frozen=True)
@@ -180,11 +216,15 @@ class SkewCanonicalForm:
 
     U: np.ndarray
     mus: np.ndarray
-    k: int
+    decision: RankDecision
 
     def __post_init__(self):
         object.__setattr__(self, "U", readonly(as_matrix(self.U, "U")))
         object.__setattr__(self, "mus", readonly(np.asarray(self.mus, dtype=float)))
+
+    @property
+    def k(self) -> int:
+        return self.decision.rank
 
     @property
     def size(self) -> int:
@@ -201,13 +241,14 @@ class SkewCanonicalForm:
 
 
 def skew_canonical(M, policy: TolerancePolicy | None = None,
-                   floor: float = 0.0) -> SkewCanonicalForm:
+                   bound: float | None = None) -> SkewCanonicalForm:
     """Canonical form of a skew-symmetric matrix under orthogonal congruence.
 
     The input is checked to be skew within ``SKEW_TOL`` relative to its norm and
-    then symmetrized to (M - M^T)/2 exactly.  ``floor`` raises the absolute
-    cutoff below which spectral values count as zero; callers that build M
-    as a product should pass a floor at the rounding level of that product.
+    then symmetrized to (M - M^T)/2 exactly.  The pairs are the eigenvalues
+    of 1j*M that the policy decides against ``bound``, by default the size
+    times the largest eigenvalue magnitude; callers that build M as a
+    product should pass the bound of that product's rounding.
     """
     A = as_matrix(M, "M")
     s_dim, cols = A.shape
@@ -216,17 +257,18 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     scale = float(np.linalg.norm(A))
     if scale > 0 and float(np.linalg.norm(A + A.T)) > SKEW_TOL * scale:
         raise StructureError("matrix is not skew-symmetric within tolerance")
-    if s_dim == 0:
-        return SkewCanonicalForm(U=np.zeros((0, 0)), mus=np.zeros(0), k=0)
-    K = 0.5 * (A - A.T)
     policy = policy or DEFAULT_POLICY
+    if s_dim == 0:
+        return SkewCanonicalForm(U=np.zeros((0, 0)), mus=np.zeros(0),
+                                 decision=policy.decide(np.zeros(0), 0.0, "skew_canonical"))
+    K = 0.5 * (A - A.T)
 
     lam, W = np.linalg.eigh(1j * K)
-    sigma_max = float(np.max(np.abs(lam)))
-    cut = policy.cutoff((s_dim, s_dim), sigma_max, floor)
-
+    if bound is None:
+        bound = s_dim * float(np.max(np.abs(lam)))
     # eigenvalues come ascending, so the pairs come from the trailing columns
-    k = int(np.count_nonzero(lam > cut))
+    decision = policy.decide(lam[::-1], bound, "skew_canonical")
+    k, cut = decision.rank, decision.cutoff
     U_pairs, mus = (_canonical_pairs(K, W.T[::-1][:k]) if k
                     else (np.zeros((s_dim, 0)), np.zeros(0)))
 
@@ -240,7 +282,7 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
         U = np.hstack([U_pairs, Uo[:, :nker]])
     else:
         U = U_pairs
-    return SkewCanonicalForm(U=U, mus=mus, k=k)
+    return SkewCanonicalForm(U=U, mus=mus, decision=decision)
 
 
 def _dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -291,28 +333,17 @@ def _canonical_pairs(K: np.ndarray, eigvecs: np.ndarray):
     return U, mus[order]
 
 
-def principal_angles(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
-    """Principal angles between two subspaces, in radians, in [0, pi/2].
+def largest_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
+    """Largest principal angle between two subspaces of the same R^n, in radians.
 
-    Returned in ascending angle order (descending cosines), one angle per
-    dimension of the smaller subspace.
+    pi/2 when the dimensions differ, 0 when both are empty.  Small angles
+    come from their sine, the norm of B's component outside A, because the
+    cosine of an angle below 1e-8 rounds to 1; large ones from the smallest
+    cosine, the smallest singular value of A^T B.
     """
     if A.ambient_dim != B.ambient_dim:
         raise StructureError(
             f"ambient dimensions differ: {A.ambient_dim} vs {B.ambient_dim}")
-    if A.dim == 0 or B.dim == 0:
-        return np.zeros(0)
-    sv = np.linalg.svd(A.basis.T @ B.basis, compute_uv=False)
-    return np.arccos(np.clip(sv, -1.0, 1.0))
-
-
-def largest_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
-    """Largest principal angle between two subspaces, in radians.
-
-    pi/2 when the dimensions differ, 0 when both are empty.  Small angles
-    come from their sine, the norm of B's component outside A, because the
-    cosine of an angle below 1e-8 rounds to 1.
-    """
     if A.dim != B.dim:
         return float(np.pi / 2)
     if A.dim == 0:
@@ -320,7 +351,8 @@ def largest_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
     sine = float(np.linalg.svd(B.basis - A.basis @ (A.basis.T @ B.basis), compute_uv=False)[0])
     if sine < np.sqrt(0.5):
         return float(np.arcsin(sine))
-    return float(np.max(principal_angles(A, B)))
+    cosine = float(np.linalg.svd(A.basis.T @ B.basis, compute_uv=False)[-1])
+    return float(np.arccos(min(cosine, 1.0)))
 
 
 def symplectic_gram_schmidt(Z: np.ndarray, r: int):

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from symkal import QuadratureSystem, TolerancePolicy, build_system, jmat, sharp_adjoint
-from symkal.kalman import class_dimension_oracles
+from symkal.factorization import factor_count_oracles
 from symkal.model import krylov_matrices
 
 # Scrambled products carry rounding a couple of orders above the machine
@@ -85,20 +85,19 @@ def scramble(sys: QuadratureSystem, rng, sigma: str = "identity") -> QuadratureS
 
 
 def measured_counts(sys: QuadratureSystem) -> tuple[int, int, int]:
-    k, l = class_dimension_oracles(sys, POPULATION_POLICY)
+    k, l = factor_count_oracles(krylov_matrices(sys, variant="jr").observability,
+                                POPULATION_POLICY)
     return k, l, sys.n - k - l
 
 
-def _clean_rank_gap(mat: np.ndarray, expected_rank: int, margin: float = 10.0,
-                    floor: float = 0.0) -> bool:
-    """True when the spectrum splits decisively at the expected rank."""
+def _clean_rank_gap(mat: np.ndarray, expected_rank: int, bound: float | None = None) -> bool:
+    """True when the spectrum splits decisively at the expected rank: a
+    margin of at least 10 on each side of the cutoff."""
     sv = np.linalg.svd(mat, compute_uv=False)
-    cut = POPULATION_POLICY.cutoff(mat.shape, float(sv[0]) if sv.size else 0.0, floor)
-    if expected_rank and sv[expected_rank - 1] < margin * cut:
-        return False
-    if expected_rank < sv.size and sv[expected_rank] > cut / margin:
-        return False
-    return True
+    if bound is None:
+        bound = max(mat.shape) * (float(sv[0]) if sv.size else 0.0)
+    decision = POPULATION_POLICY.decide(sv, bound, "population screen")
+    return decision.rank == expected_rank and decision.margin >= 10.0
 
 
 def _generic_draw(sys: QuadratureSystem, counts: tuple[int, int, int]) -> bool:
@@ -110,11 +109,10 @@ def _generic_draw(sys: QuadratureSystem, counts: tuple[int, int, int]) -> bool:
     J = jmat(sys.n)
     form = obs @ J @ obs.T
     sigma_obs = float(np.linalg.norm(obs, 2))
-    from symkal.linalg import EPS
-    form_floor = max(form.shape[0], 2 * sys.n) * EPS * sigma_obs * sigma_obs
+    form_bound = max(form.shape[0], 2 * sys.n) * sigma_obs * sigma_obs
     return (_clean_rank_gap(obs, 2 * k + l)
             and _clean_rank_gap(ctl, 2 * k + l)
-            and _clean_rank_gap(0.5 * (form - form.T), 2 * k, floor=form_floor))
+            and _clean_rank_gap(0.5 * (form - form.T), 2 * k, bound=form_bound))
 
 
 def structured_system(seed: int, n_co: int, n_pair: int, n_dec: int,

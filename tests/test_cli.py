@@ -88,6 +88,15 @@ class TestAnalyze:
         assert code == 3
         assert "ambiguous" in err
 
+    def test_ambiguous_rank_reports_its_decisions(self, capsys):
+        # at this scale rounding noise in F J F^T counts as a second pair of
+        # the demo's form, more than its rank F of 3 allows
+        code, _, err = run_cli(capsys, "analyze", "--builtin", "--tolerance", 1e-3)
+        assert code == 3
+        for stage in ("rank F", "skew_canonical"):
+            line = next(line for line in err.splitlines() if line.strip().startswith(stage))
+            assert "cutoff" in line and "margin" in line
+
     def test_failed_self_verification_exits_5(self, system_doc, capsys, monkeypatch):
         import symkal.cli as cli_mod
 

@@ -11,6 +11,7 @@ from symkal import (
     RefinementPair,
     RefinementRejectedError,
     StructureError,
+    TolerancePolicy,
     ValidationError,
     build_system,
     classify_states,
@@ -234,6 +235,14 @@ class TestRefine:
         with pytest.raises(ValidationError, match="X invertible"):
             refine(dec, E, RefinementPair(X=X, Y=np.eye(2 * sys.n)))
 
+    def test_x_check_uses_the_policy(self):
+        # the demo's X has singular values 3.39 down to 0.723 with s = 12, so
+        # a scale of 1e14 puts the cutoff at 0.90, above the smallest
+        dec = kalman_decompose(optomech.build())
+        pair = optomech.refinement_pair(dec)
+        with pytest.raises(ValidationError, match="X invertible"):
+            refine(dec, dec.factorization.E, pair, policy=TolerancePolicy(scale=1e14))
+
 
 class TestClassifyStates:
     def test_position_coupled_mode(self):
@@ -254,8 +263,6 @@ class TestClassifyStates:
 class TestSubspaceAgreement:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)])
     def test_against_krylov_oracles(self, shape):
-        from symkal import principal_angles
-
         sys = structured_system(77, *shape)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         n = sys.n
@@ -270,9 +277,9 @@ class TestSubspaceAgreement:
         assert controllable.dim == len(ctl_slots)
         assert unobservable.dim == len(unobs_slots)
         if controllable.dim:
-            assert np.max(principal_angles(controllable, ctl_span)) <= 1e-7
+            assert largest_angle(controllable, ctl_span) <= 1e-7
         if unobservable.dim:
-            assert np.max(principal_angles(unobservable, unobs_span)) <= 1e-7
+            assert largest_angle(unobservable, unobs_span) <= 1e-7
 
 
 def _direct_controllable_angle(sys, V, k, l, policy=None):

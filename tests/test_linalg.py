@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from symkal import (
     DegenerateDimensionError,
+    RankDecision,
     StructureError,
     SubspaceBasis,
     TolerancePolicy,
@@ -12,12 +13,11 @@ from symkal import (
     jmat,
     largest_angle,
     numerical_rank,
-    principal_angles,
     sharp_adjoint,
     skew_canonical,
 )
 from symkal.errors import RankAmbiguityError
-from symkal.linalg import symplectic_gram_schmidt
+from symkal.linalg import EPS, ZERO_LEVEL, symplectic_gram_schmidt
 
 
 class TestJmat:
@@ -147,7 +147,7 @@ class TestNumericalRank:
     @pytest.mark.parametrize("shape", [(4, 0), (0, 4)])
     def test_empty_input(self, shape):
         res = numerical_rank(np.zeros(shape))
-        assert res.rank == 0 and res.singular_values.size == 0
+        assert res.rank == 0 and res.decision.values.size == 0
         assert res.image.basis.shape == (shape[0], 0)
         assert res.kernel.basis.shape == (shape[1], shape[1])
         assert np.allclose(res.kernel.basis.T @ res.kernel.basis, np.eye(shape[1]))
@@ -156,7 +156,7 @@ class TestNumericalRank:
         assert numerical_rank(np.eye(3), expected_rank=3).rank == 3
         with pytest.raises(RankAmbiguityError) as info:
             numerical_rank(np.eye(3), expected_rank=2)
-        assert np.array_equal(info.value.singular_values, np.ones(3))
+        assert np.array_equal(info.value.decisions[0].values, np.ones(3))
 
 
 class TestSkewCanonical:
@@ -254,7 +254,7 @@ def _pairwise_canonical(M: np.ndarray, policy: TolerancePolicy):
     with ``mixed`` the number of pairs that took the fallback through K."""
     K = 0.5 * (M - M.T)
     lam, W = np.linalg.eigh(1j * K)
-    cut = policy.cutoff(K.shape, float(np.max(np.abs(lam))))
+    cut = policy.decide(lam, K.shape[0] * float(np.max(np.abs(lam))), "reference").cutoff
     pairs = []
     mixed = 0
     for i in range(K.shape[0] - 1, -1, -1):
@@ -315,31 +315,39 @@ class TestBatchedPairs:
 
 
 class TestPrincipalAngles:
+    """Principal-angle cases, read through largest_angle."""
+
     def test_identical(self):
         B = SubspaceBasis(np.eye(4)[:, :2])
-        assert np.allclose(principal_angles(B, B), 0.0)
+        assert largest_angle(B, B) == 0.0
 
     def test_orthogonal_lines(self):
         A = SubspaceBasis(np.eye(2)[:, :1])
         B = SubspaceBasis(np.eye(2)[:, 1:])
-        assert np.allclose(principal_angles(A, B), [np.pi / 2])
+        assert np.isclose(largest_angle(A, B), np.pi / 2)
 
     def test_diagonal_line(self):
         A = SubspaceBasis(np.eye(2)[:, :1])
         B = SubspaceBasis(np.array([[1.0], [1.0]]) / np.sqrt(2))
-        assert np.allclose(principal_angles(A, B), [np.pi / 4])
+        assert np.isclose(largest_angle(A, B), np.pi / 4)
 
     def test_ambient_mismatch(self):
         with pytest.raises(StructureError):
-            principal_angles(SubspaceBasis(np.eye(2)), SubspaceBasis(np.eye(4)))
+            largest_angle(SubspaceBasis(np.eye(2)), SubspaceBasis(np.eye(4)))
 
     def test_empty_subspace(self):
         A = SubspaceBasis(np.zeros((4, 0)))
         B = SubspaceBasis(np.eye(4)[:, :2])
-        assert principal_angles(A, B).size == 0
+        assert largest_angle(A, B) == np.pi / 2
 
 
 class TestLargestAngle:
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_ambient_mismatch_raises(self, cols):
+        # a line in R^2 against a line or a plane in R^4
+        with pytest.raises(StructureError):
+            largest_angle(SubspaceBasis(np.eye(2)[:, :1]), SubspaceBasis(np.eye(4)[:, :cols]))
+
     def test_dimension_mismatch_is_right_angle(self):
         A = SubspaceBasis(np.eye(3)[:, :1])
         B = SubspaceBasis(np.eye(3)[:, :2])
@@ -355,6 +363,36 @@ class TestLargestAngle:
         A = SubspaceBasis(np.eye(3)[:, :2])
         B = SubspaceBasis(np.array([[1.0, 0.0], [0.0, np.cos(t)], [0.0, np.sin(t)]]))
         assert abs(largest_angle(A, B) - t) <= 1e-15 + 1e-14 * t
+
+
+class TestRankDecision:
+    def test_margin_of_hand_made_spectrum(self):
+        decision = RankDecision("hand", 2, 0.1, np.array([4.0, 2.0, 0.05, 0.0]))
+        assert decision.margin == pytest.approx(2.0)
+        assert str(decision) == "hand: rank 2 at cutoff 1.000e-01 (margin 2)"
+        # a side with no positive value does not limit the margin
+        assert RankDecision("hand", 2, 0.5, np.array([3.0, 1.0, 0.0, -1.0])).margin == 2.0
+        assert RankDecision("hand", 0, 0.5, np.array([0.125])).margin == 4.0
+
+    def test_decide_sorts_and_counts(self):
+        policy = TolerancePolicy(scale=0.1 / EPS)
+        decision = policy.decide([0.05, 4.0, 0.0, 2.0], 1.0, "hand")
+        assert decision.rank == 2 and decision.stage == "hand"
+        assert np.array_equal(decision.values, [4.0, 2.0, 0.05, 0.0])
+        assert decision.cutoff == pytest.approx(0.1)
+        assert decision.margin == pytest.approx(2.0)
+
+    def test_zero_spectrum(self):
+        decision = TolerancePolicy().decide(np.zeros(3), 0.0, "zero")
+        assert decision.rank == 0 and decision.cutoff == ZERO_LEVEL
+        assert decision.margin == np.inf
+
+    def test_expected_mismatch_raises_with_decision(self):
+        with pytest.raises(RankAmbiguityError) as info:
+            TolerancePolicy().decide([1.0, 1e-20], 2.0, "hand", expected=2)
+        (decision,) = info.value.decisions
+        assert decision.rank == 1 and decision.stage == "hand"
+        assert str(decision) in str(info.value)
 
 
 class TestSubspaceBasis:
