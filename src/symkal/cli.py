@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve = sub.add_parser("verify", help="recheck a stored report against its system")
     p_ve.add_argument("input", help="system document path")
     p_ve.add_argument("report", help="decomposition report path")
-    p_ve.add_argument("--tolerance", type=float, default=1.0,
-                      help="rank threshold scale (default 1.0)")
     p_ve.add_argument("--check-tol", type=float, default=1e-8,
                       help="residual tolerance for the recheck (default 1e-8)")
 
@@ -129,8 +127,7 @@ def _analyze_text(dec) -> str:
     checks = dec.residual_report
     lines.append(f"symplecticity residual: {checks.ccr_residual:.3e}")
     lines.append(f"pattern residual: {checks.pattern_residual:.3e} (allowed {checks.pattern_scale:.3e})")
-    lines.append(f"subspace angles: controllable {checks.controllable_angle:.3e}, "
-                 f"unobservable {checks.unobservable_angle:.3e}")
+    lines.append(f"observability margin: {checks.observability_margin:.3e}")
     return "\n".join(lines) + "\n"
 
 
@@ -165,7 +162,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    system, policy = _load_system(args.input, args.tolerance)
+    system, _ = parse_system_document(_load_json(args.input))
     stored = parse_report(_load_json(args.report), system.m)
     n = system.n
     k, l, d = stored["k"], stored["l"], stored["d"]
@@ -176,7 +173,7 @@ def cmd_verify(args) -> int:
     tol = args.check_tol
     V = stored["V"]
     checks = verify_transformation(system, V, k, l, d, stored["A_hat"], stored["B_hat"],
-                                   stored["C_hat"], tol, policy)
+                                   stored["C_hat"], tol)
     consistency = max(float(np.linalg.norm(stored[name] - value)) for name, value in
                       zip(("A_hat", "B_hat", "C_hat", "D"), _transformed(system, V)))
     consistency_ok = consistency <= tol * (1.0 + float(np.linalg.norm(stored["A_hat"])))
@@ -189,8 +186,7 @@ def cmd_verify(args) -> int:
         ("symplecticity", checks.ccr_ok),
         ("transformed_matrices", consistency_ok),
         ("pattern", checks.pattern_ok),
-        ("subspaces", checks.subspaces_ok),
-        ("dims_vs_oracles", checks.counts_ok),
+        ("observability", checks.observability_ok),
         ("labels", list(stored["labels"]) == list(state_labels(k, l, d))),
     ) if not ok]
     if failures:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -207,3 +210,18 @@ FACTOR_KINDS = ("generic", "deficient", "k0", "l0")
 
 def factor_population(count: int, base_seed: int = 1000):
     return [factor_case(base_seed + i, FACTOR_KINDS[i % 4]) for i in range(count)]
+
+
+def structured_split_input(seed: int, index: int) -> tuple[QuadratureSystem, tuple[int, int, int]]:
+    """Input ``index`` of the benchmark's ``structured_split`` workload at
+    ``seed`` and its true (k, l, d), replayed from the benchmark's own
+    generator so that the draw matches the benchmark bit for bit."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    rng = np.random.default_rng([seed, 2])
+    for shape in workloads.structured_shapes()[:index + 1]:
+        raw = workloads.structured_raw(*shape, rng)
+    return QuadratureSystem(R=raw[0], C=raw[1], Sigma=raw[2]), shape

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -172,13 +173,7 @@ class TestVerify:
         assert code == 5
         assert "symplecticity" in err
 
-    def test_other_tolerance_still_passes(self, system_doc, tmp_path, capsys):
-        report_path = self._decompose(system_doc, tmp_path, capsys)
-        code, _, _ = run_cli(capsys, "verify", system_doc, report_path,
-                             "--tolerance", "10.0")
-        assert code == 0
-
-    def test_swapped_pairs_fail_subspaces(self, tmp_path, capsys):
+    def test_swapped_pairs_fail_observability(self, tmp_path, capsys):
         # swapping the co and ncno pairs keeps V symplectic; with the stored
         # matrices recomputed from the new V only the structure is wrong
         _, out, _ = run_cli(capsys, "example")
@@ -196,9 +191,8 @@ class TestVerify:
         report_path.write_text(canonical_json(report))
         code, out, err = run_cli(capsys, "verify", system_doc, report_path)
         assert code == 5
-        assert "subspaces" in err
-        assert "symplecticity" not in err and "transformed_matrices" not in err
-        assert "controllable_angle:" in out and "unobservable_angle:" in out
+        assert "failed checks: pattern, observability\n" in err
+        assert "observability_margin:" in out
 
     def test_malformed_report_exits_2(self, system_doc, tmp_path, capsys):
         report_path = tmp_path / "broken.json"
@@ -221,47 +215,65 @@ class TestVerify:
 
 
 class TestOneVerifier:
-    """The library, refine and ``symkal verify`` share one verifier."""
+    """The library, refine and ``symkal verify`` share one verifier, and
+    only the decomposition itself builds a Krylov stack."""
 
-    @pytest.fixture()
-    def calls(self, monkeypatch):
-        verifier = symkal.kalman.verify_transformation
-        assert symkal.cli.verify_transformation is verifier
+    @staticmethod
+    def _count(monkeypatch, name):
+        original = getattr(symkal.kalman, name)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[0])
-            return verifier(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(symkal.kalman, "verify_transformation", counted)
-        monkeypatch.setattr(symkal.cli, "verify_transformation", counted)
+        for module in list(sys.modules.values()):
+            if (module is not None and module.__name__.startswith("symkal")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_kalman_decompose(self, calls):
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        assert symkal.cli.verify_transformation is symkal.kalman.verify_transformation
+        return self._count(monkeypatch, "verify_transformation")
+
+    @pytest.fixture()
+    def stacks(self, monkeypatch):
+        return self._count(monkeypatch, "krylov_matrices")
+
+    def test_kalman_decompose(self, calls, stacks):
         kalman_decompose(random_system(2, 1, seed=11))
         assert len(calls) == 1
+        assert len(stacks) == 1
 
-    def test_verify_decomposition(self, calls):
+    def test_verify_decomposition(self, calls, stacks):
         system = random_system(2, 1, seed=11)
         dec = kalman_decompose(system)
         calls.clear()
+        stacks.clear()
         verify_decomposition(system, dec)
         assert len(calls) == 1
+        assert len(stacks) == 0
 
-    def test_refine(self, calls):
+    def test_refine(self, calls, stacks):
         dec = kalman_decompose(random_system(2, 1, seed=11))
         E = dec.factorization.E
         calls.clear()
+        stacks.clear()
         refine(dec, E, RefinementPair(X=np.eye(E.s), Y=np.eye(2 * E.r)))
         assert len(calls) == 1
+        assert len(stacks) == 0
 
-    def test_cli_verify(self, system_doc, tmp_path, capsys, calls):
+    def test_cli_verify(self, system_doc, tmp_path, capsys, calls, stacks):
         report_path = tmp_path / "report.json"
         assert run_cli(capsys, "decompose", system_doc, "--output", report_path)[0] == 0
         calls.clear()
+        stacks.clear()
         code, _, _ = run_cli(capsys, "verify", system_doc, report_path)
         assert code == 0
         assert len(calls) == 1
+        assert len(stacks) == 0
 
 
 class TestExample:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import POPULATION_POLICY, mixed_population, random_symplectic, structured_system
+from helpers import (
+    POPULATION_POLICY,
+    STRUCTURED_SHAPES,
+    mixed_population,
+    random_symplectic,
+    structured_split_input,
+    structured_system,
+)
 from symkal import (
     KalmanDecomposition,
     krylov_matrices,
@@ -13,6 +20,7 @@ from symkal import (
     StructureError,
     TolerancePolicy,
     ValidationError,
+    ConsistencyError,
     build_system,
     classify_states,
     is_symplectic,
@@ -30,7 +38,7 @@ from symkal.kalman import (
     LABEL_CO,
     LABEL_NCNO,
     LABEL_NCO,
-    _transformed,
+    MIN_PBH_MARGIN,
     block_slices,
     pattern_residuals,
     state_labels,
@@ -143,9 +151,9 @@ class TestVerifyDecomposition:
     def test_clean_report(self):
         sys = structured_system(9, 1, 1, 0)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        report = verify_decomposition(sys, dec, policy=POPULATION_POLICY)
+        report = verify_decomposition(sys, dec)
         assert report.passed
-        assert report.k_oracle == dec.k and report.l_oracle == dec.l
+        assert report.observability_margin >= MIN_PBH_MARGIN
 
     def test_swapped_columns_flagged(self):
         sys = structured_system(9, 1, 1, 1)
@@ -157,7 +165,7 @@ class TestVerifyDecomposition:
             k=dec.k, l=dec.l, d=dec.d,
             A_hat=dec.A_hat, B_hat=dec.B_hat, C_hat=dec.C_hat, D=dec.D,
             labels=dec.labels, residual_report=dec.residual_report)
-        report = verify_decomposition(sys, bad, policy=POPULATION_POLICY)
+        report = verify_decomposition(sys, bad)
         assert not report.passed
 
     def test_perturbed_entry_breaks_symplecticity(self):
@@ -170,7 +178,7 @@ class TestVerifyDecomposition:
             k=dec.k, l=dec.l, d=dec.d,
             A_hat=dec.A_hat, B_hat=dec.B_hat, C_hat=dec.C_hat, D=dec.D,
             labels=dec.labels, residual_report=dec.residual_report)
-        report = verify_decomposition(sys, bad, policy=POPULATION_POLICY)
+        report = verify_decomposition(sys, bad)
         assert not report.ccr_ok
 
     def test_wrong_shape(self):
@@ -282,36 +290,56 @@ class TestSubspaceAgreement:
             assert largest_angle(unobservable, unobs_span) <= 1e-7
 
 
-def _direct_controllable_angle(sys, V, k, l, policy=None):
-    """Reference: the controllable-subspace angle through the image of the
-    wide controllability stack, where the verifier compares complements."""
-    n = sys.n
-    V_inv = sharp_adjoint(V)
-    ctl_slots = list(range(k)) + list(range(n, n + k + l))
-    controllable = numerical_rank(krylov_matrices(sys, variant="jr").controllability, policy).image
-    return largest_angle(controllable, numerical_rank(V_inv[:, ctl_slots], policy).image)
+class TestObservabilityMargin:
+    @pytest.mark.parametrize("seed, index", [(21, 266), (1003, 189), (1030, 219)])
+    def test_known_wrong_answers_rejected(self, seed, index):
+        # the factorization reads an ncno pair of these structured_split
+        # inputs as co; the pattern and CCR checks cannot tell
+        sys, (k, l, d) = structured_split_input(seed, index)
+        with pytest.raises(ConsistencyError) as info:
+            kalman_decompose(sys)
+        report = info.value.report
+        assert (report.k, report.l, report.d) == (k + 1, l, d - 1)
+        assert report.ccr_ok and report.pattern_ok
+        assert not report.observability_ok
 
-
-class TestControllableComplement:
-    @pytest.mark.parametrize("idx", range(24))
-    def test_matches_direct_route(self, idx):
-        sys = mixed_population(24, base_seed=40)[idx]
+    def test_ncno_pair_claimed_co(self):
+        sys = structured_system(9, 1, 0, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        reference = _direct_controllable_angle(sys, dec.V, dec.k, dec.l, POPULATION_POLICY)
-        assert abs(dec.residual_report.controllable_angle - reference) <= 1e-12
+        assert (dec.k, dec.l, dec.d) == (1, 0, 1)
+        checks = verify_transformation(sys, dec.V, 2, 0, 0, dec.A_hat, dec.B_hat, dec.C_hat)
+        assert checks.ccr_ok and checks.pattern_ok
+        assert not checks.observability_ok
+        assert checks.observability_margin <= 1e-14
 
-    @pytest.mark.parametrize("t", [0.3, np.pi / 2])
-    def test_matches_direct_route_on_rotated_pairs(self, t):
-        # rotating the co pair of the demo into its ncno pair by t keeps V
-        # symplectic but moves the controllable slots off the subspace;
-        # t = pi/2 swaps the two pairs
-        G = np.eye(3)
-        G[np.ix_([0, 2], [0, 2])] = [[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]
-        sys = optomech.build()
-        V = np.kron(np.eye(2), G) @ kalman_decompose(sys).V
-        A_hat, B_hat, C_hat, _ = _transformed(sys, V)
-        checks = verify_transformation(sys, V, 1, 1, 1, A_hat, B_hat, C_hat)
-        assert not checks.subspaces_ok
-        reference = _direct_controllable_angle(sys, V, 1, 1)
-        assert reference > 0.1
-        assert abs(checks.controllable_angle - reference) <= 1e-12
+    def test_pair_claimed_co_fails_above_sqrt_eps(self):
+        # claiming (k + 1, l - 1, d) with the true V moves one nco/cno pair
+        # into co; where the eigenvalues of that pair meet, its margin sits at
+        # the sqrt(eps) level of a Jordan pair rather than at rounding
+        shapes = [shape for shape in STRUCTURED_SHAPES if shape[1] >= 1]
+        margins = []
+        for k, l, d in shapes:
+            for seed in range(100, 130):
+                sys = structured_system(seed, k, l, d)
+                dec = kalman_decompose(sys, policy=POPULATION_POLICY)
+                checks = verify_transformation(sys, dec.V, k + 1, l - 1, d,
+                                               dec.A_hat, dec.B_hat, dec.C_hat)
+                if checks.ccr_ok and checks.pattern_ok:
+                    assert not checks.observability_ok, (k, l, d, seed)
+                    margins.append(checks.observability_margin)
+        assert len(margins) >= 100
+        assert max(margins) > 1e-7
+
+    def test_refined_demo_keeps_its_margin(self):
+        # refinement leaves a q_b row of A_hat near 1e-34, where a balanced
+        # eigensolver returns a wrong eigenvector and a margin near 1e-17
+        _, _, refined, _, _, _ = optomech.run(2.0, 0.5, 1.5)
+        assert refined.residual_report.observability_margin > 0.1
+
+    def test_empty_and_dark_blocks(self):
+        sys = build_system(np.eye(4), np.zeros((2, 4)))
+        dec = kalman_decompose(sys)
+        assert dec.residual_report.observability_margin == np.inf
+        checks = verify_transformation(sys, dec.V, 1, 0, 1, dec.A_hat, dec.B_hat, dec.C_hat)
+        assert checks.observability_margin == 0.0
+        assert not checks.passed
