@@ -217,8 +217,9 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
             f"rank(F)={rank_f.rank} and rank(F J F^T)={2 * k} imply l={l}, d={d}", *decisions)
 
     xi = np.sqrt(canon.mus)
-    u_c = canon.U[:, 0:2 * k:2]
-    v_c = canon.U[:, 1:2 * k:2]
+    # only the pairs are read: the kernel columns of canon.U are never built
+    u_c = canon.pairs[:, 0::2]
+    v_c = canon.pairs[:, 1::2]
     u_cols = U_F @ u_c
     v_cols = U_F @ v_c
     # F^T U_F = F_c^T, so the lifted columns map back through F_c alone.

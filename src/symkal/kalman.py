@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dggev as _dggev
 
 from .errors import (
     ConsistencyError,
@@ -218,10 +218,30 @@ def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
         return 0.0
     # QZ on the identity pencil only permutes; geev's scaling balance can
     # return a wrong eigenvector when a row of A_obs is near 1e-34, as in
-    # the refined optomechanical demo
-    _, X = scipy.linalg.eig(A_hat[np.ix_(obs, obs)], np.eye(obs.size))
-    X = X / np.linalg.norm(X, axis=0)
-    return float(np.min(np.linalg.norm(C_obs @ X, axis=0))) / scale
+    # the refined optomechanical demo.  The call and its workspace query
+    # are those of scipy.linalg.eig(A_obs, I), so X holds the same
+    # eigenvectors; they are normalized below through squared norms, all
+    # columns at once.
+    A_obs = np.asarray_chkfinite(A_hat[np.ix_(obs, obs)])
+    eye = np.eye(obs.size)
+    lwork = int(_dggev(A_obs, eye, lwork=-1)[-2][0])
+    _, alphai, _, _, X, _, info = _dggev(A_obs, eye, compute_vl=0, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+    # a complex pair comes packed as the real and imaginary parts of x in
+    # two columns; both x and its conjugate take the pair's summed squared
+    # norms (the pair mask is scipy's)
+    x_sq = np.sum(X * X, axis=0)
+    cx = C_obs @ X
+    cx_sq = np.sum(cx * cx, axis=0)
+    pair = alphai > 0
+    pair[:-1] |= alphai[1:] < 0
+    first = np.flatnonzero(pair)
+    for sq in (x_sq, cx_sq):
+        sq[first] += sq[first + 1]
+        sq[first + 1] = sq[first]
+    return float(np.sqrt(np.min(cx_sq / x_sq))) / scale
 
 
 def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,

@@ -7,7 +7,8 @@ omega(u, v) = u^T J v with J = [[0, I_k], [-I_k, 0]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,13 +107,16 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def jmat(k: int) -> np.ndarray:
-    """The 2k x 2k symplectic form matrix [[0, I_k], [-I_k, 0]]."""
+    """The 2k x 2k symplectic form matrix [[0, I_k], [-I_k, 0]], shared
+    between calls and read-only."""
     if k < 1:
         raise DegenerateDimensionError(f"jmat requires k >= 1, got k={k}")
     J = np.zeros((2 * k, 2 * k))
     J[:k, k:] = np.eye(k)
     J[k:, :k] = -np.eye(k)
+    J.setflags(write=False)
     return J
 
 
@@ -122,6 +126,10 @@ def sharp_adjoint(X) -> np.ndarray:
     For a real matrix this is -J X^T J.  A symplectic matrix T satisfies
     T @ sharp_adjoint(T) = I, so the sharp adjoint doubles as an exact,
     inversion-free inverse for symplectic matrices.
+
+    The products with J only move blocks and flip signs, so they are done
+    by index.  Negations are written 0 - y and copies y + 0: a zero then
+    comes out as +0.0, as from the dense product, never as -0.0.
     """
     arr = np.asarray(X)
     if arr.ndim != 2:
@@ -131,7 +139,15 @@ def sharp_adjoint(X) -> np.ndarray:
         raise StructureError(f"sharp adjoint needs even positive dimensions, got {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
         raise StructureError("sharp adjoint input contains non-finite entries")
-    return -jmat(cols // 2) @ arr.conj().T @ jmat(rows // 2)
+    # -J_a Y J_b = [[Y22, -Y21], [-Y12, Y11]] for Y = X^H in (a, b) blocks
+    a, b = cols // 2, rows // 2
+    Y = arr.conj().T
+    out = np.empty(Y.shape, dtype=np.result_type(Y, 0.0))
+    out[:a, :b] = Y[a:, b:] + 0.0
+    out[:a, b:] = 0.0 - Y[a:, :b]
+    out[a:, :b] = 0.0 - Y[:a, b:]
+    out[a:, b:] = Y[:a, :b] + 0.0
+    return out
 
 
 class SymplecticCheck(NamedTuple):
@@ -177,16 +193,33 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-class RankResult(NamedTuple):
-    rank: int
-    image: SubspaceBasis
-    kernel: SubspaceBasis
+@dataclass(frozen=True)
+class RankResult:
+    """A thresholded rank with the SVD factors it was read from.  The
+    orthonormal image and kernel bases are built, and validated by
+    SubspaceBasis, on first read."""
+
     decision: RankDecision
+    left: np.ndarray = field(repr=False)
+    right_h: np.ndarray = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return self.decision.rank
+
+    @cached_property
+    def image(self) -> SubspaceBasis:
+        return SubspaceBasis(self.left[:, :self.rank])
+
+    @cached_property
+    def kernel(self) -> SubspaceBasis:
+        return SubspaceBasis(self.right_h[self.rank:].T)
 
 
 def numerical_rank(F, policy: TolerancePolicy | None = None,
                    expected_rank: int | None = None) -> RankResult:
-    """Rank with orthonormal image and kernel bases from an SVD.
+    """Rank with orthonormal image and kernel bases from an SVD, each basis
+    built on first read.
 
     The image lives in the column space (R^rows), the kernel in R^cols;
     rank + kernel.dim = cols always holds, empty inputs included.  When
@@ -201,8 +234,7 @@ def numerical_rank(F, policy: TolerancePolicy | None = None,
     U, sv, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     decision = policy.decide(sv, max(A.shape) * (float(sv[0]) if sv.size else 0.0),
                              "numerical_rank", expected_rank)
-    rank = decision.rank
-    return RankResult(rank, SubspaceBasis(U[:, :rank]), SubspaceBasis(Vh[rank:].T), decision)
+    return RankResult(decision, U, Vh)
 
 
 @dataclass(frozen=True)
@@ -211,16 +243,20 @@ class SkewCanonicalForm:
 
     U^T M U = blockdiag(mu_1 J_2, ..., mu_k J_2, 0) with mus sorted in
     descending order and U orthogonal.  Columns come interleaved:
-    (u_1, v_1, u_2, v_2, ..., kernel columns).
+    (u_1, v_1, u_2, v_2, ..., kernel columns).  ``pairs`` holds the 2k
+    paired columns; the kernel columns of ``U`` are completed on first read
+    from ``null_vectors``, the eigenvectors of 1j*M at or below the cutoff.
     """
 
-    U: np.ndarray
+    pairs: np.ndarray
     mus: np.ndarray
     decision: RankDecision
+    null_vectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "U", readonly(as_matrix(self.U, "U")))
+        object.__setattr__(self, "pairs", readonly(as_matrix(self.pairs, "pairs")))
         object.__setattr__(self, "mus", readonly(np.asarray(self.mus, dtype=float)))
+        object.__setattr__(self, "null_vectors", readonly(self.null_vectors))
 
     @property
     def k(self) -> int:
@@ -228,7 +264,21 @@ class SkewCanonicalForm:
 
     @property
     def size(self) -> int:
-        return self.U.shape[0]
+        return self.pairs.shape[0]
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        """The square U: the pairs followed by an orthonormal basis of the
+        part of the near-null eigenvectors' span orthogonal to them."""
+        nker = self.size - 2 * self.k
+        if not nker:
+            return self.pairs
+        Wk = self.null_vectors
+        Bk = np.hstack([Wk.real, Wk.imag])
+        if self.k:
+            Bk = Bk - self.pairs @ (self.pairs.T @ Bk)
+        Uo, _, _ = np.linalg.svd(Bk, full_matrices=False)
+        return readonly(np.hstack([self.pairs, Uo[:, :nker]]))
 
     def block_matrix(self) -> np.ndarray:
         """Materialize blockdiag(mu_i J_2, ..., 0) for residual checks."""
@@ -248,7 +298,8 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     then symmetrized to (M - M^T)/2 exactly.  The pairs are the eigenvalues
     of 1j*M that the policy decides against ``bound``, by default the size
     times the largest eigenvalue magnitude; callers that build M as a
-    product should pass the bound of that product's rounding.
+    product should pass the bound of that product's rounding.  The kernel
+    columns of the result's ``U`` cost one SVD, paid only when ``U`` is read.
     """
     A = as_matrix(M, "M")
     s_dim, cols = A.shape
@@ -259,8 +310,9 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
         raise StructureError("matrix is not skew-symmetric within tolerance")
     policy = policy or DEFAULT_POLICY
     if s_dim == 0:
-        return SkewCanonicalForm(U=np.zeros((0, 0)), mus=np.zeros(0),
-                                 decision=policy.decide(np.zeros(0), 0.0, "skew_canonical"))
+        return SkewCanonicalForm(pairs=np.zeros((0, 0)), mus=np.zeros(0),
+                                 decision=policy.decide(np.zeros(0), 0.0, "skew_canonical"),
+                                 null_vectors=np.zeros((0, 0), dtype=complex))
     K = 0.5 * (A - A.T)
 
     lam, W = np.linalg.eigh(1j * K)
@@ -271,18 +323,8 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     k, cut = decision.rank, decision.cutoff
     U_pairs, mus = (_canonical_pairs(K, W.T[::-1][:k]) if k
                     else (np.zeros((s_dim, 0)), np.zeros(0)))
-
-    nker = s_dim - 2 * k
-    if nker:
-        Wk = W[:, np.abs(lam) <= cut]
-        Bk = np.hstack([Wk.real, Wk.imag])
-        if k:
-            Bk = Bk - U_pairs @ (U_pairs.T @ Bk)
-        Uo, sv, _ = np.linalg.svd(Bk, full_matrices=False)
-        U = np.hstack([U_pairs, Uo[:, :nker]])
-    else:
-        U = U_pairs
-    return SkewCanonicalForm(U=U, mus=mus, decision=decision)
+    return SkewCanonicalForm(pairs=U_pairs, mus=mus, decision=decision,
+                             null_vectors=W[:, np.abs(lam) <= cut])
 
 
 def _dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -362,18 +404,20 @@ def symplectic_gram_schmidt(Z: np.ndarray, r: int):
     form-orthogonal to all earlier pairs and rescaled to unit pairing.
     Returns the polished matrix and the per-pair scale factors applied.
     """
-    if Z.shape[1] != 2 * r:
-        raise StructureError(f"expected 2r = {2 * r} columns, got {Z.shape[1]}")
-    J = jmat(r) if r else np.zeros((0, 0))
+    if Z.shape != (2 * r, 2 * r):
+        raise StructureError(f"expected a {2 * r} x {2 * r} matrix, got {Z.shape}")
     Z = Z.copy()
     scales = np.ones(r)
-    JZ = J @ Z
+    # J Y = [Y_p; -Y_q] for Y = [Y_q; Y_p], by index; the signed zeros are
+    # those of the dense product (see sharp_adjoint)
+    JZ = np.vstack([Z[r:] + 0.0, 0.0 - Z[:r]])
     for i in range(r):
         for col in (i, r + i):
             x = Z[:, col]
             x = x - Z[:, :i] @ (x @ JZ[:, r:r + i]) + Z[:, r:r + i] @ (x @ JZ[:, :i])
             Z[:, col] = x
-            JZ[:, col] = J @ x
+            np.add(x[r:], 0.0, out=JZ[:r, col])
+            np.subtract(0.0, x[:r], out=JZ[r:, col])
         w = float(Z[:, i] @ JZ[:, r + i])
         if w <= MIN_PAIRING:
             raise RankAmbiguityError(

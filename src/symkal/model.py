@@ -8,7 +8,8 @@ matrices A = J R - C# C / 2 and B = -C# Sigma are derived on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag, expm
@@ -150,20 +151,34 @@ def from_physical(spec: PhysicalSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class KrylovMatrices:
-    """Stacked controllability/observability matrices for one power basis."""
+    """Stacked controllability/observability matrices for one power basis.
 
-    controllability: np.ndarray
+    The observability stack is built eagerly; the controllability stack is
+    built from the same ``generator`` G on first read.
+    """
+
+    system: QuadratureSystem = field(repr=False)
+    generator: np.ndarray = field(repr=False)
     observability: np.ndarray
     variant: str
     depth: int
 
     def __post_init__(self):
-        object.__setattr__(self, "controllability", readonly(self.controllability))
+        object.__setattr__(self, "generator", readonly(self.generator))
         object.__setattr__(self, "observability", readonly(self.observability))
+
+    @cached_property
+    def controllability(self) -> np.ndarray:
+        """[B, G B, ..., G^{d-1} B]."""
+        blocks = [self.system.B]
+        for _ in range(self.depth - 1):
+            blocks.append(self.generator @ blocks[-1])
+        return readonly(np.hstack(blocks))
 
 
 def krylov_matrices(sys: QuadratureSystem, variant: str = "jr") -> KrylovMatrices:
-    """Build [B, G B, ..., G^{d-1} B] and the stacked [C; C G; ...; C G^{d-1}].
+    """Build the stacked [C; C G; ...; C G^{d-1}], and on first read of
+    ``controllability`` the matrix [B, G B, ..., G^{d-1} B].
 
     ``variant`` selects the power basis G: the drift matrix A ("a") or the
     closed-loop-free generator J R ("jr").  Both give the same image and
@@ -172,17 +187,11 @@ def krylov_matrices(sys: QuadratureSystem, variant: str = "jr") -> KrylovMatrice
     if variant not in ("a", "jr"):
         raise StructureError(f"variant must be 'a' or 'jr', got {variant!r}")
     G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
-    ctl_blocks = [sys.B]
     obs_blocks = [sys.C]
     for _ in range(2 * sys.n - 1):
-        ctl_blocks.append(G @ ctl_blocks[-1])
         obs_blocks.append(obs_blocks[-1] @ G)
-    return KrylovMatrices(
-        controllability=np.hstack(ctl_blocks),
-        observability=np.vstack(obs_blocks),
-        variant=variant,
-        depth=len(ctl_blocks),
-    )
+    return KrylovMatrices(system=sys, generator=G, observability=np.vstack(obs_blocks),
+                          variant=variant, depth=len(obs_blocks))
 
 
 def t0_matrix(n: int, m: int, D) -> np.ndarray:

@@ -338,6 +338,30 @@ class TestLazyQ:
         assert sizes
         assert max(sizes) < s * s, max(sizes)
 
+    @pytest.mark.parametrize("make, counts, svd_calls", [
+        # the kernel branch: the stack, the pairs of F J F^T and of the form
+        # on Ker F, the kernel columns of that form, the two subspaces of
+        # _paired_directions, the pairing, the whitening and the Q_lead check
+        (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 9),
+        # no kernel: the stack, the pairs and the Q_lead check
+        (lambda: random_system(6, 16, seed=3), (6, 0, 0), 3),
+    ])
+    def test_svd_count(self, monkeypatch, make, counts, svd_calls):
+        # the kernel columns of the skew form of F J F^T are never read, so
+        # their SVD is never paid
+        system = make()
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        dec = kalman_decompose(system)
+        assert (dec.k, dec.l, dec.d) == counts
+        assert len(calls) == svd_calls, calls
+
     def test_q_completed_on_first_read(self):
         F = np.asarray(krylov_matrices(random_system(6, 16, seed=3)).observability)
         fact = one_sided_symplectic_svd(F)

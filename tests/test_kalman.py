@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+
+import symkal.kalman
 
 from helpers import (
     POPULATION_POLICY,
@@ -15,6 +18,7 @@ from symkal import (
     largest_angle,
     numerical_rank,
     optomech,
+    random_system,
     RefinementPair,
     RefinementRejectedError,
     StructureError,
@@ -40,6 +44,7 @@ from symkal.kalman import (
     LABEL_NCO,
     MIN_PBH_MARGIN,
     block_slices,
+    observability_margin,
     pattern_residuals,
     state_labels,
 )
@@ -290,6 +295,18 @@ class TestSubspaceAgreement:
             assert largest_angle(unobservable, unobs_span) <= 1e-7
 
 
+def _qz_margin(A_hat, C_hat, k: int, l: int) -> float:
+    """The margin from scipy.linalg.eig on the identity pencil, each complex
+    eigenvector normalized on its own: the reference for
+    observability_margin, which reads ggev's packed real output."""
+    n = A_hat.shape[0] // 2
+    obs = np.r_[0:k + l, n:n + k]
+    C_obs = C_hat[:, obs]
+    _, X = scipy.linalg.eig(A_hat[np.ix_(obs, obs)], np.eye(obs.size))
+    X = X / np.linalg.norm(X, axis=0)
+    return float(np.min(np.linalg.norm(C_obs @ X, axis=0))) / float(np.linalg.norm(C_obs))
+
+
 class TestObservabilityMargin:
     @pytest.mark.parametrize("seed, index", [(21, 266), (1003, 189), (1030, 219)])
     def test_known_wrong_answers_rejected(self, seed, index):
@@ -334,7 +351,10 @@ class TestObservabilityMargin:
         # refinement leaves a q_b row of A_hat near 1e-34, where a balanced
         # eigensolver returns a wrong eigenvector and a margin near 1e-17
         _, _, refined, _, _, _ = optomech.run(2.0, 0.5, 1.5)
-        assert refined.residual_report.observability_margin > 0.1
+        margin = refined.residual_report.observability_margin
+        assert margin > 0.1
+        reference = _qz_margin(refined.A_hat, refined.C_hat, refined.k, refined.l)
+        assert abs(margin - reference) <= 1e-12 * reference
 
     def test_empty_and_dark_blocks(self):
         sys = build_system(np.eye(4), np.zeros((2, 4)))
@@ -343,3 +363,47 @@ class TestObservabilityMargin:
         checks = verify_transformation(sys, dec.V, 1, 0, 1, dec.A_hat, dec.B_hat, dec.C_hat)
         assert checks.observability_margin == 0.0
         assert not checks.passed
+
+
+class TestMarginAgainstQZ:
+    """observability_margin reads scipy's ggev output without scipy.linalg.eig
+    around it; the margin that eig gives is the reference, to 1e-12 relative."""
+
+    @staticmethod
+    def _assert_matches(A_hat, C_hat, k, l):
+        margin = observability_margin(A_hat, C_hat, k, l)
+        reference = _qz_margin(A_hat, C_hat, k, l)
+        assert abs(margin - reference) <= 1e-12 * reference, (margin, reference)
+        return margin
+
+    @pytest.mark.parametrize("shape", STRUCTURED_SHAPES)
+    def test_structured_population(self, shape):
+        for seed in range(40, 44):
+            dec = kalman_decompose(structured_system(seed, *shape), policy=POPULATION_POLICY)
+            self._assert_matches(dec.A_hat, dec.C_hat, dec.k, dec.l)
+
+    def test_random_population(self):
+        for n in range(1, 7):
+            for m in (1, 2, 3):
+                dec = kalman_decompose(random_system(n, m, seed=10 * n + m))
+                self._assert_matches(dec.A_hat, dec.C_hat, dec.k, dec.l)
+
+    def test_odd_block_with_a_real_eigenvalue(self):
+        # 2k + l = 3 observable slots: a real 3 x 3 block has a real
+        # eigenvalue, and here a complex pair beside it
+        dec = kalman_decompose(structured_system(15, 1, 1, 1))
+        obs = np.r_[0:2, 3:4]
+        eigvals = np.linalg.eigvals(dec.A_hat[np.ix_(obs, obs)])
+        assert (eigvals.imag == 0).sum() == 1
+        self._assert_matches(dec.A_hat, dec.C_hat, dec.k, dec.l)
+
+    def test_unconverged_qz_raises(self, monkeypatch):
+        ggev = symkal.kalman._dggev
+
+        def failing(*args, **kwargs):
+            return ggev(*args, **kwargs)[:-1] + (3,)
+
+        dec = kalman_decompose(random_system(2, 1, seed=11))
+        monkeypatch.setattr(symkal.kalman, "_dggev", failing)
+        with pytest.raises(np.linalg.LinAlgError, match=r"\(ggev\) did not converge \(LAPACK info=3\)"):
+            observability_margin(dec.A_hat, dec.C_hat, dec.k, dec.l)

@@ -37,6 +37,10 @@ class TestJmat:
         with pytest.raises(DegenerateDimensionError):
             jmat(0)
 
+    def test_shared_and_read_only(self):
+        assert jmat(3) is jmat(3)
+        assert not jmat(3).flags.writeable
+
 
 class TestSharpAdjoint:
     def test_identity(self):
@@ -83,6 +87,26 @@ class TestSharpAdjoint:
         from helpers import random_symplectic
         T = random_symplectic(3, rng)
         assert np.allclose(T @ sharp_adjoint(T), np.eye(6), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 6), (6, 2), (4, 8), (10, 4), (12, 12)])
+    def test_bytes_of_the_dense_product(self, shape):
+        # the dense product turns every zero into +0.0; block moves that
+        # negated by -y would leave -0.0 where the input holds +0.0
+        rng = np.random.default_rng(sum(shape))
+        X = rng.standard_normal(shape)
+        pick = rng.random(shape)
+        X[pick < 0.25] = 0.0
+        X[pick > 0.75] = -0.0
+        assert np.signbit(X[X == 0.0]).any() and not np.signbit(X[X == 0.0]).all()
+        reference = -jmat(shape[1] // 2) @ X.T @ jmat(shape[0] // 2)
+        assert sharp_adjoint(X).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 4), (6, 2), (4, 4)])
+    def test_complex_matches_dense_product(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        reference = -jmat(shape[1] // 2) @ X.conj().T @ jmat(shape[0] // 2)
+        assert np.array_equal(sharp_adjoint(X), reference)
 
 
 class TestIsSymplectic:
@@ -212,6 +236,49 @@ class TestSkewCanonical:
             u = form.U[:, 2 * i]
             lead = u[np.argmax(np.abs(u) > 1e-8)]
             assert lead > 0
+
+
+class TestLazyKernelColumns:
+    """skew_canonical keeps the pairs eagerly and completes U's kernel
+    columns on first read; the eager construction it replaced is inlined
+    below as the reference."""
+
+    @staticmethod
+    def _eager_U(M, form):
+        K = 0.5 * (M - M.T)
+        lam, W = np.linalg.eigh(1j * K)
+        U_pairs = form.pairs
+        nker = K.shape[0] - 2 * form.k
+        if not nker:
+            return U_pairs
+        Wk = W[:, np.abs(lam) <= form.decision.cutoff]
+        Bk = np.hstack([Wk.real, Wk.imag])
+        if form.k:
+            Bk = Bk - U_pairs @ (U_pairs.T @ Bk)
+        Uo, _, _ = np.linalg.svd(Bk, full_matrices=False)
+        return np.hstack([U_pairs, Uo[:, :nker]])
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(41)
+        cases = [np.zeros((3, 3)), 3.0 * jmat(2), _block_skew([2.0, 1.0], 7, 4),
+                 _block_skew([1.0, 1.0, 0.5], 10, 5)]
+        for size in (5, 8, 11):
+            A = rng.standard_normal((size, size))
+            cases.append(A - A.T)
+        return cases
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_completed_on_first_read(self, case):
+        M = self._cases()[case]
+        form = skew_canonical(M)
+        assert "U" not in vars(form)
+        pairs = form.pairs
+        U = form.U
+        assert form.U is U and not U.flags.writeable
+        assert U.shape == (M.shape[0], M.shape[0])
+        assert np.array_equal(U[:, :2 * form.k], pairs)
+        assert U.tobytes() == self._eager_U(M, form).tobytes()
 
 
 def _canonical_pair(K: np.ndarray, w: np.ndarray):

@@ -17,6 +17,7 @@ from symkal import (
     from_physical,
     is_symplectic,
     jmat,
+    kalman_decompose,
     krylov_matrices,
     largest_angle,
     numerical_rank,
@@ -25,6 +26,7 @@ from symkal import (
     t0_matrix,
     transfer_matrix,
 )
+import symkal.kalman
 from symkal.factorization import factor_count_oracles
 from symkal.optomech import build as build_demo
 
@@ -167,6 +169,38 @@ class TestKrylov:
         assert ker_a.dim == ker_jr.dim
         if ker_a.dim:
             assert largest_angle(ker_a, ker_jr) <= 1e-7
+
+
+class TestLazyControllability:
+    """Only the observability stack is built eagerly."""
+
+    @pytest.mark.parametrize("variant", ["a", "jr"])
+    def test_equals_eager_stack(self, variant):
+        # reference: the loop that built both stacks together
+        sys = random_system(3, 2, seed=4)
+        kry = krylov_matrices(sys, variant=variant)
+        assert "controllability" not in vars(kry)
+        G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
+        blocks = [sys.B]
+        for _ in range(2 * sys.n - 1):
+            blocks.append(G @ blocks[-1])
+        ctl = kry.controllability
+        assert ctl.tobytes() == np.hstack(blocks).tobytes()
+        assert kry.controllability is ctl and not ctl.flags.writeable
+
+    def test_decompose_never_builds_it(self, monkeypatch):
+        built = []
+        original = symkal.kalman.krylov_matrices
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(symkal.kalman, "krylov_matrices", recording)
+        kalman_decompose(structured_system(13, 1, 1, 1))
+        kalman_decompose(random_system(4, 8, seed=2))
+        assert len(built) == 2
+        assert all("controllability" not in vars(kry) for kry in built)
 
 
 class TestT0:

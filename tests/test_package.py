@@ -36,3 +36,26 @@ def test_rank_cutoffs_live_in_policy():
              for path in sorted(SOURCE.glob("*.py")) if path.name != "linalg.py"}
     assert {name: found for name, found in sites.items() if found} == {
         "factorization.py": ["verify_factorization"]}
+
+
+def _eig_uses(tree: ast.AST) -> list[int]:
+    """Lines that call an ``eig`` attribute (np.linalg.eig, scipy.linalg.eig)
+    or import ``eig`` from numpy.linalg or scipy.linalg."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "eig"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg")
+              and any(alias.name == "eig" for alias in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_general_eigensolver():
+    # the Hautus margin calls ggev on the identity pencil, which only
+    # permutes; geev's scaling balance returned a wrong eigenvector on the
+    # refined optomechanical demo
+    uses = {path.name: _eig_uses(ast.parse(path.read_text()))
+            for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
