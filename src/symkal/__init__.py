@@ -49,8 +49,6 @@ from .kalman import (
     DecompositionChecks,
     KalmanDecomposition,
     RefinementPair,
-    StateClassification,
-    classify_states,
     kalman_decompose,
     refine,
     state_labels,
@@ -77,9 +75,8 @@ __all__ = [
     "one_sided_symplectic_svd", "verify_factorization", "factor_count_oracles",
     # kalman
     "KalmanDecomposition", "RefinementPair", "DecompositionChecks",
-    "StateClassification", "LABEL_MEANINGS", "kalman_decompose",
-    "verify_decomposition", "verify_transformation", "refine", "classify_states",
-    "state_labels",
+    "LABEL_MEANINGS", "kalman_decompose", "verify_decomposition",
+    "verify_transformation", "refine", "state_labels",
     # demo
     "optomech",
 ]

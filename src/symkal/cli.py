@@ -26,6 +26,7 @@ from .documents import (
 )
 from .errors import ConsistencyError, DocumentError, RankAmbiguityError, SymkalError
 from .kalman import (
+    CHECK_TOL,
     LABEL_MEANINGS,
     _transformed,
     kalman_decompose,
@@ -54,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, output=True):
         p.add_argument("--tolerance", type=float, default=1.0,
                        help="rank threshold scale (default 1.0)")
-        p.add_argument("--mode", choices=("strict", "relaxed"), default="strict",
-                       help="factorization mode (default strict)")
         if output:
             p.add_argument("--format", choices=("json", "text"), default="json")
             p.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -76,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve = sub.add_parser("verify", help="recheck a stored report against its system")
     p_ve.add_argument("input", help="system document path")
     p_ve.add_argument("report", help="decomposition report path")
-    p_ve.add_argument("--check-tol", type=float, default=1e-8,
-                      help="residual tolerance for the recheck (default 1e-8)")
 
     p_ex = sub.add_parser("example", help="emit the built-in optomechanical example")
     p_ex.add_argument("--omega", type=float, default=1.0)
@@ -107,6 +104,8 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise DocumentError("document", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError("document", f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError("document", f"{path} is not valid JSON: {exc}") from exc
 
@@ -140,15 +139,15 @@ def cmd_analyze(args) -> int:
         policy = TolerancePolicy(scale=args.tolerance)
     else:
         system, policy = _load_system(args.input, args.tolerance)
-    dec = kalman_decompose(system, policy=policy, mode=args.mode)
+    dec = kalman_decompose(system, policy=policy)
     sys.stdout.write(_analyze_text(dec))
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     system, policy = _load_system(args.input, args.tolerance)
-    dec = kalman_decompose(system, policy=policy, mode=args.mode)
-    report = decomposition_to_report(dec, mode=args.mode, policy=policy)
+    dec = kalman_decompose(system, policy=policy)
+    report = decomposition_to_report(dec, policy)
     if args.format == "json":
         text = canonical_json(report)
     else:
@@ -170,13 +169,12 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"dims: k+l+d = {k + l + d} != n = {n}\n")
         return EXIT_VERIFY
 
-    tol = args.check_tol
     V = stored["V"]
     checks = verify_transformation(system, V, k, l, d, stored["A_hat"], stored["B_hat"],
-                                   stored["C_hat"], tol)
+                                   stored["C_hat"])
     consistency = max(float(np.linalg.norm(stored[name] - value)) for name, value in
                       zip(("A_hat", "B_hat", "C_hat", "D"), _transformed(system, V)))
-    consistency_ok = consistency <= tol * (1.0 + float(np.linalg.norm(stored["A_hat"])))
+    consistency_ok = consistency <= CHECK_TOL * (1.0 + float(np.linalg.norm(stored["A_hat"])))
 
     results = dict(checks.as_dict(), transformed_matrices=consistency)
     for name, value in results.items():
@@ -199,18 +197,18 @@ def cmd_verify(args) -> int:
 def cmd_example(args) -> int:
     policy = TolerancePolicy(scale=args.tolerance)
     system, dec, refined, pair, a, b = optomech.run(
-        args.omega, args.lam, args.gamma, policy=policy, mode=args.mode)
+        args.omega, args.lam, args.gamma, policy=policy)
     payload = {
         "schema": 1,
         "parameters": {"omega": args.omega, "lambda": args.lam, "gamma": args.gamma},
         "coefficients": {"a": a, "b": b},
         "system": physical_to_document(optomech.physical_spec(args.gamma),
                                        optomech.hamiltonian_matrix(args.omega, args.lam)),
-        "report": decomposition_to_report(dec, mode=args.mode, policy=policy),
+        "report": decomposition_to_report(dec, policy),
         "refinement": {
             "X": matrix_to_lists(pair.X),
             "Y": matrix_to_lists(pair.Y),
-            "report": decomposition_to_report(refined, mode=args.mode, policy=policy),
+            "report": decomposition_to_report(refined, policy),
         },
     }
     if args.format == "json":

@@ -21,14 +21,18 @@ from .linalg import TolerancePolicy
 from .model import PhysicalSpec, QuadratureSystem, build_system, from_physical
 
 SCHEMA_VERSION = 1
+NUMBER = (int, float)
 
 
-def _require(data: dict, field: str, kind=None):
+def _require(data: dict, field: str, kind):
+    """The value of a present field of type ``kind``: a type, or NUMBER."""
     if field not in data:
         raise DocumentError(field, "missing")
     value = data[field]
-    if kind is not None and not isinstance(value, kind):
-        raise DocumentError(field, f"expected {kind.__name__}, got {type(value).__name__}")
+    # bool subclasses int, but JSON true and false are neither counts nor numbers
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "number" if kind is NUMBER else kind.__name__
+        raise DocumentError(field, f"expected {expected}, got {type(value).__name__}")
     return value
 
 
@@ -53,8 +57,8 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def system_to_document(sys: QuadratureSystem, tolerance: float | None = None) -> dict:
-    doc = {
+def system_to_document(sys: QuadratureSystem) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "n": sys.n,
         "m": sys.m,
@@ -62,13 +66,10 @@ def system_to_document(sys: QuadratureSystem, tolerance: float | None = None) ->
         "coupling": {"C": matrix_to_lists(sys.C)},
         "scattering": {"Sigma": matrix_to_lists(sys.Sigma)},
     }
-    if tolerance is not None:
-        doc["tolerance"] = float(tolerance)
-    return doc
 
 
-def physical_to_document(spec: PhysicalSpec, R, tolerance: float | None = None) -> dict:
-    doc = {
+def physical_to_document(spec: PhysicalSpec, R) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "n": spec.n,
         "m": spec.m,
@@ -84,9 +85,6 @@ def physical_to_document(spec: PhysicalSpec, R, tolerance: float | None = None) 
             "S_im": matrix_to_lists(spec.S.imag),
         },
     }
-    if tolerance is not None:
-        doc["tolerance"] = float(tolerance)
-    return doc
 
 
 def parse_system_document(data) -> tuple[QuadratureSystem, float | None]:
@@ -122,7 +120,8 @@ def parse_system_document(data) -> tuple[QuadratureSystem, float | None]:
 
     tolerance = data.get("tolerance")
     if tolerance is not None:
-        if not isinstance(tolerance, (int, float)) or not np.isfinite(tolerance) or tolerance <= 0:
+        if (isinstance(tolerance, bool) or not isinstance(tolerance, NUMBER)
+                or not np.isfinite(tolerance) or tolerance <= 0):
             raise DocumentError("tolerance", "must be a positive finite number")
         tolerance = float(tolerance)
 
@@ -148,13 +147,11 @@ def parse_system_document(data) -> tuple[QuadratureSystem, float | None]:
     return system, tolerance
 
 
-def decomposition_to_report(dec: KalmanDecomposition, mode: str,
-                            policy: TolerancePolicy) -> dict:
+def decomposition_to_report(dec: KalmanDecomposition, policy: TolerancePolicy) -> dict:
     checks = dec.residual_report
     return {
         "schema": SCHEMA_VERSION,
         "tool_version": __version__,
-        "mode": mode,
         "tolerance_policy": {"scale": policy.scale},
         "dims": {"k": dec.k, "l": dec.l, "d": dec.d},
         "labels": list(dec.labels),
@@ -200,7 +197,7 @@ def parse_report(data, m: int) -> dict:
     }
     residuals = _require(data, "residuals", dict)
     for field in ("symplecticity", "pattern", "reconstruction"):
-        value = _require(residuals, field, (int, float))
+        value = _require(residuals, field, NUMBER)
         if not np.isfinite(value):
             raise DocumentError(f"residuals.{field}", "must be finite")
     out["residuals"] = residuals

@@ -1,11 +1,11 @@
 """One-sided symplectic factorization F = Q E Z^{-1}.
 
-Any real F of shape s x 2r factors with Q invertible (orthogonal in strict
-mode), Z real symplectic, and E in a fixed sparse canonical pattern whose
-shape is controlled by two integers: k, half the rank of the form F J F^T
-carried onto the row space, and l, the rank of F beyond those paired
-directions.  The decomposition reads only Z and the counts in E; the square
-Q is completed from its leading columns when first read.
+Any real F of shape s x 2r factors with Q orthogonal, Z real symplectic,
+and E in Xu's sparse canonical pattern, whose shape is controlled by two
+integers: k, half the rank of the form F J F^T carried onto the row space,
+and l, the rank of F beyond those paired directions.  The decomposition
+reads only Z and the counts in E; the square Q is completed from its
+leading columns when first read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import RankAmbiguityError, StructureError
 from .linalg import (
     DEFAULT_POLICY,
-    EPS,
     TolerancePolicy,
     as_matrix,
     is_symplectic,
@@ -33,44 +32,39 @@ from .linalg import (
 # smallest reciprocal condition a full-rank decision accepts: a Gram matrix
 # that rounding alone keeps positive definite is not a rank decision
 MIN_RCOND = 1e-8
+# residual bound of verify_factorization: relative to max(1, ||F||_F) for the
+# reconstruction, absolute for the Z and Q residuals
+VERIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class CanonicalE:
-    """The sparse middle factor of the factorization.
+    """The sparse middle factor of the factorization, in Xu's form.
 
     Nonzero entries occupy three diagonal runs: (rows 0..k-1, cols 0..k-1)
-    holding xi_top, (rows k..k+l-1, cols k..k+l-1) holding ones_block, and
-    (rows k+l..2k+l-1, cols r..r+k-1) holding xi_mid.  Strict-mode outputs
-    have xi_mid == xi_top and ones_block all ones.
+    holding xi, (rows k..k+l-1, cols k..k+l-1) holding ones, and
+    (rows k+l..2k+l-1, cols r..r+k-1) holding xi again.
     """
 
     s: int
     r: int
     k: int
     l: int
-    xi_top: np.ndarray
-    xi_mid: np.ndarray
-    ones_block: np.ndarray
+    xi: np.ndarray
 
     def __post_init__(self):
-        xi_top = np.asarray(self.xi_top, dtype=float)
-        xi_mid = np.asarray(self.xi_mid, dtype=float)
-        ones_block = np.asarray(self.ones_block, dtype=float)
+        xi = np.asarray(self.xi, dtype=float)
         if self.k < 0 or self.l < 0:
             raise StructureError("k and l must be nonnegative")
         if self.k + self.l > self.r:
             raise StructureError(f"k + l = {self.k + self.l} exceeds r = {self.r}")
         if 2 * self.k + self.l > self.s:
             raise StructureError(f"2k + l = {2 * self.k + self.l} exceeds s = {self.s}")
-        if xi_top.shape != (self.k,) or xi_mid.shape != (self.k,) or ones_block.shape != (self.l,):
-            raise StructureError("diagonal arrays do not match the k, l counts")
-        for name, arr in (("xi_top", xi_top), ("xi_mid", xi_mid), ("ones_block", ones_block)):
-            if arr.size and not (np.isfinite(arr).all() and (arr > 0).all()):
-                raise StructureError(f"{name} entries must be positive and finite")
-        object.__setattr__(self, "xi_top", readonly(xi_top))
-        object.__setattr__(self, "xi_mid", readonly(xi_mid))
-        object.__setattr__(self, "ones_block", readonly(ones_block))
+        if xi.shape != (self.k,):
+            raise StructureError(f"xi has shape {xi.shape}, expected ({self.k},)")
+        if xi.size and not (np.isfinite(xi).all() and (xi > 0).all()):
+            raise StructureError("xi entries must be positive and finite")
+        object.__setattr__(self, "xi", readonly(xi))
 
     @property
     def d(self) -> int:
@@ -79,9 +73,9 @@ class CanonicalE:
     def materialize(self) -> np.ndarray:
         E = np.zeros((self.s, 2 * self.r))
         k, l, r = self.k, self.l, self.r
-        E[np.arange(k), np.arange(k)] = self.xi_top
-        E[k + np.arange(l), k + np.arange(l)] = self.ones_block
-        E[k + l + np.arange(k), r + np.arange(k)] = self.xi_mid
+        E[np.arange(k), np.arange(k)] = self.xi
+        E[k + np.arange(l), k + np.arange(l)] = 1.0
+        E[k + l + np.arange(k), r + np.arange(k)] = self.xi
         return E
 
     def kernel_column_indices(self) -> list[int]:
@@ -130,7 +124,6 @@ class SymplecticFactorization:
     Q_lead: np.ndarray
     E: CanonicalE
     Z: np.ndarray
-    mode: str
     residual: float
 
     def __post_init__(self):
@@ -160,13 +153,9 @@ class SymplecticFactorization:
         return self.E.l
 
 
-def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
-                             mode: str = "strict") -> SymplecticFactorization:
-    """Factor F = Q E Z^{-1} with Z real symplectic and E canonical sparse.
-
-    Strict mode returns an orthogonal Q, twin xi blocks, and a unit l-block;
-    relaxed mode keeps Q merely invertible and stores the l-block column
-    norms in E instead of orthonormalizing.
+def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> SymplecticFactorization:
+    """Factor F = Q E Z^{-1} with Q orthogonal, Z real symplectic and E in
+    Xu's canonical form: twin xi blocks and a unit l-block.
 
     The counts are pinned to independent rank decisions: k is half the rank
     of F J F^T and l = rank(F) - 2k, both made by ``policy.decide``.  When
@@ -179,8 +168,6 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
     lifting the paired columns back; the s x s Q is completed only when the
     ``Q`` attribute is first read.
     """
-    if mode not in ("strict", "relaxed"):
-        raise StructureError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
     A = as_matrix(F, "F")
     s, cols = A.shape
     if s == 0 or cols == 0 or cols % 2:
@@ -265,28 +252,20 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
         Zb = Z[:, k:k + l]
         W0 = Z[:, r + k:r + k + l]
         Qb_raw = A @ Zb
-        if mode == "strict":
-            _require_full_rank(policy, np.linalg.svd(Qb_raw, compute_uv=False),
-                               size * sigma_f, "image of the paired directions")
-            # L L^T = Qb_raw^T Qb_raw from the triangular factor of Qb_raw,
-            # without squaring its condition as a Cholesky of the Gram would
-            R = np.linalg.qr(Qb_raw, mode="r")
-            L = (R * np.where(np.diag(R) < 0, -1.0, 1.0)[:, None]).T
-            W0 = W0 @ L
-            Zb = Zb @ np.linalg.inv(L).T
-            Qb = A @ Zb
-            ones = np.ones(l)
-        else:
-            norms = np.linalg.norm(Qb_raw, axis=0)
-            policy.decide(norms, size * sigma_f, "norms of the paired directions", expected=l)
-            Qb = Qb_raw / norms[None, :]
-            ones = norms
+        _require_full_rank(policy, np.linalg.svd(Qb_raw, compute_uv=False),
+                           size * sigma_f, "image of the paired directions")
+        # L L^T = Qb_raw^T Qb_raw from the triangular factor of Qb_raw,
+        # without squaring its condition as a Cholesky of the Gram would
+        R = np.linalg.qr(Qb_raw, mode="r")
+        L = (R * np.where(np.diag(R) < 0, -1.0, 1.0)[:, None]).T
+        W0 = W0 @ L
+        Zb = Zb @ np.linalg.inv(L).T
+        Qb = A @ Zb
         Z = Z.copy()
         Z[:, k:k + l] = Zb
         Z[:, r + k:r + k + l] = W0
     else:
         Qb = np.zeros((s, 0))
-        ones = np.zeros(0)
 
     Q_lead = np.hstack([u_cols, Qb, v_cols])
     p = Q_lead.shape[1]
@@ -295,10 +274,10 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None,
         # cannot fail: the p leading columns must be independent
         numerical_rank(Q_lead, policy, expected_rank=p)
 
-    E = CanonicalE(s=s, r=r, k=k, l=l, xi_top=xi, xi_mid=xi.copy(), ones_block=ones)
+    E = CanonicalE(s=s, r=r, k=k, l=l, xi=xi)
     # rows of E past 2k + l are zero, so Q E = Q_lead E[:2k + l]
     residual = float(np.linalg.norm(A @ Z - Q_lead @ E.materialize()[:p]))
-    return SymplecticFactorization(Q_lead=Q_lead, E=E, Z=Z, mode=mode, residual=residual)
+    return SymplecticFactorization(Q_lead=Q_lead, E=E, Z=Z, residual=residual)
 
 
 def _require_full_rank(policy: TolerancePolicy, values, bound: float, stage: str):
@@ -316,7 +295,7 @@ def _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy):
     They live in the form-orthogonal complement of the paired blocks, carry
     unit pairing with W0, and are sheared isotropic.  Being form-orthogonal
     to the a-block forces their images under A to be Euclidean-orthogonal to
-    the a-block image, which is what lets strict mode keep Q orthogonal.
+    the a-block image, which is what keeps Q orthogonal.
     """
     anchor = numerical_rank(np.hstack([Za, Za_partner, Zc, Zc_partner]), policy).image.basis
     constraints = np.vstack([anchor.T @ J, W0.T])
@@ -384,13 +363,14 @@ def factor_count_oracles(F, policy: TolerancePolicy | None = None) -> tuple[int,
     return form.rank // 2, rank_f - form.rank
 
 
-def verify_factorization(F, fact: SymplecticFactorization, tol: float = 1e-8,
+def verify_factorization(F, fact: SymplecticFactorization,
                          policy: TolerancePolicy | None = None) -> FactorizationChecks:
     """Check every postcondition of a factorization, reporting residuals.
 
-    Reconstruction is judged against tol * max(1, ||F||_F); the Z and Q
-    residuals against tol directly.  The kernel check compares Ker F with
-    Z applied to the pattern's kernel columns through principal angles.
+    Reconstruction is judged against VERIFY_TOL * max(1, ||F||_F); the Z
+    and Q residuals against VERIFY_TOL directly.  The kernel check compares
+    Ker F with Z applied to the pattern's kernel columns through principal
+    angles.
     The Q checks read only Q_lead: the completion is orthonormal and
     orthogonal to it, so Q^T Q = blockdiag(Q_lead^T Q_lead, I).
     """
@@ -402,16 +382,12 @@ def verify_factorization(F, fact: SymplecticFactorization, tol: float = 1e-8,
     scale = max(1.0, float(np.linalg.norm(A)))
     s, p = fact.Q_lead.shape
     reconstruction = float(np.linalg.norm(A @ fact.Z - fact.Q_lead @ E_mat[:p]))
-    z_check = is_symplectic(fact.Z, tol=tol)
+    z_residual = is_symplectic(fact.Z).residual
     q_residual = float(np.linalg.norm(fact.Q_lead.T @ fact.Q_lead - np.eye(p)))
     sv_q = np.linalg.svd(fact.Q_lead, compute_uv=False)
     if p < s:
         sv_q = np.append(sv_q, 1.0)
     q_condition = float(sv_q.max() / sv_q.min())
-    if fact.mode == "strict":
-        q_ok = q_residual <= tol
-    else:
-        q_ok = bool(np.isfinite(q_condition)) and q_condition < 1.0 / (s * EPS)
 
     k_oracle, l_oracle = factor_count_oracles(A, policy)
     counts_ok = (k_oracle == fact.E.k) and (l_oracle == fact.E.l)
@@ -422,11 +398,11 @@ def verify_factorization(F, fact: SymplecticFactorization, tol: float = 1e-8,
 
     return FactorizationChecks(
         reconstruction_residual=reconstruction,
-        reconstruction_ok=reconstruction <= tol * scale,
-        z_symplectic_residual=z_check.residual,
-        z_symplectic_ok=z_check.residual <= tol,
+        reconstruction_ok=reconstruction <= VERIFY_TOL * scale,
+        z_symplectic_residual=z_residual,
+        z_symplectic_ok=z_residual <= VERIFY_TOL,
         q_residual=q_residual,
-        q_ok=q_ok,
+        q_ok=q_residual <= VERIFY_TOL,
         q_condition=q_condition,
         k=fact.E.k,
         l=fact.E.l,
@@ -434,5 +410,5 @@ def verify_factorization(F, fact: SymplecticFactorization, tol: float = 1e-8,
         l_oracle=l_oracle,
         counts_ok=counts_ok,
         kernel_angle=kernel_angle,
-        kernel_ok=kernel_angle <= max(tol, 1e-7),
+        kernel_ok=kernel_angle <= 1e-7,
     )

@@ -20,7 +20,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .factorization import CanonicalE, SymplecticFactorization, one_sided_symplectic_svd
+from .factorization import SymplecticFactorization, one_sided_symplectic_svd
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -32,7 +32,7 @@ from .linalg import (
 )
 from .model import QuadratureSystem, krylov_matrices
 
-# relative tolerance of the block-zero checks in kalman_decompose and refine
+# relative tolerance of the block-zero checks of the verifier and of refine
 CHECK_TOL = 1e-8
 # smallest Hautus observability margin of the block claimed observable;
 # correct decompositions sit above 1e-5, an nco/cno pair misread as co at
@@ -245,7 +245,7 @@ def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
 
 
 def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,
-                          A_hat, B_hat, C_hat, tol: float = CHECK_TOL) -> DecompositionChecks:
+                          A_hat, B_hat, C_hat) -> DecompositionChecks:
     """Check a state transformation V and its claimed (k, l, d) on a system.
 
     Judges the symplecticity of V, the block-zero pattern of the given
@@ -264,7 +264,7 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     J = jmat(n)
     ccr_residual = float(np.linalg.norm(V @ J @ V.T - J))
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
-    pattern_scale = tol * (1.0 + float(np.linalg.norm(A_hat)))
+    pattern_scale = CHECK_TOL * (1.0 + float(np.linalg.norm(A_hat)))
     margin = observability_margin(A_hat, C_hat, k, l)
     return DecompositionChecks(
         ccr_residual=ccr_residual,
@@ -282,8 +282,8 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     )
 
 
-def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = None,
-                     mode: str = "strict") -> KalmanDecomposition:
+def kalman_decompose(sys: QuadratureSystem,
+                     policy: TolerancePolicy | None = None) -> KalmanDecomposition:
     """Decompose a system into its four controllability/observability classes.
 
     Factors the observability stack, takes V = Z^{-1}, and verifies the
@@ -293,7 +293,7 @@ def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = Non
     decomposition.
     """
     obs = krylov_matrices(sys, variant="jr").observability
-    fact = one_sided_symplectic_svd(obs, policy=policy, mode=mode)
+    fact = one_sided_symplectic_svd(obs, policy=policy)
     n = sys.n
     k, l = fact.E.k, fact.E.l
     d = n - k - l
@@ -308,11 +308,10 @@ def kalman_decompose(sys: QuadratureSystem, policy: TolerancePolicy | None = Non
         labels=state_labels(k, l, d), residual_report=checks)
 
 
-def verify_decomposition(sys: QuadratureSystem, dec: KalmanDecomposition,
-                         tol: float = CHECK_TOL) -> DecompositionChecks:
+def verify_decomposition(sys: QuadratureSystem, dec: KalmanDecomposition) -> DecompositionChecks:
     """Re-derive every invariant of a decomposition from scratch."""
     return verify_transformation(sys, dec.V, dec.k, dec.l, dec.d,
-                                 dec.A_hat, dec.B_hat, dec.C_hat, tol)
+                                 dec.A_hat, dec.B_hat, dec.C_hat)
 
 
 @dataclass(frozen=True)
@@ -335,15 +334,16 @@ class RefinementPair:
         object.__setattr__(self, "Y", readonly(Y))
 
 
-def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
+def refine(dec: KalmanDecomposition, pair: RefinementPair,
            policy: TolerancePolicy | None = None) -> KalmanDecomposition:
     """Rebuild the decomposition with V' = Y^{-1} V for a validated pair.
 
-    The pair is validated against the supplied E: Y symplectic, X
-    invertible under ``policy``, and X E Y matching the canonical pattern
-    with nonzero diagonals.  Counts and labels are preserved; every
-    invariant is re-verified on the result.
+    The pair is validated against the decomposition's canonical factor E:
+    Y symplectic, X invertible under ``policy``, and X E Y matching the
+    canonical pattern with nonzero diagonals.  Counts and labels are
+    preserved; every invariant is re-verified on the result.
     """
+    E = dec.factorization.E
     E_mat = E.materialize()
     if pair.X.shape[0] != E.s or pair.Y.shape[0] != 2 * E.r:
         raise StructureError(
@@ -373,18 +373,3 @@ def refine(dec: KalmanDecomposition, E: CanonicalE, pair: RefinementPair,
         k=dec.k, l=dec.l, d=dec.d,
         A_hat=A_hat, B_hat=B_hat, C_hat=C_hat, D=D,
         labels=dec.labels, residual_report=checks)
-
-
-@dataclass(frozen=True)
-class StateClassification:
-    index: int
-    label: str
-    coordinates: np.ndarray
-
-
-def classify_states(dec: KalmanDecomposition) -> list[StateClassification]:
-    """Per transformed state: its class and its row of V over the original
-    position/momentum coordinates."""
-    return [StateClassification(index=i, label=dec.labels[i],
-                                coordinates=np.array(dec.V[i, :]))
-            for i in range(2 * dec.n)]

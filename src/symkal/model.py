@@ -216,26 +216,21 @@ def t0_matrix(n: int, m: int, D) -> np.ndarray:
     return stacked @ signs @ jmat(2 * n * m)
 
 
-def random_system(n: int, m: int, seed: int, sigma: str = "exp") -> QuadratureSystem:
+def random_system(n: int, m: int, seed: int) -> QuadratureSystem:
     """Deterministic random system for a given seed.
 
     R is symmetric standard normal, C is standard normal scaled by
-    1/sqrt(2m), and Sigma is either the identity or exp(J K) for a random
-    symmetric K, which is symplectic by construction.
+    1/sqrt(2m), and Sigma is exp(J K) for a random symmetric K, which is
+    symplectic by construction.
     """
     if n < 1 or m < 1:
         raise StructureError(f"random_system needs n, m >= 1, got n={n}, m={m}")
-    if sigma not in ("exp", "identity"):
-        raise StructureError(f"sigma must be 'exp' or 'identity', got {sigma!r}")
     rng = np.random.default_rng(seed)
     R0 = rng.standard_normal((2 * n, 2 * n))
     R = 0.5 * (R0 + R0.T)
     C = rng.standard_normal((2 * m, 2 * n)) / np.sqrt(2 * m)
-    if sigma == "identity":
-        Sigma = np.eye(2 * m)
-    else:
-        K0 = rng.standard_normal((2 * m, 2 * m))
-        Sigma = expm(jmat(m) @ (0.5 * (K0 + K0.T)))
+    K0 = rng.standard_normal((2 * m, 2 * m))
+    Sigma = expm(jmat(m) @ (0.5 * (K0 + K0.T)))
     return QuadratureSystem(R=R, C=C, Sigma=Sigma)
 
 

@@ -96,14 +96,14 @@ def refinement_pair(dec: KalmanDecomposition) -> RefinementPair:
 
 
 def run(omega: float = 1.0, lam: float = 1.0, gamma: float = 1.0,
-        policy: TolerancePolicy | None = None, mode: str = "strict"):
+        policy: TolerancePolicy | None = None):
     """Build, decompose, and refine the demo system.
 
     Returns (system, decomposition, refined decomposition, pair, a, b).
     """
     system = build(omega, lam, gamma)
-    dec = kalman_decompose(system, policy=policy, mode=mode)
+    dec = kalman_decompose(system, policy=policy)
     pair = refinement_pair(dec)
-    refined = refine(dec, dec.factorization.E, pair, policy=policy)
+    refined = refine(dec, pair, policy=policy)
     a, b = aux_coefficients(omega)
     return system, dec, refined, pair, a, b

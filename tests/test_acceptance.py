@@ -23,7 +23,7 @@ from symkal import (
     verify_factorization,
 )
 from symkal import optomech
-from symkal.factorization import factor_count_oracles
+from symkal.factorization import VERIFY_TOL, factor_count_oracles
 from symkal.kalman import LABEL_CNO, LABEL_NCO
 
 SQRT2 = np.sqrt(2.0)
@@ -131,9 +131,10 @@ def test_criterion_5_factorization_postconditions():
     population = factor_population(200, base_seed=31415)
     kinds = {"generic": 0, "deficient": 0, "k0": 0, "l0": 0}
     forced_k0 = forced_l0 = 0
+    assert VERIFY_TOL == 1e-8
     for idx, F in enumerate(population):
-        fact = one_sided_symplectic_svd(F, mode="strict")
-        checks = verify_factorization(F, fact, tol=1e-8)
+        fact = one_sided_symplectic_svd(F)
+        checks = verify_factorization(F, fact)
         assert checks.passed, (idx, checks.as_dict())
         k_oracle, l_oracle = factor_count_oracles(F)
         assert (fact.E.k, fact.E.l) == (k_oracle, l_oracle)

@@ -1,5 +1,8 @@
+import argparse
 import json
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +122,7 @@ class TestDecompose:
         assert report["dims"] == {"k": 2, "l": 0, "d": 0}
         assert report["schema"] == 1
         assert len(report["labels"]) == 4
+        assert "mode" not in report
 
     def test_byte_identical_runs(self, system_doc, capsys):
         code1, out1, _ = run_cli(capsys, "decompose", system_doc)
@@ -145,11 +149,6 @@ class TestDecompose:
         assert code == 4
         assert "cannot write" in err
 
-    def test_relaxed_mode(self, system_doc, capsys):
-        code, out, _ = run_cli(capsys, "decompose", system_doc, "--mode", "relaxed")
-        assert code == 0
-        assert json.loads(out)["mode"] == "relaxed"
-
 
 class TestVerify:
     def _decompose(self, system_doc, tmp_path, capsys):
@@ -160,6 +159,16 @@ class TestVerify:
 
     def test_clean_report_exits_0(self, system_doc, tmp_path, capsys):
         report_path = self._decompose(system_doc, tmp_path, capsys)
+        code, out, _ = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 0
+        assert "all checks passed" in out
+
+    def test_report_with_mode_key_exits_0(self, system_doc, tmp_path, capsys):
+        # reports written while a factorization mode existed carry "mode"
+        report_path = self._decompose(system_doc, tmp_path, capsys)
+        report = json.loads(report_path.read_text())
+        report["mode"] = "strict"
+        report_path.write_text(canonical_json(report))
         code, out, _ = run_cli(capsys, "verify", system_doc, report_path)
         assert code == 0
         assert "all checks passed" in out
@@ -193,6 +202,15 @@ class TestVerify:
         assert code == 5
         assert "failed checks: pattern, observability\n" in err
         assert "observability_margin:" in out
+
+    def test_non_numeric_residual_exits_2(self, system_doc, tmp_path, capsys):
+        report_path = self._decompose(system_doc, tmp_path, capsys)
+        report = json.loads(report_path.read_text())
+        report["residuals"]["pattern"] = "small"
+        report_path.write_text(canonical_json(report))
+        code, _, err = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 2
+        assert "'pattern'; expected number, got str" in err
 
     def test_malformed_report_exits_2(self, system_doc, tmp_path, capsys):
         report_path = tmp_path / "broken.json"
@@ -261,7 +279,7 @@ class TestOneVerifier:
         E = dec.factorization.E
         calls.clear()
         stacks.clear()
-        refine(dec, E, RefinementPair(X=np.eye(E.s), Y=np.eye(2 * E.r)))
+        refine(dec, RefinementPair(X=np.eye(E.s), Y=np.eye(2 * E.r)))
         assert len(calls) == 1
         assert len(stacks) == 0
 
@@ -363,9 +381,85 @@ class TestDocuments:
         assert "k=1 l=1 d=1" in out
 
     def test_tolerance_override_consumed(self):
-        doc = system_to_document(random_system(1, 1, seed=0), tolerance=10.0)
+        doc = system_to_document(random_system(1, 1, seed=0))
+        doc["tolerance"] = 10.0
         _, tol = parse_system_document(doc)
         assert tol == 10.0
         doc["tolerance"] = -1.0
         with pytest.raises(DocumentError, match="tolerance"):
             parse_system_document(doc)
+
+
+class TestJsonBooleans:
+    """JSON true and false load as Python bools, which subclass int, so a
+    bool must be refused wherever a count or a number is read."""
+
+    @pytest.mark.parametrize("field", ["schema", "n", "m", "tolerance"])
+    def test_system_document(self, field, tmp_path, capsys):
+        doc = system_to_document(random_system(1, 1, seed=0))
+        doc[field] = True
+        path = tmp_path / "system.json"
+        path.write_text(canonical_json(doc))
+        code, _, err = run_cli(capsys, "analyze", path)
+        assert code == 2
+        assert f"'{field}'" in err
+
+    @pytest.mark.parametrize("keys, value", [
+        (("schema",), True),
+        (("dims", "k"), True),
+        (("dims", "l"), False),
+        (("residuals", "pattern"), False),
+    ], ids=["schema", "dims.k", "dims.l", "residuals.pattern"])
+    def test_report(self, keys, value, tmp_path, capsys):
+        # every value replaced here equals the bool, so only its type is wrong
+        system_doc = tmp_path / "system.json"
+        system_doc.write_text(canonical_json(system_to_document(random_system(1, 1, seed=0))))
+        report_path = tmp_path / "report.json"
+        assert run_cli(capsys, "decompose", system_doc, "--output", report_path)[0] == 0
+        report = json.loads(report_path.read_text())
+        *parents, field = keys
+        target = report
+        for key in parents:
+            target = target[key]
+        assert target[field] == value
+        target[field] = value
+        report_path.write_text(canonical_json(report))
+        code, _, err = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 2
+        assert f"'{field}'" in err
+
+
+class TestUndecodableDocuments:
+    NOT_UTF8 = b"\xff\xfe{}"
+
+    def test_analyze(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.NOT_UTF8)
+        code, _, err = run_cli(capsys, "analyze", path)
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_verify_report(self, system_doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.NOT_UTF8)
+        code, _, err = run_cli(capsys, "verify", system_doc, path)
+        assert code == 2
+        assert "UTF-8" in err
+
+
+def _parser_flags() -> set[str]:
+    flags = set()
+    parsers = [symkal.cli.build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            flags.update(o for o in action.option_strings if o.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return flags - {"--help"}
+
+
+def test_readme_names_every_flag():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == _parser_flags()

@@ -26,7 +26,6 @@ from symkal import (
     ValidationError,
     ConsistencyError,
     build_system,
-    classify_states,
     is_symplectic,
     jmat,
     kalman_decompose,
@@ -119,12 +118,6 @@ class TestDecomposition:
             rel = np.linalg.norm(moved - orig) / max(np.linalg.norm(orig), 1e-12)
             assert rel <= 1e-7
 
-    def test_relaxed_mode(self):
-        sys = structured_system(5, 1, 1, 1)
-        dec = kalman_decompose(sys, mode="relaxed", policy=POPULATION_POLICY)
-        assert (dec.k, dec.l, dec.d) == (1, 1, 1)
-        assert dec.residual_report.passed
-
     def test_classical_block_views(self):
         sys = structured_system(3, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
@@ -200,7 +193,7 @@ class TestRefine:
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         E = dec.factorization.E
         pair = RefinementPair(X=np.eye(E.s), Y=np.eye(2 * E.r))
-        out = refine(dec, E, pair, policy=POPULATION_POLICY)
+        out = refine(dec, pair, policy=POPULATION_POLICY)
         assert np.allclose(out.V, dec.V)
         assert out.labels == dec.labels
         assert (out.k, out.l, out.d) == (dec.k, dec.l, dec.d)
@@ -218,7 +211,7 @@ class TestRefine:
         slots = list(range(dec.k + dec.l, n)) + list(range(n + dec.k + dec.l, 2 * n))
         Y[np.ix_(slots, slots)] = Sd
         assert is_symplectic(Y).ok
-        out = refine(dec, E, RefinementPair(X=np.eye(E.s), Y=Y), policy=POPULATION_POLICY)
+        out = refine(dec, RefinementPair(X=np.eye(E.s), Y=Y), policy=POPULATION_POLICY)
         assert out.labels == dec.labels
         assert out.residual_report.passed
 
@@ -230,7 +223,7 @@ class TestRefine:
         rng = np.random.default_rng(8)
         Y = random_symplectic(n, rng)  # generic symplectic scrambles the pattern
         with pytest.raises(RefinementRejectedError) as info:
-            refine(dec, E, RefinementPair(X=np.eye(E.s), Y=Y), policy=POPULATION_POLICY)
+            refine(dec, RefinementPair(X=np.eye(E.s), Y=Y), policy=POPULATION_POLICY)
         assert info.value.blocks
 
     def test_nonsymplectic_y_rejected(self):
@@ -238,7 +231,7 @@ class TestRefine:
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         E = dec.factorization.E
         with pytest.raises(ValidationError, match="Y symplectic"):
-            refine(dec, E, RefinementPair(X=np.eye(E.s), Y=2.0 * np.eye(2 * sys.n)))
+            refine(dec, RefinementPair(X=np.eye(E.s), Y=2.0 * np.eye(2 * sys.n)))
 
     def test_singular_x_rejected(self):
         sys = structured_system(13, 1, 1, 1)
@@ -246,7 +239,7 @@ class TestRefine:
         E = dec.factorization.E
         X = np.zeros((E.s, E.s))
         with pytest.raises(ValidationError, match="X invertible"):
-            refine(dec, E, RefinementPair(X=X, Y=np.eye(2 * sys.n)))
+            refine(dec, RefinementPair(X=X, Y=np.eye(2 * sys.n)))
 
     def test_x_check_uses_the_policy(self):
         # the demo's X has singular values 3.39 down to 0.723 with s = 12, so
@@ -254,23 +247,20 @@ class TestRefine:
         dec = kalman_decompose(optomech.build())
         pair = optomech.refinement_pair(dec)
         with pytest.raises(ValidationError, match="X invertible"):
-            refine(dec, dec.factorization.E, pair, policy=TolerancePolicy(scale=1e14))
+            refine(dec, pair, policy=TolerancePolicy(scale=1e14))
 
 
 class TestClassifyStates:
     def test_position_coupled_mode(self):
         dec = kalman_decompose(position_coupled_mode())
-        rows = classify_states(dec)
-        assert [r.label for r in rows] == [LABEL_NCO, LABEL_CNO]
+        assert dec.labels == (LABEL_NCO, LABEL_CNO)
         # the unobservable state is the momentum direction
-        assert abs(rows[1].coordinates[0]) < 1e-12
-        assert abs(rows[1].coordinates[1]) > 0.1
-        assert np.array_equal(rows[0].coordinates, dec.V[0])
+        assert abs(dec.V[1, 0]) < 1e-12
+        assert abs(dec.V[1, 1]) > 0.1
 
     def test_uncoupled_all_ncno(self):
         sys = build_system(np.eye(4), np.zeros((2, 4)), np.eye(2))
-        rows = classify_states(kalman_decompose(sys))
-        assert {r.label for r in rows} == {LABEL_NCNO}
+        assert set(kalman_decompose(sys).labels) == {LABEL_NCNO}
 
 
 class TestSubspaceAgreement:

@@ -268,15 +268,9 @@ class TestRandomSystem:
         assert np.allclose(sys.R, sys.R.T)
         assert is_symplectic(sys.Sigma, tol=1e-9).ok
 
-    def test_identity_sigma_option(self):
-        sys = random_system(2, 2, seed=0, sigma="identity")
-        assert np.array_equal(sys.Sigma, np.eye(4))
-
     def test_bad_arguments(self):
         with pytest.raises(StructureError):
             random_system(0, 1, seed=0)
-        with pytest.raises(StructureError):
-            random_system(1, 1, seed=0, sigma="other")
 
 
 class TestClassDimensionPairing:

@@ -145,16 +145,14 @@ class TestRefinement:
                 assert min(abs(entry - v) for v in values) < 1e-9
 
     def test_refined_state_rows(self):
-        from symkal import classify_states
         _, _, refined, _, _, _ = optomech.run(1.0, 1.0, 1.0)
-        rows = classify_states(refined)
         # the observable-only state reads (q1 + q2)/sqrt2
-        assert rows[1].label == "nco"
-        assert np.allclose(rows[1].coordinates,
+        assert refined.labels[1] == "nco"
+        assert np.allclose(refined.V[1],
                            [1 / SQRT2, 1 / SQRT2, 0, 0, 0, 0], atol=1e-9)
         # its conjugate reads (p1 + p2)/sqrt2 and is controllable-only
-        assert rows[4].label == "cno"
-        assert np.allclose(rows[4].coordinates,
+        assert refined.labels[4] == "cno"
+        assert np.allclose(refined.V[4],
                            [0, 0, 0, 1 / SQRT2, 1 / SQRT2, 0], atol=1e-9)
 
     def test_pair_validates_against_e(self):

@@ -29,13 +29,83 @@ def _threshold_sites(tree: ast.AST, function: str = "") -> list[str]:
 
 
 def test_rank_cutoffs_live_in_policy():
-    # every rank decision goes through TolerancePolicy.decide; the one other
-    # use of eps is the relaxed factorization's bound on the condition of Q,
-    # which judges a result rather than deciding a rank
+    # every rank decision goes through TolerancePolicy.decide
     sites = {path.name: _threshold_sites(ast.parse(path.read_text()))
              for path in sorted(SOURCE.glob("*.py")) if path.name != "linalg.py"}
-    assert {name: found for name, found in sites.items() if found} == {
-        "factorization.py": ["verify_factorization"]}
+    assert {name: found for name, found in sites.items() if found} == {}
+
+
+def _settable(tree: ast.AST, module: str, owner: str = "") -> list[tuple[str, str, str]]:
+    """(module, function or class, name) of every defaulted parameter and
+    every dataclass field with a default; methods are named Class.method."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{owner}.{node.name}" if owner else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            found += [(module, name, arg.arg) for arg in defaulted]
+            found += _settable(node, module, name)
+        elif isinstance(node, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found += [(module, node.name, item.target.id) for item in node.body
+                          if isinstance(item, ast.AnnAssign) and item.value is not None]
+            found += _settable(node, module, node.name)
+        else:
+            found += _settable(node, module, owner)
+    return found
+
+
+# Every value a caller can leave at a default.  A new option has to be added
+# here, so that it shows up in review; one with a single value in use is a
+# constant instead.
+SETTABLE_VALUES = [
+    ("cli", "build_parser.common", "output"),
+    ("cli", "main", "argv"),
+    ("errors", "ValidationError.__init__", "residual"),
+    ("errors", "ValidationError.__init__", "detail"),
+    ("errors", "DocumentError.__init__", "residual"),
+    ("errors", "RefinementRejectedError.__init__", "blocks"),
+    ("errors", "ConsistencyError.__init__", "report"),
+    ("factorization", "one_sided_symplectic_svd", "policy"),
+    ("factorization", "factor_count_oracles", "policy"),
+    ("factorization", "verify_factorization", "policy"),
+    ("kalman", "kalman_decompose", "policy"),
+    ("kalman", "refine", "policy"),
+    ("linalg", "TolerancePolicy", "scale"),
+    ("linalg", "TolerancePolicy.decide", "expected"),
+    ("linalg", "as_matrix", "name"),
+    ("linalg", "as_complex_matrix", "name"),
+    ("linalg", "is_symplectic", "tol"),
+    ("linalg", "RankResult", "left"),
+    ("linalg", "RankResult", "right_h"),
+    ("linalg", "numerical_rank", "policy"),
+    ("linalg", "numerical_rank", "expected_rank"),
+    ("linalg", "SkewCanonicalForm", "null_vectors"),
+    ("linalg", "skew_canonical", "policy"),
+    ("linalg", "skew_canonical", "bound"),
+    ("model", "build_system", "Sigma"),
+    ("model", "KrylovMatrices", "system"),
+    ("model", "KrylovMatrices", "generator"),
+    ("model", "krylov_matrices", "variant"),
+    ("optomech", "build", "omega"),
+    ("optomech", "build", "lam"),
+    ("optomech", "build", "gamma"),
+    ("optomech", "run", "omega"),
+    ("optomech", "run", "lam"),
+    ("optomech", "run", "gamma"),
+    ("optomech", "run", "policy"),
+]
+
+
+def test_settable_values():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += _settable(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == sorted(SETTABLE_VALUES)
 
 
 def _eig_uses(tree: ast.AST) -> list[int]:
