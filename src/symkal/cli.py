@@ -90,12 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output_path) -> None:
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _emit(text: str, output_path) -> int:
+    """Write text to the output path, or to stdout without one; the exit code."""
+    try:
+        if output_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(output_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return EXIT_WRITE
+    return EXIT_OK
 
 
 def _load_json(path: str):
@@ -152,12 +158,7 @@ def cmd_decompose(args) -> int:
         text = canonical_json(report)
     else:
         text = _analyze_text(dec)
-    try:
-        _emit(text, args.output)
-    except OSError as exc:
-        sys.stderr.write(f"cannot write output: {exc}\n")
-        return EXIT_WRITE
-    return EXIT_OK
+    return _emit(text, args.output)
 
 
 def cmd_verify(args) -> int:
@@ -223,23 +224,13 @@ def cmd_example(args) -> int:
         for row in refined.V:
             lines.append("  [" + " ".join(f"{x: .6f}" for x in row) + "]")
         text = "\n".join(lines) + "\n"
-    try:
-        _emit(text, args.output)
-    except OSError as exc:
-        sys.stderr.write(f"cannot write output: {exc}\n")
-        return EXIT_WRITE
-    return EXIT_OK
+    return _emit(text, args.output)
 
 
 def cmd_generate(args) -> int:
     system = random_system(args.n, args.m, seed=args.seed)
     text = canonical_json(system_to_document(system))
-    try:
-        _emit(text, args.output)
-    except OSError as exc:
-        sys.stderr.write(f"cannot write output: {exc}\n")
-        return EXIT_WRITE
-    return EXIT_OK
+    return _emit(text, args.output)
 
 
 _DISPATCH = {

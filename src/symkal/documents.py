@@ -24,13 +24,17 @@ SCHEMA_VERSION = 1
 NUMBER = (int, float)
 
 
+def _is_a(value, kind) -> bool:
+    # bool subclasses int, but JSON true and false are neither counts nor numbers
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _require(data: dict, field: str, kind):
     """The value of a present field of type ``kind``: a type, or NUMBER."""
     if field not in data:
         raise DocumentError(field, "missing")
     value = data[field]
-    # bool subclasses int, but JSON true and false are neither counts nor numbers
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not _is_a(value, kind):
         expected = "number" if kind is NUMBER else kind.__name__
         raise DocumentError(field, f"expected {expected}, got {type(value).__name__}")
     return value
@@ -38,6 +42,12 @@ def _require(data: dict, field: str, kind):
 
 def _array(data: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
     raw = _require(data, field, list)
+    # np.array would parse "1" and true; rows that are not lists fail the
+    # shape check below
+    for row in raw:
+        for entry in row if isinstance(row, list) else (row,):
+            if not _is_a(entry, (*NUMBER, list)):
+                raise DocumentError(field, f"entries must be numbers, got {type(entry).__name__}")
     try:
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -120,8 +130,7 @@ def parse_system_document(data) -> tuple[QuadratureSystem, float | None]:
 
     tolerance = data.get("tolerance")
     if tolerance is not None:
-        if (isinstance(tolerance, bool) or not isinstance(tolerance, NUMBER)
-                or not np.isfinite(tolerance) or tolerance <= 0):
+        if not _is_a(tolerance, NUMBER) or not np.isfinite(tolerance) or tolerance <= 0:
             raise DocumentError("tolerance", "must be a positive finite number")
         tolerance = float(tolerance)
 

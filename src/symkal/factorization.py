@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,15 +36,37 @@ MIN_RCOND = 1e-8
 # residual bound of verify_factorization: relative to max(1, ||F||_F) for the
 # reconstruction, absolute for the Z and Q residuals
 VERIFY_TOL = 1e-8
+# largest principal angle verify_factorization accepts between Ker F and Z
+# applied to the pattern's kernel columns
+MAX_KERNEL_ANGLE = 1e-7
+
+# The block layout.  The columns of Z and of E, and the states once V = Z^-1
+# is applied, fall into six slots (q_a, q_b, q_c, p_a, p_b, p_c) of sizes
+# (k, l, d, k, l, d).  The controllable subspace sits on CONTROLLABLE and the
+# unobservable one on UNOBSERVABLE; every zero block, class and label of a
+# decomposition is read off these two sets (Kalman's canonical structure).
+SLOTS = range(6)
+CONTROLLABLE = (0, 3, 4)  # q_a, p_a, p_b
+UNOBSERVABLE = (2, 4, 5)  # q_c, p_b, p_c
+OBSERVABLE = tuple(slot for slot in SLOTS if slot not in UNOBSERVABLE)
+
+
+def slot_indices(k: int, l: int, d: int, slots) -> np.ndarray:
+    """Positions of the given slots along an axis laid out in the six slots,
+    slot after slot."""
+    sizes = (k, l, d) * 2
+    starts = list(accumulate(sizes, initial=0))
+    return np.array([i for slot in slots for i in range(starts[slot], starts[slot] + sizes[slot])],
+                    dtype=int)
 
 
 @dataclass(frozen=True)
 class CanonicalE:
     """The sparse middle factor of the factorization, in Xu's form.
 
-    Nonzero entries occupy three diagonal runs: (rows 0..k-1, cols 0..k-1)
-    holding xi, (rows k..k+l-1, cols k..k+l-1) holding ones, and
-    (rows k+l..2k+l-1, cols r..r+k-1) holding xi again.
+    Row i < 2k + l holds one nonzero, on the i-th column of the observable
+    slots (q_a, q_b, p_a): xi on q_a, ones on q_b and xi again on p_a.  The
+    columns of the unobservable slots are zero.
     """
 
     s: int
@@ -72,45 +95,13 @@ class CanonicalE:
 
     def materialize(self) -> np.ndarray:
         E = np.zeros((self.s, 2 * self.r))
-        k, l, r = self.k, self.l, self.r
-        E[np.arange(k), np.arange(k)] = self.xi
-        E[k + np.arange(l), k + np.arange(l)] = 1.0
-        E[k + l + np.arange(k), r + np.arange(k)] = self.xi
+        cols = slot_indices(self.k, self.l, self.d, OBSERVABLE)
+        E[np.arange(cols.size), cols] = np.concatenate([self.xi, np.ones(self.l), self.xi])
         return E
 
     def kernel_column_indices(self) -> list[int]:
         """Columns annihilated by the pattern."""
-        k, l, r = self.k, self.l, self.r
-        return list(range(k + l, r)) + list(range(r + k, 2 * r))
-
-    def pattern_violations(self, T: np.ndarray, tol: float) -> list[tuple[int, int]]:
-        """Offending 4x6 block coordinates of an s x 2r matrix tested against
-        this pattern, plus any vanishing mandated diagonal entries.
-
-        Rows split as (k, l, k, rest) and columns as (k, l, d, k, l, d); the
-        three diagonal runs sit in blocks (0, 0), (1, 1) and (2, 3).  Entries
-        count as zero up to tol * (1 + ||T||).
-        """
-        k, l, r = self.k, self.l, self.r
-        row_off = np.cumsum([0, k, l, k, self.s - 2 * k - l])
-        col_off = np.cumsum([0, k, l, r - k - l, k, l, r - k - l])
-        scale = tol * (1.0 + float(np.linalg.norm(T)))
-        diag_blocks = {(0, 0), (1, 1), (2, 3)}
-        bad = []
-        for i in range(4):
-            for j in range(6):
-                piece = T[row_off[i]:row_off[i + 1], col_off[j]:col_off[j + 1]]
-                if not piece.size:
-                    continue
-                if (i, j) in diag_blocks:
-                    off = piece - np.diag(np.diag(piece))
-                    if float(np.max(np.abs(off))) > scale:
-                        bad.append((i, j))
-                    elif np.any(np.abs(np.diag(piece)) <= scale):
-                        bad.append((i, j))
-                elif float(np.max(np.abs(piece))) > scale:
-                    bad.append((i, j))
-        return bad
+        return slot_indices(self.k, self.l, self.d, UNOBSERVABLE).tolist()
 
 
 @dataclass(frozen=True)
@@ -249,6 +240,8 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     xi = xi * scales[:k]
 
     if l:
+        # the q_b and p_b slots of Z, read as views: the products below on
+        # copies taken through slot_indices differ from these in the last bits
         Zb = Z[:, k:k + l]
         W0 = Z[:, r + k:r + k + l]
         Qb_raw = A @ Zb
@@ -410,5 +403,5 @@ def verify_factorization(F, fact: SymplecticFactorization,
         l_oracle=l_oracle,
         counts_ok=counts_ok,
         kernel_angle=kernel_angle,
-        kernel_ok=kernel_angle <= 1e-7,
+        kernel_ok=kernel_angle <= MAX_KERNEL_ANGLE,
     )

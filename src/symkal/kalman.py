@@ -20,7 +20,16 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .factorization import SymplecticFactorization, one_sided_symplectic_svd
+from .factorization import (
+    CONTROLLABLE,
+    OBSERVABLE,
+    SLOTS,
+    UNOBSERVABLE,
+    CanonicalE,
+    SymplecticFactorization,
+    one_sided_symplectic_svd,
+    slot_indices,
+)
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -51,60 +60,64 @@ LABEL_MEANINGS = {
     LABEL_NCNO: "uncontrollable and unobservable",
 }
 
-# Zero blocks of the transformed matrices on the 6-way grid
-# (q_a, q_b, q_c, p_a, p_b, p_c) with block sizes (k, l, d, k, l, d).
-A_ZERO_BLOCKS = (
-    (0, 2), (0, 4), (0, 5),
-    (1, 0), (1, 2), (1, 3), (1, 4), (1, 5),
-    (2, 0), (2, 3), (2, 4),
-    (3, 2), (3, 4), (3, 5),
-    (5, 0), (5, 3), (5, 4),
-)
-B_ZERO_BLOCK_ROWS = (1, 2, 5)
-C_ZERO_BLOCK_COLS = (2, 4, 5)
+# the class of a slot by (controllable, unobservable), and of each slot
+_CLASSES = {(True, False): LABEL_CO, (False, False): LABEL_NCO,
+            (True, True): LABEL_CNO, (False, True): LABEL_NCNO}
+_SLOT_LABELS = tuple(_CLASSES[slot in CONTROLLABLE, slot in UNOBSERVABLE] for slot in SLOTS)
+# the slots of each class, in slot order
+_CLASS_SLOTS = {label: tuple(slot for slot in SLOTS if _SLOT_LABELS[slot] == label)
+                for label in LABEL_MEANINGS}
 
+# (row class, column class) of each named block; None takes every row or
+# column of B_hat or C_hat
 _CLASSICAL_BLOCKS = {
-    "A_co": ((0, 3), (0, 3)),
-    "A_nco": ((1,), (1,)),
-    "A_cno": ((4,), (4,)),
-    "A_ncno": ((2, 5), (2, 5)),
-    "A_13": ((0, 3), (1,)),
-    "A_21": ((4,), (0, 3)),
-    "A_23": ((4,), (1,)),
-    "A_24": ((4,), (2, 5)),
-    "A_43": ((2, 5), (1,)),
-    "B_co": ((0, 3), None),
-    "B_cno": ((4,), None),
-    "C_co": (None, (0, 3)),
-    "C_nco": (None, (1,)),
+    "A_co": (LABEL_CO, LABEL_CO), "A_nco": (LABEL_NCO, LABEL_NCO),
+    "A_cno": (LABEL_CNO, LABEL_CNO), "A_ncno": (LABEL_NCNO, LABEL_NCNO),
+    "A_13": (LABEL_CO, LABEL_NCO), "A_21": (LABEL_CNO, LABEL_CO), "A_23": (LABEL_CNO, LABEL_NCO),
+    "A_24": (LABEL_CNO, LABEL_NCNO), "A_43": (LABEL_NCNO, LABEL_NCO),
+    "B_co": (LABEL_CO, None), "B_cno": (LABEL_CNO, None),
+    "C_co": (None, LABEL_CO), "C_nco": (None, LABEL_NCO),
 }
 
 
 def state_labels(k: int, l: int, d: int) -> tuple[str, ...]:
     """Per-state classification in the (q_a, q_b, q_c, p_a, p_b, p_c) order."""
-    return tuple([LABEL_CO] * k + [LABEL_NCO] * l + [LABEL_NCNO] * d
-                 + [LABEL_CO] * k + [LABEL_CNO] * l + [LABEL_NCNO] * d)
+    return tuple(_SLOT_LABELS[slot] for slot in SLOTS for _ in slot_indices(k, l, d, (slot,)))
 
 
-def block_slices(k: int, l: int, d: int) -> list[slice]:
-    sizes = (k, l, d, k, l, d)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(6)]
+def _largest(values) -> float:
+    return float(np.abs(values).max(initial=0.0))
 
 
 def pattern_residuals(A_hat, B_hat, C_hat, k: int, l: int, d: int) -> tuple[float, float, float]:
-    """Largest magnitude inside each set of mandated zero blocks."""
-    slices = block_slices(k, l, d)
-    a_max = 0.0
-    for i, j in A_ZERO_BLOCKS:
-        piece = A_hat[slices[i], slices[j]]
-        if piece.size:
-            a_max = max(a_max, float(np.max(np.abs(piece))))
-    b_max = max((float(np.max(np.abs(B_hat[slices[i], :])))
-                 for i in B_ZERO_BLOCK_ROWS if B_hat[slices[i], :].size), default=0.0)
-    c_max = max((float(np.max(np.abs(C_hat[:, slices[j]])))
-                 for j in C_ZERO_BLOCK_COLS if C_hat[:, slices[j]].size), default=0.0)
-    return a_max, b_max, c_max
+    """Largest magnitude inside each set of mandated zero blocks.
+
+    A_hat maps the controllable and the unobservable subspaces into
+    themselves, so an entry is zero where its column lies in one of them and
+    its row does not.  B_hat has no uncontrollable rows and C_hat no
+    unobservable columns.
+    """
+    ctl, unobs = np.zeros((2, 2 * (k + l + d)), dtype=bool)
+    ctl[slot_indices(k, l, d, CONTROLLABLE)] = True
+    unobs[slot_indices(k, l, d, UNOBSERVABLE)] = True
+    a_zero = (ctl[None, :] & ~ctl[:, None]) | (unobs[None, :] & ~unobs[:, None])
+    return _largest(A_hat[a_zero]), _largest(B_hat[~ctl]), _largest(C_hat[:, unobs])
+
+
+def pattern_violations(E: CanonicalE, T: np.ndarray) -> list[tuple[int, int]]:
+    """(row block, slot) coordinates, in row-major order, where an s x 2r T
+    breaks the pattern of E: an entry above CHECK_TOL * (1 + ||T||) off the
+    support of E, or one at or below it on the support.  Rows split into
+    one block per observable slot, holding E's run on that slot's columns,
+    and a last block of the rows past the runs."""
+    support = E.materialize() != 0
+    scale = CHECK_TOL * (1.0 + float(np.linalg.norm(T)))
+    bad = np.where(support, np.abs(T) <= scale, np.abs(T) > scale)
+    sizes = [slot_indices(E.k, E.l, E.d, (slot,)).size for slot in SLOTS]
+    runs = [sizes[slot] for slot in OBSERVABLE]
+    row_block = np.repeat(np.arange(len(runs) + 1), runs + [E.s - sum(runs)])
+    col_slot = np.repeat(SLOTS, sizes)
+    return sorted({(int(row_block[i]), int(col_slot[j])) for i, j in zip(*np.nonzero(bad))})
 
 
 @dataclass(frozen=True)
@@ -150,12 +163,10 @@ class KalmanDecomposition:
     V: np.ndarray
     k: int
     l: int
-    d: int
     A_hat: np.ndarray
     B_hat: np.ndarray
     C_hat: np.ndarray
     D: np.ndarray
-    labels: tuple[str, ...]
     residual_report: DecompositionChecks
 
     def __post_init__(self):
@@ -166,6 +177,14 @@ class KalmanDecomposition:
     def n(self) -> int:
         return self.system.n
 
+    @property
+    def d(self) -> int:
+        return self.system.n - self.k - self.l
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return state_labels(self.k, self.l, self.d)
+
     def classical_block(self, name: str) -> np.ndarray:
         """Named view into A_hat/B_hat/C_hat in classical grouping.
 
@@ -174,25 +193,11 @@ class KalmanDecomposition:
         """
         if name not in _CLASSICAL_BLOCKS:
             raise KeyError(f"unknown block {name!r}")
-        rows, cols = _CLASSICAL_BLOCKS[name]
-        slices = block_slices(self.k, self.l, self.d)
-
-        def gather(mat, row_blocks, col_blocks):
-            row_idx = np.concatenate([np.arange(s.start, s.stop) for s in
-                                      (slices[i] for i in row_blocks)]) if row_blocks else None
-            col_idx = np.concatenate([np.arange(s.start, s.stop) for s in
-                                      (slices[j] for j in col_blocks)]) if col_blocks else None
-            if row_idx is None:
-                return mat[:, col_idx]
-            if col_idx is None:
-                return mat[row_idx, :]
-            return mat[np.ix_(row_idx, col_idx)]
-
-        if name.startswith("A"):
-            return gather(self.A_hat, rows, cols)
-        if name.startswith("B"):
-            return gather(self.B_hat, rows, None)
-        return gather(self.C_hat, None, cols)
+        mat = getattr(self, f"{name[0]}_hat")
+        rows, cols = (np.arange(size) if label is None
+                      else slot_indices(self.k, self.l, self.d, _CLASS_SLOTS[label])
+                      for label, size in zip(_CLASSICAL_BLOCKS[name], mat.shape))
+        return mat[np.ix_(rows, cols)]
 
 
 def _transformed(sys: QuadratureSystem, V: np.ndarray):
@@ -208,8 +213,7 @@ def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
     0 when some eigenvector of the block is invisible in the output, inf
     for an empty block.
     """
-    n = A_hat.shape[0] // 2
-    obs = np.r_[0:k + l, n:n + k]
+    obs = slot_indices(k, l, A_hat.shape[0] // 2 - k - l, OBSERVABLE)
     if obs.size == 0:
         return float("inf")
     C_obs = C_hat[:, obs]
@@ -261,6 +265,8 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     V = np.asarray(V)
     if V.shape != (2 * n, 2 * n):
         raise StructureError(f"V has shape {V.shape}, expected {(2 * n, 2 * n)}")
+    if k + l + d != n:
+        raise StructureError(f"k + l + d = {k + l + d}, expected n = {n}")
     J = jmat(n)
     ccr_residual = float(np.linalg.norm(V @ J @ V.T - J))
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
@@ -294,18 +300,20 @@ def kalman_decompose(sys: QuadratureSystem,
     """
     obs = krylov_matrices(sys, variant="jr").observability
     fact = one_sided_symplectic_svd(obs, policy=policy)
-    n = sys.n
-    k, l = fact.E.k, fact.E.l
-    d = n - k - l
-    V = sharp_adjoint(fact.Z)
+    return _verified(sys, fact, sharp_adjoint(fact.Z), fact.E.k, fact.E.l, "decomposition")
+
+
+def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarray,
+              k: int, l: int, what: str) -> KalmanDecomposition:
+    """The decomposition of ``sys`` by V with counts (k, l), once the
+    transformed system passes verify_transformation; a ConsistencyError
+    naming ``what`` otherwise."""
     A_hat, B_hat, C_hat, D = _transformed(sys, V)
-    checks = verify_transformation(sys, V, k, l, d, A_hat, B_hat, C_hat)
+    checks = verify_transformation(sys, V, k, l, sys.n - k - l, A_hat, B_hat, C_hat)
     if not checks.passed:
-        raise ConsistencyError("decomposition failed verification", report=checks)
-    return KalmanDecomposition(
-        system=sys, factorization=fact, V=V, k=k, l=l, d=d,
-        A_hat=A_hat, B_hat=B_hat, C_hat=C_hat, D=D,
-        labels=state_labels(k, l, d), residual_report=checks)
+        raise ConsistencyError(f"{what} failed verification", report=checks)
+    return KalmanDecomposition(system=sys, factorization=fact, V=V, k=k, l=l, A_hat=A_hat,
+                               B_hat=B_hat, C_hat=C_hat, D=D, residual_report=checks)
 
 
 def verify_decomposition(sys: QuadratureSystem, dec: KalmanDecomposition) -> DecompositionChecks:
@@ -344,7 +352,6 @@ def refine(dec: KalmanDecomposition, pair: RefinementPair,
     preserved; every invariant is re-verified on the result.
     """
     E = dec.factorization.E
-    E_mat = E.materialize()
     if pair.X.shape[0] != E.s or pair.Y.shape[0] != 2 * E.r:
         raise StructureError(
             f"pair shapes {pair.X.shape}, {pair.Y.shape} do not match E ({E.s} x {2 * E.r})")
@@ -356,20 +363,9 @@ def refine(dec: KalmanDecomposition, pair: RefinementPair,
     if x_rank.rank < E.s:
         raise ValidationError("X invertible", residual=float(sv_x[-1]), detail=str(x_rank))
 
-    transformed_E = pair.X @ E_mat @ pair.Y
-    violations = E.pattern_violations(transformed_E, CHECK_TOL)
+    violations = pattern_violations(E, pair.X @ E.materialize() @ pair.Y)
     if violations:
         raise RefinementRejectedError(
             "X E Y does not match the canonical pattern", blocks=violations)
-
-    V_new = sharp_adjoint(pair.Y) @ dec.V
-    A_hat, B_hat, C_hat, D = _transformed(dec.system, V_new)
-    checks = verify_transformation(dec.system, V_new, dec.k, dec.l, dec.d,
-                                   A_hat, B_hat, C_hat)
-    if not checks.passed:
-        raise ConsistencyError("refined decomposition failed verification", report=checks)
-    return KalmanDecomposition(
-        system=dec.system, factorization=dec.factorization, V=V_new,
-        k=dec.k, l=dec.l, d=dec.d,
-        A_hat=A_hat, B_hat=B_hat, C_hat=C_hat, D=D,
-        labels=dec.labels, residual_report=checks)
+    return _verified(dec.system, dec.factorization, sharp_adjoint(pair.Y) @ dec.V,
+                     dec.k, dec.l, "refined decomposition")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDimensionError, RankAmbiguityError, StructureError
+from .errors import DegenerateDimensionError, RankAmbiguityError, StructureError, ValidationError
 
 EPS = float(np.finfo(np.float64).eps)
 # a rank bound below this means the data is identically zero
@@ -56,10 +56,15 @@ class TolerancePolicy:
 
     Values computed from data of size times norm ``bound`` count as nonzero
     above ``scale * eps * bound``; a bound below ``ZERO_LEVEL`` means the
-    data is zero, and then the cutoff is ``ZERO_LEVEL`` itself.
+    data is zero, and then the cutoff is ``ZERO_LEVEL`` itself.  The scale
+    must be positive and finite.
     """
 
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise ValidationError("tolerance scale positive and finite", detail=f"got {self.scale}")
 
     def cutoff(self, bound: float) -> float:
         if bound < ZERO_LEVEL:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .factorization import OBSERVABLE, slot_indices
 from .kalman import KalmanDecomposition, RefinementPair, kalman_decompose, refine
 from .linalg import TolerancePolicy, numerical_rank
 from .model import PhysicalSpec, QuadratureSystem, build_system, from_physical
@@ -57,7 +58,7 @@ def physical_spec(gamma: float) -> PhysicalSpec:
     return PhysicalSpec(S=np.eye(1, dtype=complex), Lq=Lq, Lp=Lp)
 
 
-def build(omega: float = 1.0, lam: float = 1.0, gamma: float = 1.0) -> QuadratureSystem:
+def build(omega: float, lam: float, gamma: float) -> QuadratureSystem:
     _check_parameters(omega, lam, gamma)
     C, Sigma = from_physical(physical_spec(gamma))
     return build_system(hamiltonian_matrix(omega, lam), C, Sigma)
@@ -86,8 +87,8 @@ def refinement_pair(dec: KalmanDecomposition) -> RefinementPair:
     Y = dec.V @ REFERENCE_V.T
     E_mat = dec.factorization.E.materialize()
     EY = E_mat @ Y
-    lead = EY[:, [0, 1, 3]]
-    comp = numerical_rank(lead.T, expected_rank=3).kernel.basis
+    lead = EY[:, slot_indices(dec.k, dec.l, dec.d, OBSERVABLE)]
+    comp = numerical_rank(lead.T, expected_rank=lead.shape[1]).kernel.basis
     target = np.eye(EY.shape[0])
     for pos, norm in enumerate(np.linalg.norm(lead, axis=0)):
         target[pos, pos] = norm
@@ -95,8 +96,7 @@ def refinement_pair(dec: KalmanDecomposition) -> RefinementPair:
     return RefinementPair(X=X, Y=Y)
 
 
-def run(omega: float = 1.0, lam: float = 1.0, gamma: float = 1.0,
-        policy: TolerancePolicy | None = None):
+def run(omega: float, lam: float, gamma: float, policy: TolerancePolicy | None = None):
     """Build, decompose, and refine the demo system.
 
     Returns (system, decomposition, refined decomposition, pair, a, b).

@@ -23,7 +23,7 @@ from symkal import (
     verify_factorization,
 )
 from symkal import optomech
-from symkal.factorization import VERIFY_TOL, factor_count_oracles
+from symkal.factorization import MAX_KERNEL_ANGLE, VERIFY_TOL, factor_count_oracles
 from symkal.kalman import LABEL_CNO, LABEL_NCO
 
 SQRT2 = np.sqrt(2.0)
@@ -132,6 +132,7 @@ def test_criterion_5_factorization_postconditions():
     kinds = {"generic": 0, "deficient": 0, "k0": 0, "l0": 0}
     forced_k0 = forced_l0 = 0
     assert VERIFY_TOL == 1e-8
+    assert MAX_KERNEL_ANGLE == 1e-7
     for idx, F in enumerate(population):
         fact = one_sided_symplectic_svd(F)
         checks = verify_factorization(F, fact)

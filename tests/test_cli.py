@@ -143,9 +143,11 @@ class TestDecompose:
         assert code == 0
         assert "k=2 l=0 d=0" in out
 
-    def test_write_failure_exits_4(self, system_doc, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["decompose", "example", "generate"])
+    def test_write_failure_exits_4(self, command, system_doc, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "report.json"
-        code, _, err = run_cli(capsys, "decompose", system_doc, "--output", target)
+        args = {"decompose": [system_doc], "example": [], "generate": ["--n", 1, "--m", 1]}
+        code, _, err = run_cli(capsys, command, *args[command], "--output", target)
         assert code == 4
         assert "cannot write" in err
 
@@ -427,6 +429,59 @@ class TestJsonBooleans:
         code, _, err = run_cli(capsys, "verify", system_doc, report_path)
         assert code == 2
         assert f"'{field}'" in err
+
+
+class TestToleranceFlag:
+    """The flag is checked where the document's key is: a scale that is not
+    positive and finite exits 2 before any rank decision, with no warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["analyze", "decompose"])
+    def test_rejected(self, command, value, system_doc, capsys):
+        source = {"analyze": "--builtin", "decompose": system_doc}[command]
+        code, out, err = run_cli(capsys, command, source, f"--tolerance={value}")
+        assert code == 2 and not out
+        assert "tolerance scale positive and finite" in err
+
+
+class TestMatrixEntries:
+    """np.array(..., dtype=float) parses "1" and true, so every matrix entry
+    must be checked to be a JSON number before it is converted."""
+
+    @pytest.mark.parametrize("entry", ["1", True, None])
+    def test_raw_system_matrix(self, entry, tmp_path, capsys):
+        doc = system_to_document(random_system(1, 1, seed=0))
+        doc["R"][0][0] = entry
+        path = tmp_path / "system.json"
+        path.write_text(canonical_json(doc))
+        code, _, err = run_cli(capsys, "analyze", path)
+        assert code == 2
+        assert "'R'" in err and "entries must be numbers" in err
+
+    @pytest.mark.parametrize("entry", ["0", False])
+    def test_physical_matrix(self, entry, tmp_path, capsys):
+        from symkal.documents import physical_to_document
+        from symkal.optomech import hamiltonian_matrix, physical_spec
+        doc = physical_to_document(physical_spec(1.0), hamiltonian_matrix(1.0, 1.0))
+        assert doc["coupling"]["Lq_re"][0][0] == 0
+        doc["coupling"]["Lq_re"][0][0] = entry
+        path = tmp_path / "physical.json"
+        path.write_text(canonical_json(doc))
+        code, _, err = run_cli(capsys, "analyze", path)
+        assert code == 2
+        assert "'Lq_re'" in err
+
+    def test_report_matrix(self, system_doc, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert run_cli(capsys, "decompose", system_doc, "--output", report_path)[0] == 0
+        report = json.loads(report_path.read_text())
+        report["V"][0][0] = repr(report["V"][0][0])
+        report_path.write_text(canonical_json(report))
+        code, out, err = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 2
+        assert "all checks passed" not in out
+        assert "'V'" in err
 
 
 class TestUndecodableDocuments:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +15,6 @@ from helpers import (
     structured_system,
 )
 from symkal import (
-    KalmanDecomposition,
     krylov_matrices,
     largest_angle,
     numerical_rank,
@@ -35,14 +36,13 @@ from symkal import (
     verify_decomposition,
     verify_transformation,
 )
+from symkal.factorization import CONTROLLABLE, UNOBSERVABLE, slot_indices
 from symkal.kalman import (
-    A_ZERO_BLOCKS,
     LABEL_CNO,
     LABEL_CO,
     LABEL_NCNO,
     LABEL_NCO,
     MIN_PBH_MARGIN,
-    block_slices,
     observability_margin,
     pattern_residuals,
     state_labels,
@@ -128,9 +128,9 @@ class TestDecomposition:
         assert dec.classical_block("A_ncno").shape == (2 * d, 2 * d)
         assert dec.classical_block("B_co").shape == (2 * k, 2 * sys.m)
         assert dec.classical_block("C_nco").shape == (2 * sys.m, l)
-        slices = block_slices(k, l, d)
-        assert np.array_equal(dec.classical_block("A_23"),
-                              dec.A_hat[slices[4], slices[1]])
+        n = k + l + d
+        p_b, q_b = slice(n + k, n + k + l), slice(k, k + l)
+        assert np.array_equal(dec.classical_block("A_23"), dec.A_hat[p_b, q_b])
         with pytest.raises(KeyError):
             dec.classical_block("A_unknown")
 
@@ -139,10 +139,104 @@ class TestDecomposition:
         # of the controllable and unobservable slot sets
         ctl_slots = {0, 3, 4}
         unobs_slots = {2, 4, 5}
+        assert set(CONTROLLABLE) == ctl_slots and set(UNOBSERVABLE) == unobs_slots
         expected = {(i, j) for i in range(6) for j in range(6)
                     if (j in ctl_slots and i not in ctl_slots)
                     or (j in unobs_slots and i not in unobs_slots)}
-        assert expected == set(A_ZERO_BLOCKS)
+        assert _probed_zero_sets(1, 1, 1)[0] == expected
+
+
+# The paper's table over the slots (q_a, q_b, q_c, p_a, p_b, p_c) of sizes
+# (k, l, d, k, l, d), written out rather than derived.
+PAPER_A_ZERO_BLOCKS = {
+    (0, 2), (0, 4), (0, 5),
+    (1, 0), (1, 2), (1, 3), (1, 4), (1, 5),
+    (2, 0), (2, 3), (2, 4),
+    (3, 2), (3, 4), (3, 5),
+    (5, 0), (5, 3), (5, 4),
+}
+PAPER_B_ZERO_ROWS = {1, 2, 5}
+PAPER_C_ZERO_COLS = {2, 4, 5}
+PAPER_SLOT_LABELS = ("co", "nco", "ncno", "co", "cno", "ncno")
+PAPER_CLASSICAL_BLOCKS = {
+    "A_co": ((0, 3), (0, 3)), "A_nco": ((1,), (1,)), "A_cno": ((4,), (4,)),
+    "A_ncno": ((2, 5), (2, 5)), "A_13": ((0, 3), (1,)), "A_21": ((4,), (0, 3)),
+    "A_23": ((4,), (1,)), "A_24": ((4,), (2, 5)), "A_43": ((2, 5), (1,)),
+    "B_co": ((0, 3), None), "B_cno": ((4,), None),
+    "C_co": (None, (0, 3)), "C_nco": (None, (1,)),
+}
+LAYOUT_SHAPES = [(1, 1, 1), (2, 1, 3), (0, 2, 1), (1, 0, 2), (2, 3, 0), (0, 0, 2), (1, 0, 0),
+                 (0, 1, 0)]
+
+
+def _slot_of(k, l, d):
+    """The slot of each state, from the slot sizes alone."""
+    return np.repeat(np.arange(6), (k, l, d, k, l, d))
+
+
+def _probed_zero_sets(k, l, d, m=2):
+    """The (row slot, column slot) pairs of A_hat, the row slots of B_hat and
+    the column slots of C_hat that pattern_residuals treats as mandated
+    zeros, found by setting one entry at a time; every entry of a block must
+    agree."""
+    slot = _slot_of(k, l, d).tolist()
+    size = len(slot)
+    zero, nonzero = set(), set()
+    for i in range(size):
+        for j in range(size):
+            A = np.zeros((size, size))
+            A[i, j] = 1.0
+            a, b, c = pattern_residuals(A, np.zeros((size, 2 * m)), np.zeros((2 * m, size)),
+                                        k, l, d)
+            assert b == c == 0.0 and a in (0.0, 1.0)
+            (zero if a else nonzero).add(("A", slot[i], slot[j]))
+        B = np.zeros((size, 2 * m))
+        B[i, 1] = 1.0
+        _, b, c = pattern_residuals(np.zeros((size, size)), B, B.T, k, l, d)
+        assert b in (0.0, 1.0) and c in (0.0, 1.0)
+        (zero if b else nonzero).add(("B", slot[i]))
+        (zero if c else nonzero).add(("C", slot[i]))
+    assert not zero & nonzero
+    return ({key[1:] for key in zero if key[0] == "A"},
+            {key[1] for key in zero if key[0] == "B"},
+            {key[1] for key in zero if key[0] == "C"})
+
+
+class TestLayout:
+    @pytest.mark.parametrize("k, l, d", LAYOUT_SHAPES)
+    def test_zero_sets_match_the_paper(self, k, l, d):
+        present = set(_slot_of(k, l, d).tolist())
+        zero_a, zero_b, zero_c = _probed_zero_sets(k, l, d)
+        assert zero_a == {(i, j) for i, j in PAPER_A_ZERO_BLOCKS
+                          if i in present and j in present}
+        assert zero_b == PAPER_B_ZERO_ROWS & present
+        assert zero_c == PAPER_C_ZERO_COLS & present
+
+    @pytest.mark.parametrize("k, l, d", LAYOUT_SHAPES)
+    def test_labels_and_indices_match_the_paper(self, k, l, d):
+        slot = _slot_of(k, l, d)
+        assert state_labels(k, l, d) == tuple(PAPER_SLOT_LABELS[i] for i in slot)
+        for i in range(6):
+            assert slot_indices(k, l, d, (i,)).tolist() == np.flatnonzero(slot == i).tolist()
+        assert slot_indices(k, l, d, (5, 0)).tolist() == (
+            np.flatnonzero(slot == 5).tolist() + np.flatnonzero(slot == 0).tolist())
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 2), (0, 2, 1)])
+    def test_classical_blocks_match_the_paper(self, shape):
+        sys = structured_system(3, *shape)
+        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
+        assert (dec.k, dec.l, dec.d) == shape
+        slot = _slot_of(*shape)
+
+        def states(slots, size):
+            if slots is None:
+                return np.arange(size)
+            return np.concatenate([np.flatnonzero(slot == i) for i in slots])
+
+        for name, (rows, cols) in PAPER_CLASSICAL_BLOCKS.items():
+            mat = {"A": dec.A_hat, "B": dec.B_hat, "C": dec.C_hat}[name[0]]
+            expected = mat[np.ix_(states(rows, mat.shape[0]), states(cols, mat.shape[1]))]
+            assert np.array_equal(dec.classical_block(name), expected), name
 
 
 class TestVerifyDecomposition:
@@ -158,11 +252,7 @@ class TestVerifyDecomposition:
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         V_bad = np.array(dec.V)
         V_bad[:, [0, 1]] = V_bad[:, [1, 0]]
-        bad = KalmanDecomposition(
-            system=sys, factorization=dec.factorization, V=V_bad,
-            k=dec.k, l=dec.l, d=dec.d,
-            A_hat=dec.A_hat, B_hat=dec.B_hat, C_hat=dec.C_hat, D=dec.D,
-            labels=dec.labels, residual_report=dec.residual_report)
+        bad = dataclasses.replace(dec, V=V_bad)
         report = verify_decomposition(sys, bad)
         assert not report.passed
 
@@ -171,13 +261,15 @@ class TestVerifyDecomposition:
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         V_bad = np.array(dec.V)
         V_bad[0, 0] += 1e-3
-        bad = KalmanDecomposition(
-            system=sys, factorization=dec.factorization, V=V_bad,
-            k=dec.k, l=dec.l, d=dec.d,
-            A_hat=dec.A_hat, B_hat=dec.B_hat, C_hat=dec.C_hat, D=dec.D,
-            labels=dec.labels, residual_report=dec.residual_report)
+        bad = dataclasses.replace(dec, V=V_bad)
         report = verify_decomposition(sys, bad)
         assert not report.ccr_ok
+
+    def test_counts_must_sum_to_n(self):
+        sys = structured_system(9, 1, 1, 1)
+        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
+        with pytest.raises(StructureError, match="k \\+ l \\+ d = 2, expected n = 3"):
+            verify_transformation(sys, dec.V, 1, 1, 0, dec.A_hat, dec.B_hat, dec.C_hat)
 
     def test_wrong_shape(self):
         sys_small = position_coupled_mode()
@@ -226,6 +318,27 @@ class TestRefine:
             refine(dec, RefinementPair(X=np.eye(E.s), Y=Y), policy=POPULATION_POLICY)
         assert info.value.blocks
 
+    def test_rejected_blocks_pinned(self):
+        # E's rows split as (k, l, k, rest) and its columns as the six slots.
+        # Swapping row k with the first zero row 2k + l moves the unit on
+        # slot q_b into the rest: a vanished diagonal in block (1, 1) and an
+        # entry off the pattern in (3, 1).  Adding row 2k + l - 1, whose xi
+        # sits on p_a, into row 0 puts an entry off the pattern in (0, 3).
+        sys = structured_system(13, 1, 1, 1)
+        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
+        E = dec.factorization.E
+        k, l = E.k, E.l
+        assert (k, l) == (1, 1) and E.s > 2 * k + l
+        X = np.eye(E.s)
+        X[[k, 2 * k + l]] = X[[2 * k + l, k]]
+        X[0, 2 * k + l - 1] = 0.5
+        with pytest.raises(RefinementRejectedError) as info:
+            refine(dec, RefinementPair(X=X, Y=np.eye(2 * E.r)), policy=POPULATION_POLICY)
+        assert info.value.blocks == ((0, 3), (1, 1), (3, 1))
+        assert all(type(index) is int for block in info.value.blocks for index in block)
+        assert str(info.value) == ("refinement rejected: X E Y does not match the canonical "
+                                   "pattern at blocks ((0, 3), (1, 1), (3, 1))")
+
     def test_nonsymplectic_y_rejected(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
@@ -244,7 +357,7 @@ class TestRefine:
     def test_x_check_uses_the_policy(self):
         # the demo's X has singular values 3.39 down to 0.723 with s = 12, so
         # a scale of 1e14 puts the cutoff at 0.90, above the smallest
-        dec = kalman_decompose(optomech.build())
+        dec = kalman_decompose(optomech.build(1.0, 1.0, 1.0))
         pair = optomech.refinement_pair(dec)
         with pytest.raises(ValidationError, match="X invertible"):
             refine(dec, pair, policy=TolerancePolicy(scale=1e14))

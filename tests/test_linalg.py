@@ -16,7 +16,7 @@ from symkal import (
     sharp_adjoint,
     skew_canonical,
 )
-from symkal.errors import RankAmbiguityError
+from symkal.errors import RankAmbiguityError, ValidationError
 from symkal.linalg import EPS, ZERO_LEVEL, symplectic_gram_schmidt
 
 
@@ -460,6 +460,11 @@ class TestRankDecision:
         (decision,) = info.value.decisions
         assert decision.rank == 1 and decision.stage == "hand"
         assert str(decision) in str(info.value)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValidationError, match="tolerance scale positive and finite"):
+            TolerancePolicy(scale=scale)
 
 
 class TestSubspaceBasis:

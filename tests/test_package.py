@@ -91,12 +91,6 @@ SETTABLE_VALUES = [
     ("model", "KrylovMatrices", "system"),
     ("model", "KrylovMatrices", "generator"),
     ("model", "krylov_matrices", "variant"),
-    ("optomech", "build", "omega"),
-    ("optomech", "build", "lam"),
-    ("optomech", "build", "gamma"),
-    ("optomech", "run", "omega"),
-    ("optomech", "run", "lam"),
-    ("optomech", "run", "gamma"),
     ("optomech", "run", "policy"),
 ]
 
