@@ -4,13 +4,15 @@ A system document holds n, m, R, one coupling variant (raw C, or complex
 Lq/Lp as separate real and imaginary arrays), one scattering variant (raw
 Sigma, or complex S), and optional tolerance overrides.  A decomposition
 report holds the transformation, the transformed matrices, the state
-labels, and the residual summary.  All floats serialize with the shortest
-round-trip representation, so identical inputs give byte-identical output.
+labels, and the residual summary.  Documents are written as
+``json.dumps(payload, indent=2, sort_keys=True)`` writes them, with floats
+in their shortest round-trip representation, so identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,6 +24,9 @@ from .model import PhysicalSpec, QuadratureSystem, build_system, from_physical
 
 SCHEMA_VERSION = 1
 NUMBER = (int, float)
+# the exact types of matrix entries as json.load returns them
+_ENTRY_TYPES = frozenset(NUMBER)
+_INF = float("inf")
 
 
 def _is_a(value, kind) -> bool:
@@ -42,12 +47,15 @@ def _require(data: dict, field: str, kind):
 
 def _array(data: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
     raw = _require(data, field, list)
-    # np.array would parse "1" and true; rows that are not lists fail the
-    # shape check below
-    for row in raw:
-        for entry in row if isinstance(row, list) else (row,):
-            if not _is_a(entry, (*NUMBER, list)):
-                raise DocumentError(field, f"entries must be numbers, got {type(entry).__name__}")
+    # np.array would parse "1" and true.  A parsed document passes this test
+    # in one pass per row; anything else (a subclass such as np.float64, or a
+    # bad entry) takes the entry loop, which names the first bad type.  Rows
+    # that are not lists fail the shape check below.
+    if not all(type(row) is list and _ENTRY_TYPES.issuperset(map(type, row)) for row in raw):
+        for row in raw:
+            for entry in row if isinstance(row, list) else (row,):
+                if not _is_a(entry, (*NUMBER, list)):
+                    raise DocumentError(field, f"entries must be numbers, got {type(entry).__name__}")
     try:
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -60,11 +68,82 @@ def _array(data: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def matrix_to_lists(arr) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(arr)]
+    return np.asarray(arr, dtype=float).tolist()
 
 
-def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def canonical_json(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The standard library writes indented JSON with its pure-Python encoder,
+    one call per value; this writer emits a row of floats in one join.
+    Dict keys must be strings.
+    """
+    out = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a line
+    break followed by the indent of the line that holds the value."""
+    # the stdlib's order of tests: bool before int, int before float
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        indent = newline + "  "
+        try:
+            row = ("," + indent).join(map(float.__repr__, value))
+        except TypeError:  # an entry that is not a float
+            row = None
+        # float.__repr__ spells non-finite values nan and inf, JSON otherwise
+        if row is not None and "n" not in row:
+            out.append("[" + indent + row + newline + "]")
+            return
+        lead = "[" + indent
+        for item in value:
+            out.append(lead)
+            _write(item, indent, out)
+            lead = "," + indent
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        indent = newline + "  "
+        lead = "{" + indent
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _write(value[key], indent, out)
+            lead = "," + indent
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def system_to_document(sys: QuadratureSystem) -> dict:

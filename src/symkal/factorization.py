@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import RankAmbiguityError, StructureError
+from .errors import RankAmbiguityError, StructureError, ValidationError
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -155,9 +155,15 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
 
     Both decisions and Ker F depend only on the row space of F, so one SVD
     first compresses the s x 2r input to at most 2r rows, at O(s (2r)^2).
-    Everything after that works on 2r x 2r data at O((2r)^3), apart from
-    lifting the paired columns back; the s x s Q is completed only when the
+    The decisions and both skew forms then work on 2r x 2r data at
+    O((2r)^3).  What still reads all s rows, at O(s (2r)^2) at most:
+    lifting the paired columns back through U_F; for l > 0 the image
+    F Zb of the paired directions (its singular values, its R factor and,
+    once whitened, the image again); the singular values of Q_lead; and
+    the residual F Z - Q_lead E.  The s x s Q is completed only when the
     ``Q`` attribute is first read.
+
+    A ValidationError is raised when F J F^T would overflow float64.
     """
     A = as_matrix(F, "F")
     s, cols = A.shape
@@ -175,6 +181,11 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     # every singular value, and a second SVD of the stack would cost time.
     U_F, sv, Vh = np.linalg.svd(A, full_matrices=s < cols)
     sigma_f = float(sv[0])
+    size = max(s, cols)
+    if size * sigma_f * sigma_f == np.inf:
+        raise ValidationError("F J F^T within float64 range",
+                              detail=f"the largest singular value of F, {sigma_f:.3e}, "
+                                     "overflows when squared")
     F_c = sv[:, None] * Vh[:sv.size]
     M_raw = F_c @ J @ F_c.T
     M = 0.5 * (M_raw - M_raw.T)  # remove the rounding asymmetry of the product
@@ -182,7 +193,6 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     # spectrum is decided against the bound of the uncompressed s x s
     # product, max(s, 2r) sigma_f^2, which mu_max <= sigma_f^2 never exceeds:
     # compression moves no rank decision.
-    size = max(s, cols)
     canon = skew_canonical(M, policy=policy, bound=size * sigma_f * sigma_f)
     k = canon.k
 
@@ -262,10 +272,12 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
 
     Q_lead = np.hstack([u_cols, Qb, v_cols])
     p = Q_lead.shape[1]
-    if p < s:
+    if 0 < p < s:
         # the rank check of the completion, made here so that reading Q later
-        # cannot fail: the p leading columns must be independent
-        numerical_rank(Q_lead, policy, expected_rank=p)
+        # cannot fail: the p leading columns must be independent.  The bound
+        # and stage are numerical_rank's, without its unread s x p vectors.
+        sv_q = np.linalg.svd(Q_lead, compute_uv=False)
+        policy.decide(sv_q, max(Q_lead.shape) * float(sv_q[0]), "numerical_rank", expected=p)
 
     E = CanonicalE(s=s, r=r, k=k, l=l, xi=xi)
     # rows of E past 2k + l are zero, so Q E = Q_lead E[:2k + l]

@@ -49,8 +49,14 @@ class QuadratureSystem:
         two_m = C.shape[0]
         if Sigma.shape != (two_m, two_m):
             raise ValidationError("Sigma is 2m x 2m", detail=f"got shape {Sigma.shape} against 2m={two_m}")
+        with np.errstate(over="ignore"):
+            r_norm = float(np.linalg.norm(R))
+        # every scale-relative check, the symmetry one below included, is
+        # void at an infinite norm
+        if r_norm == np.inf:
+            raise ValidationError("R within float64 range", detail="its Frobenius norm overflows")
         sym_residual = float(np.linalg.norm(R - R.T))
-        if sym_residual > _SYMMETRY_TOL * max(1.0, float(np.linalg.norm(R))):
+        if sym_residual > _SYMMETRY_TOL * max(1.0, r_norm):
             raise ValidationError("R symmetric", residual=sym_residual)
         check = is_symplectic(Sigma, tol=_SYMPLECTIC_TOL)
         if not check.ok:
@@ -182,14 +188,21 @@ def krylov_matrices(sys: QuadratureSystem, variant: str = "jr") -> KrylovMatrice
 
     ``variant`` selects the power basis G: the drift matrix A ("a") or the
     closed-loop-free generator J R ("jr").  Both give the same image and
-    kernel.  The depth is d = 2n.
+    kernel.  The depth is d = 2n.  A block of the observability stack that
+    overflows float64 raises a ValidationError naming its power.
     """
     if variant not in ("a", "jr"):
         raise StructureError(f"variant must be 'a' or 'jr', got {variant!r}")
     G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
     obs_blocks = [sys.C]
-    for _ in range(2 * sys.n - 1):
-        obs_blocks.append(obs_blocks[-1] @ G)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2 * sys.n - 1):
+            obs_blocks.append(obs_blocks[-1] @ G)
+    # a row that overflows stays non-finite in every later block
+    if not np.isfinite(obs_blocks[-1]).all():
+        j = next(j for j, block in enumerate(obs_blocks) if not np.isfinite(block).all())
+        raise ValidationError("observability stack within float64 range",
+                              detail=f"C G^{j} overflows, G = {'A' if variant == 'a' else 'J R'}")
     return KrylovMatrices(system=sys, generator=G, observability=np.vstack(obs_blocks),
                           variant=variant, depth=len(obs_blocks))
 

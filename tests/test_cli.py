@@ -22,11 +22,17 @@ from symkal import (
 from symkal.cli import main
 from symkal.documents import (
     canonical_json,
+    decomposition_to_report,
     matrix_to_lists,
     parse_system_document,
+    physical_to_document,
     system_to_document,
 )
 from symkal.errors import ConsistencyError, DocumentError
+from symkal.linalg import TolerancePolicy
+from symkal.optomech import hamiltonian_matrix, physical_spec
+
+from helpers import structured_system
 
 
 @pytest.fixture()
@@ -482,6 +488,142 @@ class TestMatrixEntries:
         assert code == 2
         assert "all checks passed" not in out
         assert "'V'" in err
+
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1", "entries must be numbers, got str"),
+        (True, "entries must be numbers, got bool"),
+        (None, "entries must be numbers, got NoneType"),
+        ({}, "entries must be numbers, got dict"),
+    ])
+    def test_entry_messages_pinned(self, entry, message):
+        doc = system_to_document(random_system(1, 1, seed=0))
+        doc["R"][0][1] = entry
+        with pytest.raises(DocumentError) as info:
+            parse_system_document(doc)
+        assert str(info.value) == f"invariant violated: document field 'R'; {message}"
+
+    def test_number_row_messages_pinned(self):
+        doc = system_to_document(random_system(1, 1, seed=0))
+        doc["R"][1] = 0.5
+        with pytest.raises(DocumentError) as info:
+            parse_system_document(doc)
+        assert str(info.value).startswith(
+            "invariant violated: document field 'R'; not a numeric array: ")
+        doc["R"] = [0.5, 0.5]
+        with pytest.raises(DocumentError) as info:
+            parse_system_document(doc)
+        assert str(info.value) == (
+            "invariant violated: document field 'R'; expected shape (2, 2), got non-2D")
+
+    def test_numpy_floats_accepted(self):
+        # documents built in Python may hold np.float64, a float subclass
+        system = random_system(2, 1, seed=3)
+        doc = system_to_document(system)
+        doc["R"] = [[np.float64(x) for x in row] for row in doc["R"]]
+        parsed, _ = parse_system_document(doc)
+        assert np.array_equal(parsed.R, system.R)
+
+
+def _stdlib_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestCanonicalJson:
+    """canonical_json writes what json.dumps(indent=2, sort_keys=True) writes,
+    byte for byte, for every payload the CLI writes and for JSON's edge
+    values."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_system(1, 1, seed=0),
+        lambda: random_system(4, 2, seed=5),
+        lambda: structured_system(13, 1, 1, 1),
+    ])
+    def test_system_and_report(self, make):
+        system = make()
+        policy = TolerancePolicy(scale=1.0)
+        dec = kalman_decompose(system, policy=policy)
+        for payload in (system_to_document(system), decomposition_to_report(dec, policy)):
+            assert canonical_json(payload) == _stdlib_json(payload)
+
+    def test_physical_document(self):
+        payload = physical_to_document(physical_spec(0.7), hamiltonian_matrix(1.3, 2.1))
+        assert canonical_json(payload) == _stdlib_json(payload)
+
+    @pytest.mark.parametrize("params", [[], ["--omega", 0.7, "--lambda", 1.3, "--gamma", 2.1]])
+    def test_example_payload(self, params, capsys):
+        # the payload with its refinement; floats read back to the same values
+        code, out, _ = run_cli(capsys, "example", *params)
+        assert code == 0
+        assert "refinement" in json.loads(out)
+        assert out == _stdlib_json(json.loads(out))
+
+    def test_edge_values(self):
+        payload = {
+            "floats": [-0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1, -2.5],
+            "ints": [-3, 0, 7, -(2 ** 70)],
+            "constants": [True, False, None],
+            "empty": [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+            "non_finite": [float("nan"), float("inf"), float("-inf")],
+            "mixed_row": [1.0, float("nan"), 2.0, 3, "x"],
+            "strings": ['quote " and backslash \\', "caf\u00e9 \u2603 \U0001f600", "\n\t\x01"],
+            "tuple": (1.0, 2.0),
+            "nested": {"z": {"y": [[0.5, -0.25], [1e-5, 1e5]]}, "a": 1.5},
+            "": "empty key",
+        }
+        for value in (payload, [], {}, [[]], 0, -1.5, "s", None, True, float("nan")):
+            assert canonical_json(value) == _stdlib_json(value)
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            canonical_json({"a": object()})
+        with pytest.raises(TypeError):
+            canonical_json({"a": np.int64(1)})
+
+
+class TestOverflow:
+    """Input too large for float64 exits 2 with one error that names the
+    quantity that overflows, and lets no numpy warning through."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, message", [
+        ("R", "R within float64 range; its Frobenius norm overflows"),
+        ("Sigma", "Sigma symplectic (residual inf)"),
+    ])
+    def test_document(self, field, message, tmp_path, capsys):
+        doc = system_to_document(build_system(np.eye(4), np.hstack([np.eye(2), np.zeros((2, 2))])))
+        matrix = doc["scattering"]["Sigma"] if field == "Sigma" else doc["R"]
+        matrix[0][0] = 1e200
+        path = tmp_path / "large.json"
+        path.write_text(canonical_json(doc))
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert code == 2 and not out
+        assert err == f"invariant violated: document field 'document'; invariant violated: {message}\n"
+
+    # the demo's R holds omega, and its stack C (J R)^j grows like omega^j
+    BUILTIN = {
+        "1e308": "R within float64 range; its Frobenius norm overflows",
+        "1e200": "R within float64 range; its Frobenius norm overflows",
+        "1e100": "observability stack within float64 range; C G^4 overflows, G = J R",
+        "1e40": "F J F^T within float64 range; the largest singular value of F, 1.000e+200, "
+                "overflows when squared",
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega", list(BUILTIN))
+    @pytest.mark.parametrize("command", ["analyze", "example"])
+    def test_builtin(self, command, omega, tmp_path, capsys):
+        source = ["--builtin"] if command == "analyze" else ["--output", tmp_path / "example.json"]
+        code, out, err = run_cli(capsys, command, *source, "--omega", omega)
+        assert code == 2 and not out
+        assert err == f"invariant violated: {self.BUILTIN[omega]}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_representable_scale(self, capsys):
+        # F J F^T holds entries near 1e200 here, so its Frobenius norm
+        # overflows; the skew test must not take that norm
+        code, _, _ = run_cli(capsys, "analyze", "--builtin", "--omega", "1e20")
+        assert code == 0
 
 
 class TestUndecodableDocuments:

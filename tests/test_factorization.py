@@ -323,6 +323,24 @@ class TestLazyQ:
         assert sizes
         assert max(sizes) < s * s, max(sizes)
 
+    def test_only_the_stack_svd_computes_vectors(self, monkeypatch):
+        # the Q_lead check reads singular values alone
+        system = random_system(6, 16, seed=3)
+        s = 4 * system.n * system.m
+        calls = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
+            calls.append((np.shape(a), compute_uv))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        kalman_decompose(system)
+        assert s == 384
+        assert calls[0] == ((s, 2 * system.n), True)
+        assert [uv for shape, uv in calls if shape[0] == s].count(True) == 1, calls
+
     @pytest.mark.parametrize("make, counts, svd_calls", [
         # the kernel branch: the stack, the pairs of F J F^T and of the form
         # on Ker F, the kernel columns of that form, the two subspaces of

@@ -214,6 +214,14 @@ class TestSkewCanonical:
         with pytest.raises(StructureError):
             skew_canonical(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_skew_test_is_scale_free(self):
+        # ||1e200 J||_F overflows float64; the test must not need it
+        form = skew_canonical(1e200 * jmat(2))
+        assert form.k == 2 and np.array_equal(form.mus, [1e200, 1e200])
+        with pytest.raises(StructureError):
+            skew_canonical(np.array([[0.0, 1e200], [1e200, 0.0]]))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
     def test_reconstruction(self, seed):
