@@ -136,8 +136,6 @@ def _write(value, newline: str, out: list) -> None:
         indent = newline + "  "
         lead = "{" + indent
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(lead + encode_basestring_ascii(key) + ": ")
             _write(value[key], indent, out)
             lead = "," + indent

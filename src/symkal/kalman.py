@@ -202,11 +202,7 @@ class KalmanDecomposition:
 
 def _transformed(sys: QuadratureSystem, V: np.ndarray):
     V_inv = sharp_adjoint(V)
-    # sys.A and sys.B, with the C# they share formed once
-    C_sharp = sharp_adjoint(sys.C)
-    A = jmat(sys.n) @ sys.R - 0.5 * C_sharp @ sys.C
-    B = -C_sharp @ sys.Sigma
-    return V @ A @ V_inv, V @ B, sys.C @ V_inv, sys.D
+    return V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv, sys.D
 
 
 def observability_margin(A_hat, C_hat, k: int, l: int) -> float:

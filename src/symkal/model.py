@@ -64,6 +64,12 @@ class QuadratureSystem:
         object.__setattr__(self, "R", readonly(R))
         object.__setattr__(self, "C", readonly(C))
         object.__setattr__(self, "Sigma", readonly(Sigma))
+        # a symplectic Sigma can hold entries near 1e200, so B = -C# Sigma
+        # can overflow where R, C and Sigma do not
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = self.B
+        if not np.isfinite(B).all():
+            raise ValidationError("B within float64 range", detail="-C# Sigma overflows")
 
     @property
     def n(self) -> int:
@@ -73,13 +79,18 @@ class QuadratureSystem:
     def m(self) -> int:
         return self.C.shape[0] // 2
 
+    @cached_property
+    def C_sharp(self) -> np.ndarray:
+        """The sharp adjoint C# shared by A and B."""
+        return readonly(sharp_adjoint(self.C))
+
     @property
     def A(self) -> np.ndarray:
-        return jmat(self.n) @ self.R - 0.5 * sharp_adjoint(self.C) @ self.C
+        return jmat(self.n) @ self.R - 0.5 * self.C_sharp @ self.C
 
     @property
     def B(self) -> np.ndarray:
-        return -sharp_adjoint(self.C) @ self.Sigma
+        return -self.C_sharp @ self.Sigma
 
     @property
     def D(self) -> np.ndarray:
@@ -198,12 +209,12 @@ def krylov_matrices(sys: QuadratureSystem, variant: str = "jr") -> KrylovMatrice
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2 * sys.n - 1):
             obs_blocks.append(obs_blocks[-1] @ G)
-    # a row that overflows stays non-finite in every later block
-    if not np.isfinite(obs_blocks[-1]).all():
+    observability = np.vstack(obs_blocks)
+    if not np.isfinite(observability).all():
         j = next(j for j, block in enumerate(obs_blocks) if not np.isfinite(block).all())
         raise ValidationError("observability stack within float64 range",
                               detail=f"C G^{j} overflows, G = {'A' if variant == 'a' else 'J R'}")
-    return KrylovMatrices(system=sys, generator=G, observability=np.vstack(obs_blocks),
+    return KrylovMatrices(system=sys, generator=G, observability=observability,
                           variant=variant, depth=len(obs_blocks))
 
 

@@ -598,7 +598,20 @@ class TestOverflow:
         path.write_text(canonical_json(doc))
         code, out, err = run_cli(capsys, "decompose", path)
         assert code == 2 and not out
-        assert err == f"invariant violated: document field 'document'; invariant violated: {message}\n"
+        assert len(err.splitlines()) == 1 and message in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["decompose", "analyze"])
+    def test_input_matrix(self, command, tmp_path, capsys):
+        # Sigma = diag(1e200, 1e-200) is symplectic; C# Sigma reaches 1e350
+        doc = system_to_document(build_system(np.eye(2), 1e150 * np.eye(2)))
+        doc["scattering"]["Sigma"] = [[1e200, 0.0], [0.0, 1e-200]]
+        path = tmp_path / "large.json"
+        path.write_text(canonical_json(doc))
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1
+        assert "B within float64 range; -C# Sigma overflows" in err
 
     # the demo's R holds omega, and its stack C (J R)^j grows like omega^j
     BUILTIN = {

@@ -202,17 +202,6 @@ def _probed_zero_sets(k, l, d, m=2):
             {key[1] for key in zero if key[0] == "C"})
 
 
-def test_transformed_matches_system_matrices():
-    # _transformed forms C# once; sys.A and sys.B stay the reference, bit for bit
-    system = random_system(3, 2, seed=4)
-    V = sharp_adjoint(kalman_decompose(system).factorization.Z)
-    V_inv = sharp_adjoint(V)
-    expected = (V @ system.A @ V_inv, V @ system.B, system.C @ V_inv, system.D)
-    for got, want in zip(symkal.kalman._transformed(system, V), expected):
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()
-
-
 class TestLayout:
     @pytest.mark.parametrize("k, l, d", LAYOUT_SHAPES)
     def test_zero_sets_match_the_paper(self, k, l, d):

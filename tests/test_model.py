@@ -66,6 +66,12 @@ class TestBuildSystem:
         with pytest.raises(ValidationError, match="Sigma symplectic"):
             build_system(np.zeros((2, 2)), np.eye(2), np.diag([2.0, 3.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_input_matrix_rejected(self):
+        # Sigma = diag(1e200, 1e-200) is symplectic; C# Sigma reaches 1e350
+        with pytest.raises(ValidationError, match="B within float64 range"):
+            build_system(np.eye(2), 1e150 * np.eye(2), np.diag([1e200, 1e-200]))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             build_system(np.zeros((2, 2)), np.ones((2, 4)), np.eye(2))
