@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: analyze, decompose, verify, example, generate.  Exit codes:
-0 success, 2 validation failure, 3 ambiguous rank decision, 4 output write
-failure, 5 verification failure.
+Subcommands: decompose, verify, example, generate.  ``decompose`` and
+``example`` print their result as JSON, or with ``--format text`` as a
+summary of k, l, d, the labels and the residuals.  ``--tolerance`` is the
+only rank-threshold scale.  Exit codes: 0 success, 2 validation failure,
+3 ambiguous rank decision, 4 output write failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import __version__, optomech
 from .documents import (
+    SCHEMA_VERSION,
     canonical_json,
     decomposition_to_report,
     matrix_to_lists,
@@ -52,21 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p):
         p.add_argument("--tolerance", type=float, default=1.0,
                        help="rank threshold scale (default 1.0)")
-        if output:
-            p.add_argument("--format", choices=("json", "text"), default="json")
-            p.add_argument("--output", default=None, help="write to this path instead of stdout")
-
-    p_an = sub.add_parser("analyze", help="print dimensions, labels and residual summary")
-    p_an.add_argument("input", nargs="?", default=None, help="system document path")
-    p_an.add_argument("--builtin", action="store_true",
-                      help="analyze the built-in optomechanical example instead of a file")
-    p_an.add_argument("--omega", type=float, default=1.0)
-    p_an.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_an.add_argument("--gamma", type=float, default=1.0)
-    common(p_an, output=False)
+        p.add_argument("--format", choices=("json", "text"), default="json",
+                       help="json: the full report; text: k, l, d, the state labels "
+                            "and the residual summary")
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     p_de = sub.add_parser("decompose", help="write a full decomposition report")
     p_de.add_argument("input", help="system document path")
@@ -116,12 +111,6 @@ def _load_json(path: str):
         raise DocumentError("document", f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_system(path: str, tolerance_flag: float):
-    system, tol_doc = parse_system_document(_load_json(path))
-    scale = tol_doc if tol_doc is not None else tolerance_flag
-    return system, TolerancePolicy(scale=scale)
-
-
 def _analyze_text(dec) -> str:
     lines = [
         f"k={dec.k} l={dec.l} d={dec.d}",
@@ -136,22 +125,9 @@ def _analyze_text(dec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args) -> int:
-    if args.builtin == (args.input is not None):
-        sys.stderr.write("analyze needs a document path or --builtin (not both)\n")
-        return EXIT_INVALID
-    if args.builtin:
-        system = optomech.build(args.omega, args.lam, args.gamma)
-        policy = TolerancePolicy(scale=args.tolerance)
-    else:
-        system, policy = _load_system(args.input, args.tolerance)
-    dec = kalman_decompose(system, policy=policy)
-    sys.stdout.write(_analyze_text(dec))
-    return EXIT_OK
-
-
 def cmd_decompose(args) -> int:
-    system, policy = _load_system(args.input, args.tolerance)
+    system = parse_system_document(_load_json(args.input))
+    policy = TolerancePolicy(scale=args.tolerance)
     dec = kalman_decompose(system, policy=policy)
     report = decomposition_to_report(dec, policy)
     if args.format == "json":
@@ -162,7 +138,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    system, _ = parse_system_document(_load_json(args.input))
+    system = parse_system_document(_load_json(args.input))
     stored = parse_report(_load_json(args.report), system.m)
     n = system.n
     k, l, d = stored["k"], stored["l"], stored["d"]
@@ -200,7 +176,7 @@ def cmd_example(args) -> int:
     system, dec, refined, pair, a, b = optomech.run(
         args.omega, args.lam, args.gamma, policy=policy)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "parameters": {"omega": args.omega, "lambda": args.lam, "gamma": args.gamma},
         "coefficients": {"a": a, "b": b},
         "system": physical_to_document(optomech.physical_spec(args.gamma),
@@ -234,7 +210,6 @@ def cmd_generate(args) -> int:
 
 
 _DISPATCH = {
-    "analyze": cmd_analyze,
     "decompose": cmd_decompose,
     "verify": cmd_verify,
     "example": cmd_example,

@@ -1,10 +1,11 @@
 """JSON document schemas used by the command-line interface.
 
 A system document holds n, m, R, one coupling variant (raw C, or complex
-Lq/Lp as separate real and imaginary arrays), one scattering variant (raw
-Sigma, or complex S), and optional tolerance overrides.  A decomposition
-report holds the transformation, the transformed matrices, the state
-labels, and the residual summary.  Documents are written as
+Lq/Lp as separate real and imaginary arrays) and one scattering variant
+(raw Sigma, or complex S).  It holds no tolerance: the rank-threshold
+scale comes from the command line alone.  A decomposition report holds
+the transformation, the transformed matrices, the state labels, and the
+residual summary.  Documents are written as
 ``json.dumps(payload, indent=2, sort_keys=True)`` writes them, with floats
 in their shortest round-trip representation, so identical inputs give
 byte-identical output.
@@ -174,11 +175,11 @@ def physical_to_document(spec: PhysicalSpec, R) -> dict:
     }
 
 
-def parse_system_document(data) -> tuple[QuadratureSystem, float | None]:
+def parse_system_document(data) -> QuadratureSystem:
     """Validate a system document and build the system it describes.
 
-    Returns the system together with the document's tolerance override,
-    if present.  Raises DocumentError naming the offending field.
+    Raises DocumentError naming the offending field, or the library's own
+    error when the matrices violate an invariant of the system.
     """
     if not isinstance(data, dict):
         raise DocumentError("document", "top level must be a JSON object")
@@ -205,32 +206,21 @@ def parse_system_document(data) -> tuple[QuadratureSystem, float | None]:
     if raw_c != raw_s:
         raise DocumentError("coupling", "coupling and scattering variants must match (both raw or both physical)")
 
-    tolerance = data.get("tolerance")
-    if tolerance is not None:
-        if not _is_a(tolerance, NUMBER) or not np.isfinite(tolerance) or tolerance <= 0:
-            raise DocumentError("tolerance", "must be a positive finite number")
-        tolerance = float(tolerance)
+    if "tolerance" in data:
+        raise DocumentError("tolerance", "the rank scale is set by --tolerance, not by the document")
 
-    try:
-        if raw_c:
-            C = _array(coupling, "C", (2 * m, 2 * n))
-            Sigma = _array(scattering, "Sigma", (2 * m, 2 * m))
-        else:
-            Lq = (_array(coupling, "Lq_re", (m, n))
-                  + 1j * _array(coupling, "Lq_im", (m, n)))
-            Lp = (_array(coupling, "Lp_re", (m, n))
-                  + 1j * _array(coupling, "Lp_im", (m, n)))
-            S = (_array(scattering, "S_re", (m, m))
-                 + 1j * _array(scattering, "S_im", (m, m)))
-            C, Sigma = from_physical(PhysicalSpec(S=S, Lq=Lq, Lp=Lp))
-        system = build_system(R, C, Sigma)
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError("document", str(exc)) from exc
-    if system.n != n or system.m != m:
-        raise DocumentError("n", "matrix shapes disagree with the declared mode/field counts")
-    return system, tolerance
+    if raw_c:
+        C = _array(coupling, "C", (2 * m, 2 * n))
+        Sigma = _array(scattering, "Sigma", (2 * m, 2 * m))
+    else:
+        Lq = (_array(coupling, "Lq_re", (m, n))
+              + 1j * _array(coupling, "Lq_im", (m, n)))
+        Lp = (_array(coupling, "Lp_re", (m, n))
+              + 1j * _array(coupling, "Lp_im", (m, n)))
+        S = (_array(scattering, "S_re", (m, m))
+             + 1j * _array(scattering, "S_im", (m, m)))
+        C, Sigma = from_physical(PhysicalSpec(S=S, Lq=Lq, Lp=Lp))
+    return build_system(R, C, Sigma)
 
 
 def decomposition_to_report(dec: KalmanDecomposition, policy: TolerancePolicy) -> dict:

@@ -28,8 +28,9 @@ from symkal.documents import (
     physical_to_document,
     system_to_document,
 )
-from symkal.errors import ConsistencyError, DocumentError
+from symkal.errors import ConsistencyError, DocumentError, ValidationError
 from symkal.linalg import TolerancePolicy
+from symkal.model import PhysicalSpec
 from symkal.optomech import hamiltonian_matrix, physical_spec
 
 from helpers import structured_system
@@ -50,14 +51,17 @@ def run_cli(capsys, *args):
 
 
 class TestAnalyze:
+    """The analysis text that ``decompose`` and ``example`` print with
+    ``--format text``, and the exit codes on the way to it."""
+
     def test_builtin_example(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", "--builtin",
+        code, out, _ = run_cli(capsys, "example", "--format", "text",
                                "--omega", 1, "--lambda", 1, "--gamma", 1)
         assert code == 0
         assert "k=1 l=1 d=1" in out
 
     def test_document(self, system_doc, capsys):
-        code, out, _ = run_cli(capsys, "analyze", system_doc)
+        code, out, _ = run_cli(capsys, "decompose", system_doc, "--format", "text")
         assert code == 0
         assert "k=2 l=0 d=0" in out
 
@@ -65,7 +69,7 @@ class TestAnalyze:
         doc = system_to_document(build_system(np.eye(6), np.zeros((2, 6))))
         path = tmp_path / "zero.json"
         path.write_text(canonical_json(doc))
-        code, out, _ = run_cli(capsys, "analyze", path)
+        code, out, _ = run_cli(capsys, "decompose", path, "--format", "text")
         assert code == 0
         assert "k=0 l=0 d=3" in out
 
@@ -74,17 +78,13 @@ class TestAnalyze:
         doc["R"][0][1] += 1.0
         path = tmp_path / "bad.json"
         path.write_text(canonical_json(doc))
-        code, _, err = run_cli(capsys, "analyze", path)
+        code, _, err = run_cli(capsys, "decompose", path, "--format", "text")
         assert code == 2
         assert "R symmetric" in err
         assert "residual" in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "analyze", tmp_path / "absent.json")
-        assert code == 2
-
-    def test_builtin_and_path_conflict(self, system_doc, capsys):
-        code, _, _ = run_cli(capsys, "analyze", "--builtin", system_doc)
+        code, _, err = run_cli(capsys, "decompose", tmp_path / "absent.json", "--format", "text")
         assert code == 2
 
     def test_ambiguous_rank_exits_3(self, system_doc, capsys, monkeypatch):
@@ -94,14 +94,14 @@ class TestAnalyze:
             raise RankAmbiguityError("forced for the exit-code contract")
 
         monkeypatch.setattr(cli_mod, "kalman_decompose", explode)
-        code, _, err = run_cli(capsys, "analyze", system_doc)
+        code, _, err = run_cli(capsys, "decompose", system_doc, "--format", "text")
         assert code == 3
         assert "ambiguous" in err
 
     def test_ambiguous_rank_reports_its_decisions(self, capsys):
         # at this scale rounding noise in F J F^T counts as a second pair of
         # the demo's form, more than its rank F of 3 allows
-        code, _, err = run_cli(capsys, "analyze", "--builtin", "--tolerance", 1e-3)
+        code, _, err = run_cli(capsys, "example", "--format", "text", "--tolerance", 1e-3)
         assert code == 3
         for stage in ("rank F", "skew_canonical"):
             line = next(line for line in err.splitlines() if line.strip().startswith(stage))
@@ -199,7 +199,7 @@ class TestVerify:
         report_path = self._decompose(system_doc, tmp_path, capsys)
         report = json.loads(report_path.read_text())
         assert report["dims"] == {"k": 1, "l": 1, "d": 1}
-        system, _ = parse_system_document(json.loads(system_doc.read_text()))
+        system = parse_system_document(json.loads(system_doc.read_text()))
         V = np.array(report["V"])[[2, 1, 0, 5, 4, 3]]
         V_inv = sharp_adjoint(V)
         for name, value in (("V", V), ("A_hat", V @ system.A @ V_inv),
@@ -320,7 +320,7 @@ class TestExample:
     def test_example_document_parses(self, capsys):
         code, out, _ = run_cli(capsys, "example")
         payload = json.loads(out)
-        system, _ = parse_system_document(payload["system"])
+        system = parse_system_document(payload["system"])
         assert system.n == 3 and system.m == 1
 
     def test_nco_state_row(self, capsys):
@@ -349,13 +349,13 @@ class TestGenerate:
         code, _, _ = run_cli(capsys, "generate", "--n", 3, "--m", 2,
                              "--seed", 9, "--output", path)
         assert code == 0
-        system, _ = parse_system_document(json.loads(path.read_text()))
+        system = parse_system_document(json.loads(path.read_text()))
         assert system.n == 3 and system.m == 2
 
     def test_generate_then_analyze(self, capsys, tmp_path):
         path = tmp_path / "gen.json"
         run_cli(capsys, "generate", "--n", 2, "--m", 2, "--seed", 4, "--output", path)
-        code, out, _ = run_cli(capsys, "analyze", path)
+        code, out, _ = run_cli(capsys, "decompose", path, "--format", "text")
         assert code == 0
         assert "k=" in out
 
@@ -384,18 +384,40 @@ class TestDocuments:
         doc = physical_to_document(physical_spec(1.0), hamiltonian_matrix(1.0, 1.0))
         path = tmp_path / "physical.json"
         path.write_text(canonical_json(doc))
-        code, out, _ = run_cli(capsys, "analyze", path)
+        code, out, _ = run_cli(capsys, "decompose", path, "--format", "text")
         assert code == 0
         assert "k=1 l=1 d=1" in out
 
-    def test_tolerance_override_consumed(self):
-        doc = system_to_document(random_system(1, 1, seed=0))
-        doc["tolerance"] = 10.0
-        _, tol = parse_system_document(doc)
-        assert tol == 10.0
-        doc["tolerance"] = -1.0
-        with pytest.raises(DocumentError, match="tolerance"):
-            parse_system_document(doc)
+
+class TestLibraryErrors:
+    """A system the library rejects exits 2 with the library's own message,
+    on one line, and is not wrapped as a document error."""
+
+    @pytest.mark.parametrize("matrix", ["R", "Sigma", "S"])
+    def test_reaches_the_user_once(self, matrix, tmp_path, capsys):
+        if matrix == "S":
+            spec = physical_spec(1.0)
+            S = 2 * spec.S
+            doc = physical_to_document(spec, hamiltonian_matrix(1.0, 1.0))
+            doc["scattering"] = {"S_re": matrix_to_lists(S.real), "S_im": matrix_to_lists(S.imag)}
+            with pytest.raises(ValidationError) as info:
+                PhysicalSpec(S=S, Lq=spec.Lq, Lp=spec.Lp)
+        else:
+            system = random_system(1, 1, seed=0)
+            R, Sigma = np.array(system.R), np.array(system.Sigma)
+            if matrix == "R":
+                R[0, 1] += 1.0
+            else:
+                Sigma *= 2
+            doc = system_to_document(system)
+            doc["R"], doc["scattering"]["Sigma"] = matrix_to_lists(R), matrix_to_lists(Sigma)
+            with pytest.raises(ValidationError) as info:
+                build_system(R, system.C, Sigma)
+        path = tmp_path / "system.json"
+        path.write_text(canonical_json(doc))
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert code == 2 and not out
+        assert err == f"{info.value}\n"
 
 
 class TestJsonBooleans:
@@ -408,7 +430,7 @@ class TestJsonBooleans:
         doc[field] = True
         path = tmp_path / "system.json"
         path.write_text(canonical_json(doc))
-        code, _, err = run_cli(capsys, "analyze", path)
+        code, _, err = run_cli(capsys, "decompose", path)
         assert code == 2
         assert f"'{field}'" in err
 
@@ -438,15 +460,15 @@ class TestJsonBooleans:
 
 
 class TestToleranceFlag:
-    """The flag is checked where the document's key is: a scale that is not
-    positive and finite exits 2 before any rank decision, with no warning."""
+    """A scale that is not positive and finite exits 2 before any rank
+    decision, with no warning."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    @pytest.mark.parametrize("command", ["analyze", "decompose"])
+    @pytest.mark.parametrize("command", ["example", "decompose"])
     def test_rejected(self, command, value, system_doc, capsys):
-        source = {"analyze": "--builtin", "decompose": system_doc}[command]
-        code, out, err = run_cli(capsys, command, source, f"--tolerance={value}")
+        source = {"example": [], "decompose": [system_doc]}[command]
+        code, out, err = run_cli(capsys, command, *source, f"--tolerance={value}")
         assert code == 2 and not out
         assert "tolerance scale positive and finite" in err
 
@@ -461,7 +483,7 @@ class TestMatrixEntries:
         doc["R"][0][0] = entry
         path = tmp_path / "system.json"
         path.write_text(canonical_json(doc))
-        code, _, err = run_cli(capsys, "analyze", path)
+        code, _, err = run_cli(capsys, "decompose", path)
         assert code == 2
         assert "'R'" in err and "entries must be numbers" in err
 
@@ -474,7 +496,7 @@ class TestMatrixEntries:
         doc["coupling"]["Lq_re"][0][0] = entry
         path = tmp_path / "physical.json"
         path.write_text(canonical_json(doc))
-        code, _, err = run_cli(capsys, "analyze", path)
+        code, _, err = run_cli(capsys, "decompose", path)
         assert code == 2
         assert "'Lq_re'" in err
 
@@ -521,7 +543,7 @@ class TestMatrixEntries:
         system = random_system(2, 1, seed=3)
         doc = system_to_document(system)
         doc["R"] = [[np.float64(x) for x in row] for row in doc["R"]]
-        parsed, _ = parse_system_document(doc)
+        parsed = parse_system_document(doc)
         assert np.array_equal(parsed.R, system.R)
 
 
@@ -601,14 +623,15 @@ class TestOverflow:
         assert len(err.splitlines()) == 1 and message in err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", ["decompose", "analyze"])
-    def test_input_matrix(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("route", ["decompose", "text"])
+    def test_input_matrix(self, route, tmp_path, capsys):
         # Sigma = diag(1e200, 1e-200) is symplectic; C# Sigma reaches 1e350
         doc = system_to_document(build_system(np.eye(2), 1e150 * np.eye(2)))
         doc["scattering"]["Sigma"] = [[1e200, 0.0], [0.0, 1e-200]]
         path = tmp_path / "large.json"
         path.write_text(canonical_json(doc))
-        code, out, err = run_cli(capsys, command, path)
+        fmt = {"decompose": [], "text": ["--format", "text"]}[route]
+        code, out, err = run_cli(capsys, "decompose", path, *fmt)
         assert code == 2 and not out
         assert len(err.splitlines()) == 1
         assert "B within float64 range; -C# Sigma overflows" in err
@@ -624,18 +647,22 @@ class TestOverflow:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("omega", list(BUILTIN))
-    @pytest.mark.parametrize("command", ["analyze", "example"])
-    def test_builtin(self, command, omega, tmp_path, capsys):
-        source = ["--builtin"] if command == "analyze" else ["--output", tmp_path / "example.json"]
-        code, out, err = run_cli(capsys, command, *source, "--omega", omega)
+    @pytest.mark.parametrize("route", ["text", "example"])
+    def test_builtin(self, route, omega, tmp_path, capsys):
+        output = {"text": ["--format", "text"], "example": ["--output", tmp_path / "example.json"]}
+        code, out, err = run_cli(capsys, "example", *output[route], "--omega", omega)
         assert code == 2 and not out
         assert err == f"invariant violated: {self.BUILTIN[omega]}\n"
 
     @pytest.mark.filterwarnings("error")
-    def test_large_representable_scale(self, capsys):
-        # F J F^T holds entries near 1e200 here, so its Frobenius norm
-        # overflows; the skew test must not take that norm
-        code, _, _ = run_cli(capsys, "analyze", "--builtin", "--omega", "1e20")
+    def test_large_representable_scale(self, tmp_path, capsys):
+        # the demo's system at omega = 1e20: F J F^T holds entries near
+        # 1e200, so its Frobenius norm overflows; the skew test must not
+        # take that norm
+        path = tmp_path / "demo.json"
+        path.write_text(canonical_json(physical_to_document(physical_spec(1.0),
+                                                            hamiltonian_matrix(1e20, 1.0))))
+        code, _, _ = run_cli(capsys, "decompose", path, "--format", "text")
         assert code == 0
 
 
@@ -645,7 +672,7 @@ class TestUndecodableDocuments:
     def test_analyze(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(self.NOT_UTF8)
-        code, _, err = run_cli(capsys, "analyze", path)
+        code, _, err = run_cli(capsys, "decompose", path, "--format", "text")
         assert code == 2
         assert "UTF-8" in err
 
@@ -655,6 +682,44 @@ class TestUndecodableDocuments:
         code, _, err = run_cli(capsys, "verify", system_doc, path)
         assert code == 2
         assert "UTF-8" in err
+
+
+class TestCliSurface:
+    """Every subcommand with its arguments.  A new route or flag has to be
+    added here, so that it shows up in review."""
+
+    ARGUMENTS = {
+        "decompose": ["input", "--tolerance", "--format", "--output"],
+        "verify": ["input", "report"],
+        "example": ["--omega", "--lambda", "--gamma", "--tolerance", "--format", "--output"],
+        "generate": ["--n", "--m", "--seed", "--output"],
+    }
+
+    def test_arguments(self):
+        sub = next(action for action in symkal.cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        found = {name: [action.option_strings[0] if action.option_strings else action.dest
+                        for action in parser._actions
+                        if not isinstance(action, argparse._HelpAction)]
+                 for name, parser in sub.choices.items()}
+        assert found == self.ARGUMENTS
+
+    def test_analyze_is_gone(self, system_doc, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", str(system_doc)])
+        assert info.value.code == 2
+        assert "analyze" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1e-3, True])
+    def test_document_tolerance_rejected(self, value, system_doc, capsys):
+        # the flag's scale would otherwise be dropped without a word
+        doc = json.loads(system_doc.read_text())
+        doc["tolerance"] = value
+        system_doc.write_text(canonical_json(doc))
+        code, out, err = run_cli(capsys, "decompose", system_doc, "--tolerance", 1)
+        assert code == 2 and not out
+        assert err == ("invariant violated: document field 'tolerance'; "
+                       "the rank scale is set by --tolerance, not by the document\n")
 
 
 def _parser_flags() -> set[str]:

@@ -63,7 +63,6 @@ def _settable(tree: ast.AST, module: str, owner: str = "") -> list[tuple[str, st
 # here, so that it shows up in review; one with a single value in use is a
 # constant instead.
 SETTABLE_VALUES = [
-    ("cli", "build_parser.common", "output"),
     ("cli", "main", "argv"),
     ("errors", "ValidationError.__init__", "residual"),
     ("errors", "ValidationError.__init__", "detail"),
