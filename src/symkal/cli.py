@@ -14,8 +14,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import __version__, optomech
 from .documents import (
     SCHEMA_VERSION,
@@ -36,7 +34,7 @@ from .kalman import (
     state_labels,
     verify_transformation,
 )
-from .linalg import TolerancePolicy
+from .linalg import TolerancePolicy, scaled_norm
 from .model import random_system
 
 EXIT_OK = 0
@@ -149,9 +147,9 @@ def cmd_verify(args) -> int:
     V = stored["V"]
     checks = verify_transformation(system, V, k, l, d, stored["A_hat"], stored["B_hat"],
                                    stored["C_hat"])
-    consistency = max(float(np.linalg.norm(stored[name] - value)) for name, value in
+    consistency = max(scaled_norm(stored[name] - value) for name, value in
                       zip(("A_hat", "B_hat", "C_hat", "D"), _transformed(system, V)))
-    consistency_ok = consistency <= CHECK_TOL * (1.0 + float(np.linalg.norm(stored["A_hat"])))
+    consistency_ok = consistency <= CHECK_TOL * (1.0 + scaled_norm(stored["A_hat"]))
 
     results = dict(checks.as_dict(), transformed_matrices=consistency)
     for name, value in results.items():

@@ -109,17 +109,31 @@ class SymplecticFactorization:
     """The triple (Q, E, Z) with F Z = Q E and Z symplectic.
 
     ``Q_lead`` holds the 2k + l leading columns of Q, the only ones F Z = Q E
-    uses; the rows of E past them are zero.
+    uses; the rows of E past them are zero.  A stack F with more rows than
+    columns is factored through its QR, F = Q_F R_F: then ``Q_core`` holds
+    Q_F^T Q_lead, ``stack`` holds F itself, by reference, and Q_lead is
+    formed as Q_F Q_core when first read.  Otherwise ``stack`` is None and
+    ``Q_core`` is Q_lead.
     """
 
-    Q_lead: np.ndarray
+    Q_core: np.ndarray
     E: CanonicalE
     Z: np.ndarray
     residual: float
+    stack: np.ndarray | None
 
     def __post_init__(self):
-        object.__setattr__(self, "Q_lead", readonly(self.Q_lead))
+        object.__setattr__(self, "Q_core", readonly(self.Q_core))
         object.__setattr__(self, "Z", readonly(self.Z))
+
+    @cached_property
+    def Q_lead(self) -> np.ndarray:
+        if self.stack is None:
+            return self.Q_core
+        # the same dgeqrf on the same F as the factorization's R_F, so Q_F
+        # is the orthonormal factor that goes with it
+        Q_F = np.linalg.qr(self.stack)[0]
+        return readonly(Q_F @ self.Q_core)
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -153,15 +167,14 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     those decisions cannot be reconciled, a RankAmbiguityError carrying the
     decisions is raised rather than guessing.
 
-    Both decisions and Ker F depend only on the row space of F, so one SVD
-    first compresses the s x 2r input to at most 2r rows, at O(s (2r)^2).
-    The decisions and both skew forms then work on 2r x 2r data at
-    O((2r)^3).  What still reads all s rows, at O(s (2r)^2) at most:
-    lifting the paired columns back through U_F; for l > 0 the image
-    F Zb of the paired directions (its singular values, its R factor and,
-    once whitened, the image again); the singular values of Q_lead; and
-    the residual F Z - Q_lead E.  The s x s Q is completed only when the
-    ``Q`` attribute is first read.
+    Both decisions, Ker F and every image F X depend on F only through
+    R_F, the triangular factor of F = Q_F R_F, so for s > 2r one Householder
+    QR first compresses the s x 2r input to 2r rows, at O(s (2r)^2), and
+    every later step reads R_F at O((2r)^3): the SVD, the lifted columns,
+    the image of the paired directions, the rank check of the leading
+    columns of Q and the residual, all carried in the coordinates of Q_F.
+    Q_lead = Q_F Q_core is formed only when first read, and the s x s Q
+    only when the ``Q`` attribute is.
 
     A ValidationError is raised when F J F^T would overflow float64.
     """
@@ -173,13 +186,20 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     policy = policy or DEFAULT_POLICY
     J = jmat(r)
 
-    # One SVD F = U_F Sigma V^T compresses the stack to its row space:
-    # F = U_F F_c with F_c = Sigma V^T of p = min(s, 2r) rows, so that
-    # F J F^T = U_F (F_c J F_c^T) U_F^T and every rank decision below runs on
-    # p x p data.  V^T is kept whole because for s < 2r the kernel of F lies
-    # beyond the thin factor.  This is not numerical_rank: F_c needs U_F and
-    # every singular value, and a second SVD of the stack would cost time.
-    U_F, sv, Vh = np.linalg.svd(A, full_matrices=s < cols)
+    # F = Q_F R_F with orthonormal Q_F, so F X = Q_F (R_F X) for every X:
+    # every step below reads the 2r x 2r R_F in place of F, and the images
+    # it forms are those of F in the coordinates of Q_F.  A stack of s <= 2r
+    # rows is read as it is, with Q_F = I.
+    if s > cols:
+        R_F, stack = np.linalg.qr(A, mode="r"), A
+    else:
+        R_F, stack = A, None
+    # One SVD R_F = U_F Sigma V^T compresses the stack to its row space:
+    # R_F = U_F F_c with F_c = Sigma V^T of p = min(s, 2r) rows, and every
+    # rank decision below runs on p x p data.  V^T is kept whole because for
+    # s < 2r the kernel of F lies beyond the thin factor.  This is not
+    # numerical_rank: F_c needs U_F and every singular value.
+    U_F, sv, Vh = np.linalg.svd(R_F, full_matrices=R_F.shape[0] < cols)
     sigma_f = float(sv[0])
     size = max(s, cols)
     if size * sigma_f * sigma_f == np.inf:
@@ -210,7 +230,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     v_c = canon.pairs[:, 1::2]
     u_cols = U_F @ u_c
     v_cols = U_F @ v_c
-    # F^T U_F = F_c^T, so the lifted columns map back through F_c alone.
+    # R_F^T U_F = F_c^T, so the lifted columns map back through F_c alone.
     Za = (J @ (F_c.T @ v_c)) / xi[None, :]
     Za_partner = -(J @ (F_c.T @ u_c)) / xi[None, :]
 
@@ -254,7 +274,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
         # copies taken through slot_indices differ from these in the last bits
         Zb = Z[:, k:k + l]
         W0 = Z[:, r + k:r + k + l]
-        Qb_raw = A @ Zb
+        Qb_raw = R_F @ Zb
         _require_full_rank(policy, np.linalg.svd(Qb_raw, compute_uv=False),
                            size * sigma_f, "image of the paired directions")
         # L L^T = Qb_raw^T Qb_raw from the triangular factor of Qb_raw,
@@ -263,26 +283,28 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
         L = (R * np.where(np.diag(R) < 0, -1.0, 1.0)[:, None]).T
         W0 = W0 @ L
         Zb = Zb @ np.linalg.inv(L).T
-        Qb = A @ Zb
+        Qb = R_F @ Zb
         Z = Z.copy()
         Z[:, k:k + l] = Zb
         Z[:, r + k:r + k + l] = W0
     else:
-        Qb = np.zeros((s, 0))
+        Qb = np.zeros((R_F.shape[0], 0))
 
-    Q_lead = np.hstack([u_cols, Qb, v_cols])
-    p = Q_lead.shape[1]
+    Q_core = np.hstack([u_cols, Qb, v_cols])
+    p = Q_core.shape[1]
     if 0 < p < s:
         # the rank check of the completion, made here so that reading Q later
-        # cannot fail: the p leading columns must be independent.  The bound
-        # and stage are numerical_rank's, without its unread s x p vectors.
-        sv_q = np.linalg.svd(Q_lead, compute_uv=False)
-        policy.decide(sv_q, max(Q_lead.shape) * float(sv_q[0]), "numerical_rank", expected=p)
+        # cannot fail: the p leading columns must be independent.  Q_F keeps
+        # singular values, so they are read off Q_core; the bound and stage
+        # are numerical_rank's on the s x p Q_lead, without its vectors.
+        sv_q = np.linalg.svd(Q_core, compute_uv=False)
+        policy.decide(sv_q, max(s, p) * float(sv_q[0]), "numerical_rank", expected=p)
 
     E = CanonicalE(s=s, r=r, k=k, l=l, xi=xi)
-    # rows of E past 2k + l are zero, so Q E = Q_lead E[:2k + l]
-    residual = float(np.linalg.norm(A @ Z - Q_lead @ E.materialize()[:p]))
-    return SymplecticFactorization(Q_lead=Q_lead, E=E, Z=Z, residual=residual)
+    # rows of E past 2k + l are zero, so Q E = Q_F Q_core E[:2k + l], and
+    # Q_F keeps norms: ||F Z - Q E|| = ||R_F Z - Q_core E[:2k + l]||
+    residual = float(np.linalg.norm(R_F @ Z - Q_core @ E.materialize()[:p]))
+    return SymplecticFactorization(Q_core=Q_core, E=E, Z=Z, residual=residual, stack=stack)
 
 
 def _require_full_rank(policy: TolerancePolicy, values, bound: float, stage: str):

@@ -37,6 +37,7 @@ from .linalg import (
     is_symplectic,
     jmat,
     readonly,
+    scaled_norm,
     sharp_adjoint,
 )
 from .model import QuadratureSystem, krylov_matrices
@@ -270,7 +271,7 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     J = jmat(n)
     ccr_residual = float(np.linalg.norm(V @ J @ V.T - J))
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
-    pattern_scale = CHECK_TOL * (1.0 + float(np.linalg.norm(A_hat)))
+    pattern_scale = CHECK_TOL * (1.0 + scaled_norm(A_hat))
     margin = observability_margin(A_hat, C_hat, k, l)
     return DecompositionChecks(
         ccr_residual=ccr_residual,

@@ -20,7 +20,8 @@ EPS = float(np.finfo(np.float64).eps)
 ZERO_LEVEL = 1e-300
 # relative asymmetry above which skew_canonical rejects its input
 SKEW_TOL = 1e-9
-# smallest pairing omega(z_i, z_{r+i}) the Gram-Schmidt polish accepts
+# smallest pairing omega(z_i, z_{r+i}) the symplectic polish accepts, and
+# largest residual entry it may leave
 MIN_PAIRING = 0.1
 
 
@@ -123,6 +124,17 @@ def jmat(k: int) -> np.ndarray:
     J[k:, :k] = -np.eye(k)
     J.setflags(write=False)
     return J
+
+
+def scaled_norm(X) -> float:
+    """Frobenius norm of X, taken on X / max|X| and scaled back: it
+    overflows only where the norm itself exceeds float64, not where the
+    squares of the entries do."""
+    arr = np.asarray(X)
+    big = float(np.abs(arr).max(initial=0.0))
+    if big in (0.0, np.inf):
+        return big
+    return big * float(np.linalg.norm(arr / big))
 
 
 def sharp_adjoint(X) -> np.ndarray:
@@ -409,31 +421,51 @@ def largest_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
 def symplectic_gram_schmidt(Z: np.ndarray, r: int):
     """Polish columns paired as (i, r+i) into an exactly symplectic basis.
 
-    One sweep of symplectic Gram-Schmidt in pair order: each pair is made
-    form-orthogonal to all earlier pairs and rescaled to unit pairing.
-    Returns the polished matrix and the per-pair scale factors applied.
+    Each pair is first scaled to unit pairing w_i = omega(z_i, z_{r+i}).
+    Then the Newton step Z <- Z + Z J D / 2, with D = Z^T J Z - J, is
+    repeated: it cancels D to first order, so each step squares the
+    residual, and it spreads one least correction over all columns where a
+    Gram-Schmidt sweep would push every correction into the later pairs.
+    The steps stop once the largest entry of D is at the rounding level of
+    the product Z^T J Z, or once a step no longer shrinks it; the better Z
+    is kept.  Returns the polished matrix and the per-pair scale factors
+    1/sqrt(w_i).
     """
     if Z.shape != (2 * r, 2 * r):
         raise StructureError(f"expected a {2 * r} x {2 * r} matrix, got {Z.shape}")
-    Z = Z.copy()
-    scales = np.ones(r)
-    # J Y = [Y_p; -Y_q] for Y = [Y_q; Y_p], by index; the signed zeros are
-    # those of the dense product (see sharp_adjoint)
-    JZ = np.vstack([Z[r:] + 0.0, 0.0 - Z[:r]])
-    for i in range(r):
-        for col in (i, r + i):
-            x = Z[:, col]
-            x = x - Z[:, :i] @ (x @ JZ[:, r:r + i]) + Z[:, r:r + i] @ (x @ JZ[:, :i])
-            Z[:, col] = x
-            np.add(x[r:], 0.0, out=JZ[:r, col])
-            np.subtract(0.0, x[:r], out=JZ[r:, col])
-        w = float(Z[:, i] @ JZ[:, r + i])
-        if w <= MIN_PAIRING:
-            raise RankAmbiguityError(
-                f"column pair {i} lost its symplectic pairing during polishing (omega={w:.3e})")
-        sc = 1.0 / np.sqrt(w)
-        for col in (i, r + i):
-            Z[:, col] *= sc
-            JZ[:, col] *= sc
-        scales[i] = sc
+    J = jmat(r)
+
+    def residual(Y):
+        # Y^T J Y - J, with J applied by index: J Y = [Y_p; -Y_q]
+        P = Y[:r].T @ Y[r:]
+        return P - P.T - J
+
+    # w_i = omega(z_i, z_{r+i}) = z_i,q . z_{r+i},p - z_i,p . z_{r+i},q
+    w = (np.einsum("ij,ij->j", Z[:r, :r], Z[r:, r:])
+         - np.einsum("ij,ij->j", Z[r:, :r], Z[:r, r:]))
+    lost = np.flatnonzero(~(w > MIN_PAIRING))
+    if lost.size:
+        i = int(lost[0])
+        raise RankAmbiguityError(
+            f"column pair {i} lost its symplectic pairing during polishing (omega={w[i]:.3e})")
+    scales = 1.0 / np.sqrt(w)
+    both = np.concatenate([scales, scales])
+    Z = Z * both
+    D = residual(Z)
+    err = float(np.abs(D).max())
+    # entry (i, j) of Z^T J Z sums 2r products and is rounded at about
+    # eps ||z_i|| ||z_j||: the level takes columns of the mean squared norm
+    level = EPS * float(np.einsum("ij,ij->", Z, Z)) / (2 * r)
+    while err > level:
+        step = Z + 0.5 * (Z[:, :r] @ D[r:] - Z[:, r:] @ D[:r])
+        D_step = residual(step)
+        err_step = float(np.abs(D_step).max())
+        if not err_step < err:
+            break
+        Z, D, err = step, D_step, err_step
+    if err > MIN_PAIRING:
+        # the steps diverged; name the pair of the largest residual entry
+        i = int(np.argmax(np.abs(D))) // (2 * r) % r
+        raise RankAmbiguityError(
+            f"column pair {i} lost its symplectic pairing during polishing (residual {err:.3e})")
     return Z, scales

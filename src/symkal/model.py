@@ -127,7 +127,11 @@ class PhysicalSpec:
         if Lq.shape != Lp.shape or Lq.shape[0] != m:
             raise ValidationError(
                 "Lq, Lp are m x n", detail=f"got {Lq.shape} and {Lp.shape} against m={m}")
-        unitary_residual = float(np.linalg.norm(S.conj().T @ S - np.eye(m)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = S.conj().T @ S
+            unitary_residual = float(np.linalg.norm(gram - np.eye(m)))
+        if not np.isfinite(gram).all():
+            raise ValidationError("S within float64 range", detail="S^H S overflows")
         if unitary_residual > _UNITARY_TOL:
             raise ValidationError("S unitary", residual=unitary_residual)
         object.__setattr__(self, "S", readonly(S))

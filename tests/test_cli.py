@@ -21,6 +21,7 @@ from symkal import (
 )
 from symkal.cli import main
 from symkal.documents import (
+    SCHEMA_VERSION,
     canonical_json,
     decomposition_to_report,
     matrix_to_lists,
@@ -623,6 +624,16 @@ class TestOverflow:
         assert len(err.splitlines()) == 1 and message in err
 
     @pytest.mark.filterwarnings("error")
+    def test_physical_document(self, tmp_path, capsys):
+        doc = physical_to_document(physical_spec(1.0), hamiltonian_matrix(1.0, 1.0))
+        doc["scattering"]["S_re"][0][0] = 1e200
+        path = tmp_path / "large.json"
+        path.write_text(canonical_json(doc))
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert code == 2 and not out
+        assert err == "invariant violated: S within float64 range; S^H S overflows\n"
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("route", ["decompose", "text"])
     def test_input_matrix(self, route, tmp_path, capsys):
         # Sigma = diag(1e200, 1e-200) is symplectic; C# Sigma reaches 1e350
@@ -653,6 +664,34 @@ class TestOverflow:
         code, out, err = run_cli(capsys, "example", *output[route], "--omega", omega)
         assert code == 2 and not out
         assert err == f"invariant violated: {self.BUILTIN[omega]}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_large_representable_a_hat(self, tmp_path, capsys):
+        # C scaled by 1e100 puts entries near 1e200 into A = J R - C# C / 2;
+        # with V = I the stored A_hat is A itself, representable, while the
+        # squares in its Frobenius norm are not
+        base = random_system(3, 1, seed=1)
+        system = build_system(base.R, 1e100 * base.C, base.Sigma)
+        doc, report = tmp_path / "system.json", tmp_path / "report.json"
+        doc.write_text(canonical_json(system_to_document(system)))
+        report.write_text(canonical_json({
+            "schema": SCHEMA_VERSION,
+            "dims": {"k": 3, "l": 0, "d": 0},
+            "labels": ["co"] * 6,
+            "V": matrix_to_lists(np.eye(6)),
+            "A_hat": matrix_to_lists(system.A),
+            "B_hat": matrix_to_lists(system.B),
+            "C_hat": matrix_to_lists(system.C),
+            "D": matrix_to_lists(system.D),
+            "residuals": {"symplecticity": 0.0, "pattern": 0.0, "reconstruction": 0.0},
+        }))
+        code, out, err = run_cli(capsys, "verify", doc, report)
+        values = dict(line.split(": ", 1) for line in out.splitlines())
+        assert np.isfinite(float(values["pattern_scale"]))
+        assert float(values["transformed_matrices"]) == 0.0
+        # the Hautus margin is relative to ||C||, at which these modes are dark
+        assert code == symkal.cli.EXIT_VERIFY
+        assert err == "failed checks: observability\n"
 
     @pytest.mark.filterwarnings("error")
     def test_large_representable_scale(self, tmp_path, capsys):

@@ -323,23 +323,38 @@ class TestLazyQ:
         assert sizes
         assert max(sizes) < s * s, max(sizes)
 
-    def test_only_the_stack_svd_computes_vectors(self, monkeypatch):
-        # the Q_lead check reads singular values alone
-        system = random_system(6, 16, seed=3)
+    @pytest.mark.parametrize("make", [
+        lambda: random_system(6, 16, seed=3),
+        # the kernel branch, where the image of the paired directions is whitened
+        lambda: structured_system(13, 1, 1, 1),
+    ], ids=["no_kernel", "kernel"])
+    def test_stack_rows_read_once(self, monkeypatch, make):
+        # one Householder QR compresses the stack and computes no vectors;
+        # every later step reads its triangular factor, and Q_lead is formed
+        # only when read
+        system = make()
         s = 4 * system.n * system.m
         calls = []
-        svd = np.linalg.svd
 
-        def recording_svd(a, *args, **kwargs):
-            compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
-            calls.append((np.shape(a), compute_uv))
-            return svd(a, *args, **kwargs)
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, np.shape(args[0]), kwargs))
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        kalman_decompose(system)
-        assert s == 384
-        assert calls[0] == ((s, 2 * system.n), True)
-        assert [uv for shape, uv in calls if shape[0] == s].count(True) == 1, calls
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, recording(name, fn))
+        dec = kalman_decompose(system)
+        assert calls
+        assert [(name, kwargs) for name, shape, kwargs in calls
+                if shape[:1] == (s,)] == [("qr", {"mode": "r"})], calls
+        assert "Q_lead" not in vars(dec.factorization)
+        F = np.asarray(krylov_matrices(system, variant="jr").observability)
+        assert dec.factorization.Q_lead.shape[0] == s
+        report = verify_factorization(F, dec.factorization)
+        assert report.passed, report.as_dict()
 
     @pytest.mark.parametrize("make, counts, svd_calls", [
         # the kernel branch: the stack, the pairs of F J F^T and of the form

@@ -38,6 +38,7 @@ from symkal import (
 )
 from symkal.factorization import CONTROLLABLE, UNOBSERVABLE, slot_indices
 from symkal.kalman import (
+    CHECK_TOL,
     LABEL_CNO,
     LABEL_CO,
     LABEL_NCNO,
@@ -270,6 +271,21 @@ class TestVerifyDecomposition:
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         with pytest.raises(StructureError, match="k \\+ l \\+ d = 2, expected n = 3"):
             verify_transformation(sys, dec.V, 1, 1, 0, dec.A_hat, dec.B_hat, dec.C_hat)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_representable_a_hat(self):
+        # C scaled by 1e100 puts entries near 1e200 into A = J R - C# C / 2:
+        # A_hat is representable, but the squares in its Frobenius norm are not
+        base = random_system(3, 1, seed=1)
+        sys = build_system(base.R, 1e100 * base.C, base.Sigma)
+        with pytest.raises(ConsistencyError) as info:
+            kalman_decompose(sys)
+        report = info.value.report
+        assert np.isfinite(report.pattern_scale) and report.pattern_ok
+        assert not report.observability_ok
+        A_hat = np.full((6, 6), 1e200)
+        checks = verify_transformation(sys, np.eye(6), 3, 0, 0, A_hat, sys.B, sys.C)
+        assert checks.pattern_scale == pytest.approx(CHECK_TOL * 6e200, rel=1e-12)
 
     def test_wrong_shape(self):
         sys_small = position_coupled_mode()

@@ -491,28 +491,53 @@ class TestInternalHelpers:
         assert np.linalg.norm(polished.T @ J @ polished - J) < 1e-12
         assert np.allclose(scales, 1.0, atol=1e-4)
 
-    def test_gram_schmidt_matches_pairwise_sweep(self):
-        # reference: the same sweep projecting out one earlier pair at a time
-        def pairwise(Z, r):
-            J = jmat(r)
-            Z = Z.copy()
-            JZ = J @ Z
-            for i in range(r):
-                for col in (i, r + i):
-                    x = Z[:, col]
-                    for j in range(i):
-                        x = x - (x @ JZ[:, r + j]) * Z[:, j] + (x @ JZ[:, j]) * Z[:, r + j]
-                    Z[:, col] = x
-                    JZ[:, col] = J @ x
-                sc = 1.0 / np.sqrt(float(Z[:, i] @ JZ[:, r + i]))
-                Z[:, [i, r + i]] *= sc
-                JZ[:, [i, r + i]] *= sc
-            return Z
-
-        rng = np.random.default_rng(8)
+    @pytest.mark.parametrize("r, noise", [(1, 1e-4), (4, 1e-4), (12, 1e-4), (12, 1e-8), (30, 1e-2)])
+    def test_polish_is_a_least_correction(self, r, noise):
+        # symplectic to rounding, and no further from the pair-scaled input
+        # Z0 than its form residual times its norm, the size of one Newton step
         from helpers import random_symplectic
-        for r in (1, 4, 12):
-            Z = random_symplectic(r, rng) + 1e-4 * rng.standard_normal((2 * r, 2 * r))
-            polished, _ = symplectic_gram_schmidt(Z, r)
-            reference = pairwise(Z, r)
-            assert np.linalg.norm(polished - reference) <= 1e-12 * np.linalg.norm(reference)
+        rng = np.random.default_rng(8)
+        Z = random_symplectic(r, rng) + noise * rng.standard_normal((2 * r, 2 * r))
+        polished, scales = symplectic_gram_schmidt(Z, r)
+        J = jmat(r)
+        residual = np.abs(polished.T @ J @ polished - J).max()
+        assert residual <= 2 * r * EPS * np.linalg.norm(polished, 2) ** 2
+        Z0 = Z * np.concatenate([scales, scales])
+        step = np.linalg.norm(Z0.T @ J @ Z0 - J) * np.linalg.norm(Z0, 2)
+        assert np.linalg.norm(polished - Z0) <= step
+
+    @pytest.mark.parametrize("r", [1, 5, 12])
+    def test_symplectic_input_unchanged(self, r):
+        from helpers import random_symplectic
+        Z = random_symplectic(r, np.random.default_rng(3))
+        polished, scales = symplectic_gram_schmidt(Z, r)
+        assert np.linalg.norm(polished - Z) <= 1e-14 * np.linalg.norm(Z)
+        assert np.allclose(scales, 1.0, rtol=0, atol=1e-14)
+        exact, scales = symplectic_gram_schmidt(np.eye(2 * r), r)
+        assert np.array_equal(exact, np.eye(2 * r))
+        assert np.array_equal(scales, np.ones(r))
+
+    @pytest.mark.parametrize("columns, sources, detail", [
+        # pair 1 repeats pair 0: each pairs at 1, yet no step can separate them
+        ([1, 5], [0, 4], "lost its symplectic pairing during polishing (residual"),
+        # the partner of pair 2 is its own first column: omega = 0
+        ([6], [2], "column pair 2 lost its symplectic pairing during polishing (omega=0.000e+00)"),
+    ], ids=["dependent_pairs", "zero_pairing"])
+    def test_lost_pairing_raises(self, columns, sources, detail):
+        from helpers import random_symplectic
+        Z = random_symplectic(4, np.random.default_rng(4))
+        Z[:, columns] = Z[:, sources]
+        with pytest.raises(RankAmbiguityError) as info:
+            symplectic_gram_schmidt(Z, 4)
+        assert detail in str(info.value)
+
+    def test_scales_are_inverse_root_pairings(self):
+        from helpers import random_symplectic
+        rng = np.random.default_rng(6)
+        r = 5
+        c = rng.uniform(0.5, 3.0, r)
+        Z = random_symplectic(r, rng) * np.concatenate([c, c])
+        w = np.diagonal(Z.T @ jmat(r) @ Z, offset=r)
+        _, scales = symplectic_gram_schmidt(Z, r)
+        assert np.allclose(scales, 1.0 / np.sqrt(w), rtol=1e-14, atol=0)
+        assert np.allclose(scales, 1.0 / c, rtol=1e-12, atol=0)

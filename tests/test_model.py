@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,19 @@ class TestFromPhysical:
     def test_nonunitary_rejected(self):
         with pytest.raises(ValidationError, match="S unitary"):
             PhysicalSpec(S=2.0 * np.eye(1, dtype=complex),
+                         Lq=np.zeros((1, 1), dtype=complex),
+                         Lp=np.zeros((1, 1), dtype=complex))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry, message", [
+        # S^H S overflows
+        (1e200, "S within float64 range; S^H S overflows"),
+        # S^H S is finite, but the Frobenius norm of its residual is not
+        (1e100, "S unitary (residual inf)"),
+    ])
+    def test_overflowing_s_rejected(self, entry, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            PhysicalSpec(S=entry * np.eye(1, dtype=complex),
                          Lq=np.zeros((1, 1), dtype=complex),
                          Lp=np.zeros((1, 1), dtype=complex))
 
