@@ -26,6 +26,7 @@ from .linalg import (
     largest_angle,
     numerical_rank,
     readonly,
+    scaled_norm,
     skew_canonical,
     symplectic_gram_schmidt,
 )
@@ -163,9 +164,11 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     Xu's canonical form: twin xi blocks and a unit l-block.
 
     The counts are pinned to independent rank decisions: k is half the rank
-    of F J F^T and l = rank(F) - 2k, both made by ``policy.decide``.  When
-    those decisions cannot be reconciled, a RankAmbiguityError carrying the
-    decisions is raised rather than guessing.
+    of F J F^T and l = rank(F) - 2k, both made by ``policy.decide``.  The
+    form is taken on the rank F leading rows of the compressed stack, so
+    l >= 0 always; when d = r - k - l comes out negative, or the kernel of F
+    does not carry d pairs, a RankAmbiguityError carrying the decisions is
+    raised rather than guessing.
 
     Both decisions, Ker F and every image F X depend on F only through
     R_F, the triangular factor of F = Q_F R_F, so for s > 2r one Householder
@@ -194,11 +197,12 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
         R_F, stack = np.linalg.qr(A, mode="r"), A
     else:
         R_F, stack = A, None
-    # One SVD R_F = U_F Sigma V^T compresses the stack to its row space:
-    # R_F = U_F F_c with F_c = Sigma V^T of p = min(s, 2r) rows, and every
-    # rank decision below runs on p x p data.  V^T is kept whole because for
-    # s < 2r the kernel of F lies beyond the thin factor.  This is not
-    # numerical_rank: F_c needs U_F and every singular value.
+    # One SVD R_F = U_F Sigma V^T decides rank F = rho and compresses the
+    # stack to its row space, F_c = the rho leading rows of Sigma V^T; the
+    # rows past rho are at or below the rank cutoff, rounding noise, so
+    # F J F^T is formed and reduced on rho x rho data.  V^T is kept whole
+    # because for s < 2r the kernel of F lies beyond the thin factor.  This
+    # is not numerical_rank: F_c needs U_F and every singular value.
     U_F, sv, Vh = np.linalg.svd(R_F, full_matrices=R_F.shape[0] < cols)
     sigma_f = float(sv[0])
     size = max(s, cols)
@@ -206,35 +210,36 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
         raise ValidationError("F J F^T within float64 range",
                               detail=f"the largest singular value of F, {sigma_f:.3e}, "
                                      "overflows when squared")
-    F_c = sv[:, None] * Vh[:sv.size]
+    rank_f = policy.decide(sv, size * sigma_f, "rank F")
+    rho = rank_f.rank
+    F_c = sv[:rho, None] * Vh[:rho]
     M_raw = F_c @ J @ F_c.T
     M = 0.5 * (M_raw - M_raw.T)  # remove the rounding asymmetry of the product
     # Rounding in F J F^T sits at the eps * sigma_f^2 level, so the skew
     # spectrum is decided against the bound of the uncompressed s x s
-    # product, max(s, 2r) sigma_f^2, which mu_max <= sigma_f^2 never exceeds:
-    # compression moves no rank decision.
+    # product, max(s, 2r) sigma_f^2, which mu_max <= sigma_f^2 never exceeds.
     canon = skew_canonical(M, policy=policy, bound=size * sigma_f * sigma_f)
     k = canon.k
 
-    rank_f = policy.decide(sv, size * sigma_f, "rank F")
     decisions = (rank_f, canon.decision)
-    l = rank_f.rank - 2 * k
+    # 2k <= rho, so l >= 0; only d can come out negative
+    l = rho - 2 * k
     d = r - k - l
-    if l < 0 or d < 0:
+    if d < 0:
         raise RankAmbiguityError(
-            f"rank(F)={rank_f.rank} and rank(F J F^T)={2 * k} imply l={l}, d={d}", *decisions)
+            f"rank(F)={rho} and rank(F J F^T)={2 * k} imply l={l}, d={d}", *decisions)
 
     xi = np.sqrt(canon.mus)
     # only the pairs are read: the kernel columns of canon.U are never built
     u_c = canon.pairs[:, 0::2]
     v_c = canon.pairs[:, 1::2]
-    u_cols = U_F @ u_c
-    v_cols = U_F @ v_c
+    u_cols = U_F[:, :rho] @ u_c
+    v_cols = U_F[:, :rho] @ v_c
     # R_F^T U_F = F_c^T, so the lifted columns map back through F_c alone.
     Za = (J @ (F_c.T @ v_c)) / xi[None, :]
     Za_partner = -(J @ (F_c.T @ u_c)) / xi[None, :]
 
-    N = Vh[rank_f.rank:].T
+    N = Vh[rho:].T
     if N.shape[1]:
         G_raw = N.T @ J @ N
         G = 0.5 * (G_raw - G_raw.T)
@@ -303,7 +308,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     E = CanonicalE(s=s, r=r, k=k, l=l, xi=xi)
     # rows of E past 2k + l are zero, so Q E = Q_F Q_core E[:2k + l], and
     # Q_F keeps norms: ||F Z - Q E|| = ||R_F Z - Q_core E[:2k + l]||
-    residual = float(np.linalg.norm(R_F @ Z - Q_core @ E.materialize()[:p]))
+    residual = scaled_norm(R_F @ Z - Q_core @ E.materialize()[:p])
     return SymplecticFactorization(Q_core=Q_core, E=E, Z=Z, residual=residual, stack=stack)
 
 
@@ -368,7 +373,8 @@ class FactorizationChecks:
 def factor_count_oracles(F, policy: TolerancePolicy | None = None) -> tuple[int, int]:
     """Independent (k, l) from SVD ranks: k = rank(F J F^T) / 2, l = rank(F) - 2k.
 
-    Computed without the eigendecomposition route the factorization uses.
+    Computed from singular values, without the skew canonical form the
+    factorization uses.
     Both ranks are read off the triangular factor of F = Q_F R, which has
     at most 2r rows and the row space of F, so F J F^T = Q_F (R J R^T) Q_F^T
     is never formed; the bounds are the factorization's.  An odd rank of

@@ -269,7 +269,7 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     if k + l + d != n:
         raise StructureError(f"k + l + d = {k + l + d}, expected n = {n}")
     J = jmat(n)
-    ccr_residual = float(np.linalg.norm(V @ J @ V.T - J))
+    ccr_residual = scaled_norm(V @ J @ V.T - J)
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
     pattern_scale = CHECK_TOL * (1.0 + scaled_norm(A_hat))
     margin = observability_margin(A_hat, C_hat, k, l)

@@ -12,6 +12,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgehrd, dorghr
 
 from .errors import DegenerateDimensionError, RankAmbiguityError, StructureError, ValidationError
 
@@ -263,19 +264,20 @@ class SkewCanonicalForm:
     U^T M U = blockdiag(mu_1 J_2, ..., mu_k J_2, 0) with mus sorted in
     descending order and U orthogonal.  Columns come interleaved:
     (u_1, v_1, u_2, v_2, ..., kernel columns).  ``pairs`` holds the 2k
-    paired columns; the kernel columns of ``U`` are completed on first read
-    from ``null_vectors``, the eigenvectors of 1j*M at or below the cutoff.
+    paired columns.  The kernel columns of ``U`` are formed on first read
+    from ``kernel_factors`` = (Q_even, X, Q_odd, Y), interleaved as the
+    pairs are: the columns of Q_even X in the even places, those of Q_odd Y
+    in the odd ones.
     """
 
     pairs: np.ndarray
     mus: np.ndarray
     decision: RankDecision
-    null_vectors: np.ndarray = field(repr=False)
+    kernel_factors: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", readonly(as_matrix(self.pairs, "pairs")))
         object.__setattr__(self, "mus", readonly(np.asarray(self.mus, dtype=float)))
-        object.__setattr__(self, "null_vectors", readonly(self.null_vectors))
 
     @property
     def k(self) -> int:
@@ -287,17 +289,14 @@ class SkewCanonicalForm:
 
     @cached_property
     def U(self) -> np.ndarray:
-        """The square U: the pairs followed by an orthonormal basis of the
-        part of the near-null eigenvectors' span orthogonal to them."""
-        nker = self.size - 2 * self.k
-        if not nker:
-            return self.pairs
-        Wk = self.null_vectors
-        Bk = np.hstack([Wk.real, Wk.imag])
-        if self.k:
-            Bk = Bk - self.pairs @ (self.pairs.T @ Bk)
-        Uo, _, _ = np.linalg.svd(Bk, full_matrices=False)
-        return readonly(np.hstack([self.pairs, Uo[:, :nker]]))
+        """The square U: the pairs followed by the kernel columns."""
+        Q_even, X, Q_odd, Y = self.kernel_factors
+        U = np.empty((self.size, self.size))
+        U[:, :2 * self.k] = self.pairs
+        U[:, 2 * self.k::2] = Q_even @ X
+        U[:, 2 * self.k + 1::2] = Q_odd @ Y
+        U.setflags(write=False)
+        return U
 
     def block_matrix(self) -> np.ndarray:
         """Materialize blockdiag(mu_i J_2, ..., 0) for residual checks."""
@@ -313,12 +312,19 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
                    bound: float | None = None) -> SkewCanonicalForm:
     """Canonical form of a skew-symmetric matrix under orthogonal congruence.
 
-    The input is checked to be skew within ``SKEW_TOL`` relative to its norm and
-    then symmetrized to (M - M^T)/2 exactly.  The pairs are the eigenvalues
-    of 1j*M that the policy decides against ``bound``, by default the size
-    times the largest eigenvalue magnitude; callers that build M as a
-    product should pass the bound of that product's rounding.  The kernel
-    columns of the result's ``U`` cost one SVD, paid only when ``U`` is read.
+    The input is checked to be skew within ``SKEW_TOL`` relative to its norm
+    and then symmetrized to K = (M - M^T)/2 exactly.  One Householder
+    reduction K = Q T Q^T makes T skew and tridiagonal.  T couples its even
+    coordinates only to its odd ones, through the ceil(s/2) x floor(s/2)
+    lower bidiagonal B with B[i, i] = e_2i and B[i, i-1] = -e_(2i-1), where
+    e is the superdiagonal of T.  Each singular triple (sigma, x, y) of B
+    gives u = Q_even x and v = Q_odd y with K u = -sigma v and K v = sigma u,
+    so the eigenvalues of 1j*K are the +-sigma, with one 0 more for odd s.
+    The pairs are those the policy decides against ``bound``, by default
+    the size times the largest sigma; callers that build M as a product
+    should pass the bound of that product's rounding.  More pairs than
+    floor(s/2) raise a RankAmbiguityError.  The kernel columns of ``U``
+    cost two products, paid only when ``U`` is read.
     """
     A = as_matrix(M, "M")
     s_dim, cols = A.shape
@@ -331,69 +337,47 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
         raise StructureError("matrix is not skew-symmetric within tolerance")
     policy = policy or DEFAULT_POLICY
     if s_dim == 0:
-        return SkewCanonicalForm(pairs=np.zeros((0, 0)), mus=np.zeros(0),
+        empty = np.zeros((0, 0))
+        return SkewCanonicalForm(pairs=empty, mus=np.zeros(0),
                                  decision=policy.decide(np.zeros(0), 0.0, "skew_canonical"),
-                                 null_vectors=np.zeros((0, 0), dtype=complex))
+                                 kernel_factors=(empty,) * 4)
     K = 0.5 * (A - A.T)
 
-    lam, W = np.linalg.eigh(1j * K)
+    # the wrappers' minimal workspace selects the unblocked reduction, which
+    # LAPACK takes below order 128 in any case
+    h, tau, _ = dgehrd(K)
+    Q = dorghr(h, tau)[0] if s_dim > 1 else np.ones((1, 1))
+    e = 0.5 * (np.diagonal(h, 1) - np.diagonal(h, -1))
+    half = s_dim // 2
+    B = np.zeros((s_dim - half, half))
+    B[range(half), range(half)] = e[0::2]
+    B[range(1, s_dim - half), range(s_dim - half - 1)] = -e[1::2]
+    X, sigma, Yh = np.linalg.svd(B)
     if bound is None:
-        bound = s_dim * float(np.max(np.abs(lam)))
-    # eigenvalues come ascending, so the pairs come from the trailing columns
-    decision = policy.decide(lam[::-1], bound, "skew_canonical")
-    k, cut = decision.rank, decision.cutoff
-    U_pairs, mus = (_canonical_pairs(K, W.T[::-1][:k]) if k
-                    else (np.zeros((s_dim, 0)), np.zeros(0)))
-    return SkewCanonicalForm(pairs=U_pairs, mus=mus, decision=decision,
-                             null_vectors=W[:, np.abs(lam) <= cut])
-
-
-def _dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise inner products as a column, each computed by the same BLAS
-    dot as for two 1-D operands."""
-    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0]
-
-
-def _canonical_pairs(K: np.ndarray, eigvecs: np.ndarray):
-    """Orthonormal pairs (u, v) with K u = -mu v, K v = mu u, one from each
-    eigenvector of 1j*K in the rows of ``eigvecs``, all in one batched pass.
-
-    Returns the interleaved columns (u_1, v_1, u_2, v_2, ...) and the mus in
-    descending order; ties keep the row order of ``eigvecs``.  Each in-plane
-    orientation is deterministic.
-    """
-    k, s = eigvecs.shape
-    # the (real, imaginary) planes, s x 2 each, as a view of the complex rows
-    planes = np.ascontiguousarray(eigvecs).view(np.float64).reshape(k, s, 2)
-    G, sv, _ = np.linalg.svd(planes, full_matrices=False)
-    # a clean complex eigenvector's real and imaginary parts already carry
-    # the invariant 2-plane; where the +mu and -mu eigenvectors mixed (mu at
-    # rounding scale), recover the second plane direction through K itself
-    mixed = sv[:, 1] < 0.3 * sv[:, 0]
-    if mixed.any():
-        g1 = G[mixed, :, 0]
-        t = np.matmul(K, g1[:, :, None])[:, :, 0]
-        t = t - g1 * _dot_rows(g1, t)
-        G[mixed, :, 1] = t / np.sqrt(_dot_rows(t, t))
-    g1, g2 = G[:, :, 0], G[:, :, 1]
-    # orient u toward the first standard axis with a solid footprint in the plane
-    rows = np.sqrt((G * G).sum(axis=2))
-    anchor = (rows >= 1e-2 * rows.max(axis=1, keepdims=True)).argmax(axis=1)
-    u = np.matmul(G, G[np.arange(k), anchor][:, :, None])[:, :, 0]
-    u = u / np.sqrt(_dot_rows(u, u))
-    # the partner is the in-plane unit vector orthogonal to u, oriented so
-    # that u^T K v > 0; staying inside the plane avoids amplifying rounding
-    # by the spread of the spectrum
-    v = g2 * _dot_rows(u, g1) - g1 * _dot_rows(u, g2)
-    v = v / np.sqrt(_dot_rows(v, v))
-    mus = _dot_rows(np.matmul(u[:, None, :], K)[:, 0], v)[:, 0]
-    v *= np.where(mus < 0, -1.0, 1.0)[:, None]
-    mus = np.abs(mus)
-    order = np.argsort(-mus, kind="stable")
-    U = np.empty((s, 2 * k))
-    U[:, 0::2] = u[order].T
-    U[:, 1::2] = v[order].T
-    return U, mus[order]
+        bound = s_dim * float(sigma[0]) if half else 0.0
+    decision = policy.decide(np.concatenate([sigma, np.zeros(s_dim % 2), -sigma[::-1]]),
+                             bound, "skew_canonical")
+    k = decision.rank
+    if k > half:
+        raise RankAmbiguityError(
+            f"skew_canonical decides {k} pairs, more than a {s_dim} x {s_dim} form holds",
+            decision)
+    Q_even, Q_odd, Y = Q[:, 0::2], Q[:, 1::2], Yh.T
+    u = Q_even @ X[:, :k]
+    v = Q_odd @ Y[:, :k]
+    # rotate each pair in its plane so that u points along the projection of
+    # the first standard axis with a solid footprint in the plane; a common
+    # rotation of u and v keeps K u = -sigma v and K v = sigma u
+    rows = np.sqrt(u * u + v * v)
+    anchor = (rows >= 1e-2 * rows.max(axis=0)).argmax(axis=0)
+    cos, sin = u[anchor, range(k)], v[anchor, range(k)]
+    norm = np.sqrt(cos * cos + sin * sin)
+    cos, sin = cos / norm, sin / norm
+    U_pairs = np.empty((s_dim, 2 * k))
+    U_pairs[:, 0::2] = u * cos + v * sin
+    U_pairs[:, 1::2] = v * cos - u * sin
+    return SkewCanonicalForm(pairs=U_pairs, mus=sigma[:k], decision=decision,
+                             kernel_factors=(Q_even, X[:, k:], Q_odd, Y[:, k:]))
 
 
 def largest_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:

@@ -99,11 +99,14 @@ class TestAnalyze:
         assert code == 3
         assert "ambiguous" in err
 
-    def test_ambiguous_rank_reports_its_decisions(self, capsys):
-        # at this scale rounding noise in F J F^T counts as a second pair of
-        # the demo's form, more than its rank F of 3 allows
-        code, _, err = run_cli(capsys, "example", "--format", "text", "--tolerance", 1e-3)
+    def test_ambiguous_rank_reports_its_decisions(self, capsys, tmp_path):
+        # the raw power stack of a generated n = 9 system keeps rank F = 18
+        # but only 7 pairs of F J F^T, which leaves d = 9 - 7 - 4 < 0
+        path = tmp_path / "n9.json"
+        run_cli(capsys, "generate", "--n", 9, "--m", 1, "--seed", 0, "--output", path)
+        code, _, err = run_cli(capsys, "decompose", path, "--format", "text")
         assert code == 3
+        assert "d=-2" in err
         for stage in ("rank F", "skew_canonical"):
             line = next(line for line in err.splitlines() if line.strip().startswith(stage))
             assert "cutoff" in line and "margin" in line

@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import symkal.factorization
 from helpers import (
     POPULATION_POLICY,
+    STRUCTURED_SHAPES,
     factor_case,
     factor_population,
+    mixed_population,
     random_symplectic,
     structured_system,
 )
@@ -188,11 +191,13 @@ class _InconsistentPolicy(TolerancePolicy):
 
 class TestRankAmbiguity:
     def test_forced_inconsistency_raises(self):
-        # an all-noise form then claims more pairs than rank(F) allows
+        # an all-noise form then claims more pairs than its size holds
         F = factor_case(31, "k0")
         with pytest.raises(RankAmbiguityError) as info:
             one_sided_symplectic_svd(F, policy=_InconsistentPolicy())
-        assert info.value.decisions
+        decision = info.value.decisions[-1]
+        assert decision.stage == "skew_canonical"
+        assert 2 * decision.rank > decision.values.size
 
     def test_oracle_counts(self):
         k, l = factor_count_oracles(np.diag([2.0, 1.0]))
@@ -257,19 +262,65 @@ class TestCompressedRoute:
         assert verify_factorization(F, fact).passed
 
     def test_no_stack_sized_eigh(self, monkeypatch):
-        F = _tall_stacks()[0][0]
-        two_r = F.shape[1]
-        shapes = []
+        # no eigendecomposition at all, and the form F J F^T is reduced on
+        # the rank F leading rows of the compressed stack only
+        eigh_shapes, form_shapes = [], []
         eigh = np.linalg.eigh
 
         def recording_eigh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            eigh_shapes.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
+        def recording_skew_canonical(M, *args, **kwargs):
+            form_shapes.append(np.shape(M))
+            return skew_canonical(M, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        one_sided_symplectic_svd(F)
-        assert shapes
-        assert all(max(shape) <= two_r for shape in shapes), shapes
+        monkeypatch.setattr(symkal.factorization, "skew_canonical", recording_skew_canonical)
+        for F, policy, _ in _tall_stacks():
+            form_shapes.clear()
+            fact = one_sided_symplectic_svd(F, policy=policy)
+            rho = 2 * fact.k + fact.l
+            assert rho == numerical_rank(F, policy).rank
+            assert form_shapes[0] == (rho, rho), form_shapes
+        assert eigh_shapes == []
+
+
+def _eigh_pairs(F, policy) -> int:
+    """Half the rank of F J F^T from the eigenvalues of 1j * R J R^T, with R
+    the triangular factor of F: the route the factorization took before it
+    reduced the form in real arithmetic, kept as the reference."""
+    s, cols = F.shape
+    R = np.linalg.qr(F, mode="r") if s > cols else F
+    sigma_f = np.linalg.svd(R, compute_uv=False)[0]
+    M = R @ jmat(cols // 2) @ R.T
+    lam = np.linalg.eigvalsh(0.5j * (M - M.T))
+    return int(np.count_nonzero(lam > policy.cutoff(max(s, cols) * sigma_f ** 2)))
+
+
+class TestPairsAgainstEigh:
+    """The factorization decides the same k as the eigendecomposition route
+    on every population system of the tests."""
+
+    @staticmethod
+    def _decided_k(F, policy) -> int:
+        try:
+            return one_sided_symplectic_svd(F, policy=policy).k
+        except RankAmbiguityError as exc:
+            return next(d.rank for d in exc.decisions if d.stage == "skew_canonical")
+
+    def test_mixed_population(self):
+        for system in mixed_population(200, base_seed=2026):
+            F = np.asarray(krylov_matrices(system, variant="jr").observability)
+            assert self._decided_k(F, POPULATION_POLICY) == _eigh_pairs(F, POPULATION_POLICY)
+
+    @pytest.mark.parametrize("shape", STRUCTURED_SHAPES)
+    def test_structured_shapes(self, shape):
+        for seed in (3, 77, *range(40, 44), *range(100, 130)):
+            F = np.asarray(krylov_matrices(structured_system(seed, *shape),
+                                           variant="jr").observability)
+            k = self._decided_k(F, POPULATION_POLICY)
+            assert k == _eigh_pairs(F, POPULATION_POLICY) == shape[0]
 
 
 def _isotropic_image_stack(rho: float, seed: int) -> np.ndarray:
@@ -357,16 +408,16 @@ class TestLazyQ:
         assert report.passed, report.as_dict()
 
     @pytest.mark.parametrize("make, counts, svd_calls", [
-        # the kernel branch: the stack, the pairs of F J F^T and of the form
-        # on Ker F, the kernel columns of that form, the two subspaces of
-        # _paired_directions, the pairing, the whitening and the Q_lead check
-        (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 9),
-        # no kernel: the stack, the pairs and the Q_lead check
+        # the kernel branch: the stack, the bidiagonal of F J F^T and that of
+        # the form on Ker F, the two subspaces of _paired_directions, the
+        # pairing, the whitening and the Q_lead check
+        (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 8),
+        # no kernel: the stack, the bidiagonal of F J F^T and the Q_lead check
         (lambda: random_system(6, 16, seed=3), (6, 0, 0), 3),
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
-        # the kernel columns of the skew form of F J F^T are never read, so
-        # their SVD is never paid
+        # each skew form costs one SVD, of its half-size bidiagonal; the
+        # kernel columns of U need none
         system = make()
         calls = []
         svd = np.linalg.svd

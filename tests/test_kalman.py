@@ -104,6 +104,30 @@ class TestDecomposition:
         assert dec.labels.count(LABEL_NCO) == dec.labels.count(LABEL_CNO) == dec.l
         assert dec.labels == state_labels(dec.k, dec.l, dec.d)
 
+    @pytest.mark.parametrize("make", [
+        lambda: structured_system(13, 1, 1, 1),
+        lambda: random_system(6, 16, seed=3),
+    ], ids=["kernel", "no_kernel"])
+    def test_no_complex_eigendecomposition(self, monkeypatch, make):
+        # both skew forms are reduced in real arithmetic
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition on the decompose path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        dec = kalman_decompose(make())
+        assert dec.residual_report.passed
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_system_residuals_are_scale_safe(self):
+        # the raw power stack of n = 64 gives a V with entries near 1e100,
+        # whose CCR residual overflowed a plain Frobenius norm; it must come
+        # out finite and without an overflow warning
+        try:
+            kalman_decompose(random_system(64, 1, 2))
+        except ConsistencyError as exc:
+            assert np.isfinite(exc.report.ccr_residual)
+
     def test_block_ordering_of_labels(self):
         labels = state_labels(1, 2, 1)
         assert labels == ("co", "nco", "nco", "ncno", "co", "cno", "cno", "ncno")

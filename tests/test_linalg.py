@@ -247,24 +247,18 @@ class TestSkewCanonical:
 
 
 class TestLazyKernelColumns:
-    """skew_canonical keeps the pairs eagerly and completes U's kernel
-    columns on first read; the eager construction it replaced is inlined
-    below as the reference."""
+    """skew_canonical keeps the pairs eagerly and forms U's kernel columns
+    on first read; they must span the near-null eigenvectors of 1j*M that
+    an eigh reference gives."""
 
     @staticmethod
-    def _eager_U(M, form):
+    def _null_projector(M, form):
         K = 0.5 * (M - M.T)
         lam, W = np.linalg.eigh(1j * K)
-        U_pairs = form.pairs
-        nker = K.shape[0] - 2 * form.k
-        if not nker:
-            return U_pairs
         Wk = W[:, np.abs(lam) <= form.decision.cutoff]
-        Bk = np.hstack([Wk.real, Wk.imag])
-        if form.k:
-            Bk = Bk - U_pairs @ (U_pairs.T @ Bk)
-        Uo, _, _ = np.linalg.svd(Bk, full_matrices=False)
-        return np.hstack([U_pairs, Uo[:, :nker]])
+        Uo, _, _ = np.linalg.svd(np.hstack([Wk.real, Wk.imag]), full_matrices=False)
+        basis = Uo[:, :K.shape[0] - 2 * form.k]
+        return basis @ basis.T
 
     @staticmethod
     def _cases():
@@ -286,7 +280,10 @@ class TestLazyKernelColumns:
         assert form.U is U and not U.flags.writeable
         assert U.shape == (M.shape[0], M.shape[0])
         assert np.array_equal(U[:, :2 * form.k], pairs)
-        assert U.tobytes() == self._eager_U(M, form).tobytes()
+        assert np.abs(U.T @ U - np.eye(M.shape[0])).max() <= 1e-14
+        assert np.abs(U.T @ M @ U - form.block_matrix()).max() <= 1e-14 * max(1.0, np.abs(M).max())
+        kernel = U[:, 2 * form.k:]
+        assert np.abs(kernel @ kernel.T - self._null_projector(M, form)).max() <= 1e-12
 
 
 def _canonical_pair(K: np.ndarray, w: np.ndarray):
@@ -357,9 +354,50 @@ def _block_skew(mus, size: int, seed: int) -> np.ndarray:
     return Q @ B @ Q.T
 
 
+def _skew_cases(size: int, seed: int):
+    """Skew matrices of one size: a random one, a block-diagonal one whose
+    tridiagonal form splits exactly, one with a repeated mu and one of rank
+    at most 2 * (size // 4)."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((size, size))
+    split = np.zeros((size, size))
+    for block in np.array_split(np.arange(size), 3):
+        G = rng.standard_normal((block.size, block.size))
+        split[np.ix_(block, block)] = G - G.T
+    repeated = _block_skew([1.5] * (size // 2 - size // 4) + [0.5] * (size // 4), size, seed)
+    X = rng.standard_normal((size, 2 * (size // 4)))
+    deficient = X @ jmat(size // 4) @ X.T if size >= 4 else np.zeros((size, size))
+    return [A - A.T, split, repeated, deficient]
+
+
+class TestRealRoute:
+    """The Hessenberg-bidiagonal route against the eigenvalues of 1j*K."""
+
+    @pytest.mark.parametrize("size", range(1, 61))
+    def test_spectrum_and_basis(self, size):
+        for M in _skew_cases(size, 500 + size):
+            form = skew_canonical(M)
+            norm = max(np.linalg.norm(M), 1e-300)
+            lam = np.linalg.eigvalsh(1j * M)[::-1]
+            assert np.max(np.abs(form.decision.values - lam)) <= 1e-12 * norm
+            assert np.array_equal(form.mus, form.decision.values[:form.k])
+            U = form.U
+            assert np.max(np.abs(U.T @ U - np.eye(size))) <= 1e-13
+            assert np.max(np.abs(U.T @ M @ U - form.block_matrix())) <= 1e-12 * norm
+
+    def test_more_pairs_than_fit_raise(self):
+        class CountEverything(TolerancePolicy):
+            def cutoff(self, bound):
+                return -1.0
+
+        with pytest.raises(RankAmbiguityError) as info:
+            skew_canonical(np.zeros((3, 3)), policy=CountEverything())
+        assert info.value.decisions[0].rank == 3
+
+
 class TestBatchedPairs:
-    """skew_canonical extracts every pair in one batched pass; the loop over
-    eigenvectors it replaced is the reference."""
+    """skew_canonical takes every pair from one bidiagonal SVD; a loop over
+    the eigenvectors of 1j*K is the reference."""
 
     @staticmethod
     def _assert_matches(M, policy=TolerancePolicy()):
@@ -377,16 +415,33 @@ class TestBatchedPairs:
             assert self._assert_matches(A - A.T) == 0
 
     def test_repeated_mu(self):
+        # inside a repeated mu any orthonormal pairs are canonical, so the
+        # reference is compared per mu cluster, by the projector on its span
+        policy = TolerancePolicy()
         for seed in range(10):
-            self._assert_matches(_block_skew([2.0, 2.0, 2.0, 1.0], 10, seed))
+            M = _block_skew([2.0, 2.0, 2.0, 1.0], 10, seed)
+            U_ref, mus_ref, _ = _pairwise_canonical(M, policy)
+            form = skew_canonical(M, policy=policy)
+            assert form.k == mus_ref.size == 4
+            assert np.max(np.abs(form.mus - mus_ref)) <= 1e-12
+            for cluster in (slice(0, 6), slice(6, 8)):
+                P, P_ref = form.pairs[:, cluster], U_ref[:, cluster]
+                assert np.max(np.abs(P @ P.T - P_ref @ P_ref.T)) <= 1e-12
 
     def test_rounding_scale_mu_takes_mixed_fallback(self):
-        # a policy below the default scale keeps a mu at rounding scale, whose
-        # +mu and -mu eigenvectors the eigensolver mixes
+        # a policy below the default scale keeps a mu at rounding scale, where
+        # the +mu and -mu eigenvectors of 1j*K mix; its pair must still span
+        # an orthonormal K-invariant plane carrying mu J_2
         policy = TolerancePolicy(scale=1e-2)
-        mixed = sum(self._assert_matches(_block_skew([1.0, 0.5, 1e-15], 8, seed), policy)
-                    for seed in range(20))
-        assert mixed > 0
+        for seed in range(20):
+            M = _block_skew([1.0, 0.5, 1e-15], 8, seed)
+            form = skew_canonical(M, policy=policy)
+            assert form.k >= 3
+            assert np.max(np.abs(form.mus[:3] - [1.0, 0.5, 1e-15])) <= 1e-12
+            P = form.pairs[:, 4:6]
+            assert np.max(np.abs(P.T @ P - np.eye(2))) <= 1e-14
+            assert np.max(np.abs(M @ P - P @ (P.T @ M @ P))) <= 1e-14
+            assert np.max(np.abs(P.T @ M @ P - form.mus[2] * jmat(1))) <= 1e-14
 
 
 class TestPrincipalAngles:

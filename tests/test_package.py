@@ -83,7 +83,6 @@ SETTABLE_VALUES = [
     ("linalg", "RankResult", "right_h"),
     ("linalg", "numerical_rank", "policy"),
     ("linalg", "numerical_rank", "expected_rank"),
-    ("linalg", "SkewCanonicalForm", "null_vectors"),
     ("linalg", "skew_canonical", "policy"),
     ("linalg", "skew_canonical", "bound"),
     ("model", "build_system", "Sigma"),
