@@ -4,14 +4,13 @@ Any real F of shape s x 2r factors with Q orthogonal, Z real symplectic,
 and E in Xu's sparse canonical pattern, whose shape is controlled by two
 integers: k, half the rank of the form F J F^T carried onto the row space,
 and l, the rank of F beyond those paired directions.  The decomposition
-reads only Z and the counts in E; the square Q is completed from its
-leading columns when first read.
+reads only Z and the counts in E, so Q is not stored: each of its 2k + l
+leading columns is a column of F Z over the one nonzero of E in that row.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -100,63 +99,23 @@ class CanonicalE:
         E[np.arange(cols.size), cols] = np.concatenate([self.xi, np.ones(self.l), self.xi])
         return E
 
-    def kernel_column_indices(self) -> list[int]:
-        """Columns annihilated by the pattern."""
-        return slot_indices(self.k, self.l, self.d, UNOBSERVABLE).tolist()
-
 
 @dataclass(frozen=True)
 class SymplecticFactorization:
-    """The triple (Q, E, Z) with F Z = Q E and Z symplectic.
+    """The pair (E, Z) of F = Q E Z^{-1}, with Z symplectic and F Z = Q E.
 
-    ``Q_lead`` holds the 2k + l leading columns of Q, the only ones F Z = Q E
-    uses; the rows of E past them are zero.  A stack F with more rows than
-    columns is factored through its QR, F = Q_F R_F: then ``Q_core`` holds
-    Q_F^T Q_lead, ``stack`` holds F itself, by reference, and Q_lead is
-    formed as Q_F Q_core when first read.  Otherwise ``stack`` is None and
-    ``Q_core`` is Q_lead.
+    Q is not stored.  Row i < 2k + l of E holds one nonzero, on the i-th
+    observable column, so the 2k + l leading columns of Q, the only ones
+    F Z = Q E uses, are Q_lead = (F Z)[:, obs] / (those entries of E); the
+    rest complete it to an orthogonal matrix and meet only zero rows of E.
     """
 
-    Q_core: np.ndarray
     E: CanonicalE
     Z: np.ndarray
     residual: float
-    stack: np.ndarray | None
 
     def __post_init__(self):
-        object.__setattr__(self, "Q_core", readonly(self.Q_core))
         object.__setattr__(self, "Z", readonly(self.Z))
-
-    @cached_property
-    def Q_lead(self) -> np.ndarray:
-        if self.stack is None:
-            return self.Q_core
-        # the same dgeqrf on the same F as the factorization's R_F, so Q_F
-        # is the orthonormal factor that goes with it
-        Q_F = np.linalg.qr(self.stack)[0]
-        return readonly(Q_F @ self.Q_core)
-
-    @cached_property
-    def Q(self) -> np.ndarray:
-        """The square Q: Q_lead completed by an orthonormal basis of the
-        complement of its span.  The factorization has already checked that
-        Q_lead has full column rank."""
-        s, p = self.Q_lead.shape
-        if p == s:
-            return self.Q_lead
-        # a plain SVD, not numerical_rank: this completes a basis rather than
-        # deciding a rank, and a second threshold under the default policy
-        # could disagree with the one the factorization was run with
-        _, _, Vh = np.linalg.svd(self.Q_lead.T)
-        return readonly(np.hstack([self.Q_lead, Vh[p:].T]))
-
-    @property
-    def k(self) -> int:
-        return self.E.k
-
-    @property
-    def l(self) -> int:
-        return self.E.l
 
 
 def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> SymplecticFactorization:
@@ -176,8 +135,6 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     every later step reads R_F at O((2r)^3): the SVD, the lifted columns,
     the image of the paired directions, the rank check of the leading
     columns of Q and the residual, all carried in the coordinates of Q_F.
-    Q_lead = Q_F Q_core is formed only when first read, and the s x s Q
-    only when the ``Q`` attribute is.
 
     A ValidationError is raised when F J F^T would overflow float64.
     """
@@ -193,10 +150,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     # every step below reads the 2r x 2r R_F in place of F, and the images
     # it forms are those of F in the coordinates of Q_F.  A stack of s <= 2r
     # rows is read as it is, with Q_F = I.
-    if s > cols:
-        R_F, stack = np.linalg.qr(A, mode="r"), A
-    else:
-        R_F, stack = A, None
+    R_F = np.linalg.qr(A, mode="r") if s > cols else A
     # One SVD R_F = U_F Sigma V^T decides rank F = rho and compresses the
     # stack to its row space, F_c = the rho leading rows of Sigma V^T; the
     # rows past rho are at or below the rank cutoff, rounding noise, so
@@ -298,8 +252,8 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     Q_core = np.hstack([u_cols, Qb, v_cols])
     p = Q_core.shape[1]
     if 0 < p < s:
-        # the rank check of the completion, made here so that reading Q later
-        # cannot fail: the p leading columns must be independent.  Q_F keeps
+        # the postcondition that the p leading columns of Q are independent,
+        # so that they complete to an orthogonal Q.  Q_F keeps
         # singular values, so they are read off Q_core; the bound and stage
         # are numerical_rank's on the s x p Q_lead, without its vectors.
         sv_q = np.linalg.svd(Q_core, compute_uv=False)
@@ -309,7 +263,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     # rows of E past 2k + l are zero, so Q E = Q_F Q_core E[:2k + l], and
     # Q_F keeps norms: ||F Z - Q E|| = ||R_F Z - Q_core E[:2k + l]||
     residual = scaled_norm(R_F @ Z - Q_core @ E.materialize()[:p])
-    return SymplecticFactorization(Q_core=Q_core, E=E, Z=Z, residual=residual, stack=stack)
+    return SymplecticFactorization(E=E, Z=Z, residual=residual)
 
 
 def _require_full_rank(policy: TolerancePolicy, values, bound: float, stage: str):
@@ -404,8 +358,9 @@ def verify_factorization(F, fact: SymplecticFactorization,
     and Q residuals against VERIFY_TOL directly.  The kernel check compares
     Ker F with Z applied to the pattern's kernel columns through principal
     angles.
-    The Q checks read only Q_lead: the completion is orthonormal and
-    orthogonal to it, so Q^T Q = blockdiag(Q_lead^T Q_lead, I).
+    The Q checks read only Q_lead, read off F Z through the one nonzero of
+    each leading row of E: the completion is orthonormal and orthogonal to
+    it, so Q^T Q = blockdiag(Q_lead^T Q_lead, I).
     """
     A = as_matrix(F, "F")
     policy = policy or DEFAULT_POLICY
@@ -413,20 +368,24 @@ def verify_factorization(F, fact: SymplecticFactorization,
     if A.shape != E_mat.shape:
         raise StructureError(f"F has shape {A.shape} but the factorization expects {E_mat.shape}")
     scale = max(1.0, float(np.linalg.norm(A)))
-    s, p = fact.Q_lead.shape
-    reconstruction = float(np.linalg.norm(A @ fact.Z - fact.Q_lead @ E_mat[:p]))
+    k, l, d = fact.E.k, fact.E.l, fact.E.d
+    s, p = A.shape[0], 2 * k + l
+    FZ = A @ fact.Z
+    obs = slot_indices(k, l, d, OBSERVABLE)
+    Q_lead = FZ[:, obs] / E_mat[np.arange(p), obs]
+    reconstruction = float(np.linalg.norm(FZ - Q_lead @ E_mat[:p]))
     z_residual = is_symplectic(fact.Z).residual
-    q_residual = float(np.linalg.norm(fact.Q_lead.T @ fact.Q_lead - np.eye(p)))
-    sv_q = np.linalg.svd(fact.Q_lead, compute_uv=False)
+    q_residual = float(np.linalg.norm(Q_lead.T @ Q_lead - np.eye(p)))
+    sv_q = np.linalg.svd(Q_lead, compute_uv=False)
     if p < s:
         sv_q = np.append(sv_q, 1.0)
     q_condition = float(sv_q.max() / sv_q.min())
 
     k_oracle, l_oracle = factor_count_oracles(A, policy)
-    counts_ok = (k_oracle == fact.E.k) and (l_oracle == fact.E.l)
+    counts_ok = (k_oracle == k) and (l_oracle == l)
 
     kernel = numerical_rank(A, policy).kernel
-    z_kernel = numerical_rank(np.asarray(fact.Z)[:, fact.E.kernel_column_indices()], policy).image
+    z_kernel = numerical_rank(fact.Z[:, slot_indices(k, l, d, UNOBSERVABLE)], policy).image
     kernel_angle = largest_angle(kernel, z_kernel)
 
     return FactorizationChecks(
@@ -437,8 +396,8 @@ def verify_factorization(F, fact: SymplecticFactorization,
         q_residual=q_residual,
         q_ok=q_residual <= VERIFY_TOL,
         q_condition=q_condition,
-        k=fact.E.k,
-        l=fact.E.l,
+        k=k,
+        l=l,
         k_oracle=k_oracle,
         l_oracle=l_oracle,
         counts_ok=counts_ok,

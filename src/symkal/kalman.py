@@ -112,7 +112,7 @@ def pattern_violations(E: CanonicalE, T: np.ndarray) -> list[tuple[int, int]]:
     one block per observable slot, holding E's run on that slot's columns,
     and a last block of the rows past the runs."""
     support = E.materialize() != 0
-    scale = CHECK_TOL * (1.0 + float(np.linalg.norm(T)))
+    scale = CHECK_TOL * (1.0 + scaled_norm(T))
     bad = np.where(support, np.abs(T) <= scale, np.abs(T) > scale)
     sizes = [slot_indices(E.k, E.l, E.d, (slot,)).size for slot in SLOTS]
     runs = [sizes[slot] for slot in OBSERVABLE]

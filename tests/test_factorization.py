@@ -1,9 +1,12 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import symkal.factorization
+import symkal.kalman
 from helpers import (
     POPULATION_POLICY,
     STRUCTURED_SHAPES,
@@ -27,7 +30,7 @@ from symkal import (
     skew_canonical,
     verify_factorization,
 )
-from symkal.factorization import factor_count_oracles
+from symkal.factorization import OBSERVABLE, UNOBSERVABLE, factor_count_oracles, slot_indices
 from symkal.model import krylov_matrices
 
 
@@ -40,7 +43,7 @@ class TestCanonicalE:
         expected[1, 1] = 1.0
         expected[2, 3] = 2.0
         assert np.array_equal(mat, expected)
-        assert E.kernel_column_indices() == [2, 4, 5]
+        assert slot_indices(E.k, E.l, E.d, UNOBSERVABLE).tolist() == [2, 4, 5]
         assert E.d == 1
 
     def test_count_constraints(self):
@@ -59,7 +62,7 @@ class TestSpecialCases:
         fact = one_sided_symplectic_svd(np.eye(2))
         assert (fact.E.k, fact.E.l) == (1, 0)
         assert np.allclose(fact.E.xi, [1.0])
-        assert np.allclose(fact.Q, np.eye(2))
+        assert np.allclose(np.eye(2) @ fact.Z, fact.E.materialize())
         assert np.allclose(fact.Z, np.eye(2))
         assert np.allclose(fact.E.materialize(), np.eye(2))
 
@@ -68,7 +71,8 @@ class TestSpecialCases:
         fact = one_sided_symplectic_svd(F)
         assert (fact.E.k, fact.E.l) == (0, 1)
         assert np.allclose(fact.E.materialize(), F)
-        assert np.allclose(np.abs(fact.Q), np.eye(2))
+        # F Z = Q E with Q = diag(+-1)
+        assert np.allclose(np.abs(F @ fact.Z), F)
         assert np.allclose(np.abs(fact.Z), np.eye(2))
 
     def test_diagonal_two_three(self):
@@ -138,7 +142,7 @@ class TestPostconditionBattery:
             fact = one_sided_symplectic_svd(F)
             kernel = numerical_rank(F).kernel
             z_kernel = numerical_rank(
-                np.asarray(fact.Z)[:, fact.E.kernel_column_indices()]).image
+                fact.Z[:, slot_indices(fact.E.k, fact.E.l, fact.E.d, UNOBSERVABLE)]).image
             assert kernel.dim == z_kernel.dim
             if kernel.dim:
                 assert largest_angle(kernel, z_kernel) <= 1e-7
@@ -280,7 +284,7 @@ class TestCompressedRoute:
         for F, policy, _ in _tall_stacks():
             form_shapes.clear()
             fact = one_sided_symplectic_svd(F, policy=policy)
-            rho = 2 * fact.k + fact.l
+            rho = 2 * fact.E.k + fact.E.l
             assert rho == numerical_rank(F, policy).rank
             assert form_shapes[0] == (rho, rho), form_shapes
         assert eigh_shapes == []
@@ -305,7 +309,7 @@ class TestPairsAgainstEigh:
     @staticmethod
     def _decided_k(F, policy) -> int:
         try:
-            return one_sided_symplectic_svd(F, policy=policy).k
+            return one_sided_symplectic_svd(F, policy=policy).E.k
         except RankAmbiguityError as exc:
             return next(d.rank for d in exc.decisions if d.stage == "skew_canonical")
 
@@ -344,7 +348,7 @@ class TestStrictWhitening:
     def test_ill_conditioned_image_verifies(self, seed):
         F = _isotropic_image_stack(1e-6, seed)
         fact = one_sided_symplectic_svd(F)
-        assert (fact.k, fact.l) == (0, 2)
+        assert (fact.E.k, fact.E.l) == (0, 2)
         report = verify_factorization(F, fact)
         assert report.passed, report.as_dict()
 
@@ -356,7 +360,7 @@ class TestStrictWhitening:
 
 
 class TestLazyQ:
-    """The s x s Q is completed on first read, never on the decompose path."""
+    """No s x s Q and no s x (2k + l) Q_lead is formed on the decompose path."""
 
     def test_no_stack_squared_svd(self, monkeypatch):
         system = random_system(6, 16, seed=3)
@@ -381,8 +385,7 @@ class TestLazyQ:
     ], ids=["no_kernel", "kernel"])
     def test_stack_rows_read_once(self, monkeypatch, make):
         # one Householder QR compresses the stack and computes no vectors;
-        # every later step reads its triangular factor, and Q_lead is formed
-        # only when read
+        # every later step reads its triangular factor
         system = make()
         s = 4 * system.n * system.m
         calls = []
@@ -401,18 +404,17 @@ class TestLazyQ:
         assert calls
         assert [(name, kwargs) for name, shape, kwargs in calls
                 if shape[:1] == (s,)] == [("qr", {"mode": "r"})], calls
-        assert "Q_lead" not in vars(dec.factorization)
         F = np.asarray(krylov_matrices(system, variant="jr").observability)
-        assert dec.factorization.Q_lead.shape[0] == s
         report = verify_factorization(F, dec.factorization)
         assert report.passed, report.as_dict()
 
     @pytest.mark.parametrize("make, counts, svd_calls", [
         # the kernel branch: the stack, the bidiagonal of F J F^T and that of
         # the form on Ker F, the two subspaces of _paired_directions, the
-        # pairing, the whitening and the Q_lead check
+        # pairing, the whitening and the rank check of Q's leading columns
         (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 8),
-        # no kernel: the stack, the bidiagonal of F J F^T and the Q_lead check
+        # no kernel: the stack, the bidiagonal of F J F^T and the rank check
+        # of Q's leading columns
         (lambda: random_system(6, 16, seed=3), (6, 0, 0), 3),
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
@@ -431,18 +433,20 @@ class TestLazyQ:
         assert (dec.k, dec.l, dec.d) == counts
         assert len(calls) == svd_calls, calls
 
-    def test_q_completed_on_first_read(self):
-        F = np.asarray(krylov_matrices(random_system(6, 16, seed=3)).observability)
-        fact = one_sided_symplectic_svd(F)
-        s, p = fact.Q_lead.shape
-        assert s == 384 and p < s
-        Q = fact.Q
-        assert Q.shape == (s, s)
-        assert not Q.flags.writeable
-        assert fact.Q is Q
-        expected = np.hstack([fact.Q_lead, numerical_rank(fact.Q_lead.T, expected_rank=p).kernel.basis])
-        assert np.array_equal(Q, expected)
-        assert verify_factorization(F, fact).passed
+    def test_decomposition_does_not_pin_the_stack(self, monkeypatch):
+        refs = []
+
+        def recording(*args, **kwargs):
+            out = krylov_matrices(*args, **kwargs)
+            refs.append(weakref.ref(out.observability))
+            return out
+
+        monkeypatch.setattr(symkal.kalman, "krylov_matrices", recording)
+        dec = kalman_decompose(random_system(4, 8, 1))
+        gc.collect()
+        # the decomposition is alive, the stack it was factored from is not
+        assert dec.factorization.Z.shape == (8, 8)
+        assert len(refs) == 1 and refs[0]() is None
 
     @pytest.mark.parametrize("case", range(2))
     def test_verify_reads_only_q_lead(self, case):
@@ -450,10 +454,15 @@ class TestLazyQ:
         fact = one_sided_symplectic_svd(F, policy=policy)
         report = verify_factorization(F, fact, policy=policy)
         assert report.passed, report.as_dict()
-        assert "Q" not in vars(fact)
-        # reference: the checks on the completed square Q
-        Q = fact.Q
-        s = Q.shape[0]
+        # reference: the checks on the square Q, its leading columns read off
+        # F Z and completed by an orthonormal basis of their complement
+        E = fact.E.materialize()
+        obs = slot_indices(fact.E.k, fact.E.l, fact.E.d, OBSERVABLE)
+        p = obs.size
+        Q_lead = (F @ fact.Z)[:, obs] / E[np.arange(p), obs]
+        Q = np.hstack([Q_lead, numerical_rank(Q_lead.T, expected_rank=p).kernel.basis])
+        s = F.shape[0]
+        assert Q.shape == (s, s) and p < s
         assert abs(report.q_residual - np.linalg.norm(Q.T @ Q - np.eye(s))) <= 1e-12
         assert abs(report.q_condition - np.linalg.cond(Q)) <= 1e-12 * np.linalg.cond(Q)
         reconstruction = np.linalg.norm(F @ fact.Z - Q @ fact.E.materialize())

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,18 @@ class TestRefine:
         X = np.zeros((E.s, E.s))
         with pytest.raises(ValidationError, match="X invertible"):
             refine(dec, RefinementPair(X=X, Y=np.eye(2 * sys.n)))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_x_accepted(self, scale):
+        # X E Y = scale * E matches the pattern exactly; the norm of X E Y,
+        # whose square overflows, must not make the check reject it
+        dec = kalman_decompose(optomech.build(1.0, 1.0, 1.0))
+        E = dec.factorization.E
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = refine(dec, RefinementPair(X=scale * np.eye(E.s), Y=np.eye(2 * E.r)))
+        assert np.array_equal(out.V, dec.V)
+        assert out.labels == dec.labels
 
     def test_x_check_uses_the_policy(self):
         # the demo's X has singular values 3.39 down to 0.723 with s = 12, so
