@@ -30,8 +30,8 @@ from .linalg import (
     symplectic_gram_schmidt,
 )
 
-# smallest reciprocal condition a full-rank decision accepts: a Gram matrix
-# that rounding alone keeps positive definite is not a rank decision
+# smallest reciprocal condition of the image of the paired directions: a Gram
+# matrix that rounding alone keeps positive definite is not a rank decision
 MIN_RCOND = 1e-8
 # residual bound of verify_factorization: relative to max(1, ||F||_F) for the
 # reconstruction, absolute for the Z and Q residuals
@@ -130,11 +130,13 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     raised rather than guessing.
 
     Both decisions, Ker F and every image F X depend on F only through
-    R_F, the triangular factor of F = Q_F R_F, so for s > 2r one Householder
-    QR first compresses the s x 2r input to 2r rows, at O(s (2r)^2), and
+    R_F, the triangular factor of F = Q_F R_F, so one Householder QR first
+    compresses the s x 2r input to at most 2r rows, at O(s (2r)^2), and
     every later step reads R_F at O((2r)^3): the SVD, the lifted columns,
     the image of the paired directions, the rank check of the leading
     columns of Q and the residual, all carried in the coordinates of Q_F.
+    The directions paired with the kernel radical take no decomposition:
+    they follow in closed form from the pairs already found.
 
     A ValidationError is raised when F J F^T would overflow float64.
     """
@@ -147,10 +149,9 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     J = jmat(r)
 
     # F = Q_F R_F with orthonormal Q_F, so F X = Q_F (R_F X) for every X:
-    # every step below reads the 2r x 2r R_F in place of F, and the images
-    # it forms are those of F in the coordinates of Q_F.  A stack of s <= 2r
-    # rows is read as it is, with Q_F = I.
-    R_F = np.linalg.qr(A, mode="r") if s > cols else A
+    # every step below reads the min(s, 2r) x 2r R_F in place of F, and the
+    # images it forms are those of F in the coordinates of Q_F.
+    R_F = np.linalg.qr(A, mode="r")
     # One SVD R_F = U_F Sigma V^T decides rank F = rho and compresses the
     # stack to its row space, F_c = the rho leading rows of Sigma V^T; the
     # rows past rho are at or below the rank cutoff, rounding noise, so
@@ -208,22 +209,16 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
         # degenerate form; fold them into the radical.
         pair_cols = N @ canon_ker.U[:, :2 * d]
         roots = np.sqrt(canon_ker.mus[:d])
-        Zc = pair_cols[:, 0::2] / roots[None, :] if d else np.zeros((2 * r, 0))
-        Zc_partner = pair_cols[:, 1::2] / roots[None, :] if d else np.zeros((2 * r, 0))
+        Zc = pair_cols[:, 0::2] / roots[None, :]
+        Zc_partner = pair_cols[:, 1::2] / roots[None, :]
         W0 = N @ canon_ker.U[:, 2 * d:]
     else:
-        Zc = np.zeros((2 * r, 0))
-        Zc_partner = np.zeros((2 * r, 0))
-        W0 = np.zeros((2 * r, 0))
+        Zc = Zc_partner = W0 = np.zeros((2 * r, 0))
     if W0.shape[1] != l:
         raise RankAmbiguityError(
             f"kernel radical has dimension {W0.shape[1]}, expected l={l}", *decisions)
 
-    if l:
-        Zb = _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy)
-    else:
-        Zb = np.zeros((2 * r, 0))
-
+    Zb = _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0) if l else W0
     Z = np.hstack([Za, Zb, Zc, Za_partner, W0, Zc_partner])
     Z, scales = symplectic_gram_schmidt(Z, r)
     xi = xi * scales[:k]
@@ -234,8 +229,12 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
         Zb = Z[:, k:k + l]
         W0 = Z[:, r + k:r + k + l]
         Qb_raw = R_F @ Zb
-        _require_full_rank(policy, np.linalg.svd(Qb_raw, compute_uv=False),
-                           size * sigma_f, "image of the paired directions")
+        stage = "image of the paired directions"
+        sv_b = np.linalg.svd(Qb_raw, compute_uv=False)
+        decision = policy.decide(sv_b, size * sigma_f, stage, expected=l)
+        if sv_b[-1] < MIN_RCOND * sv_b[0]:
+            raise RankAmbiguityError(f"{stage} has reciprocal condition below {MIN_RCOND:g}",
+                                     decision)
         # L L^T = Qb_raw^T Qb_raw from the triangular factor of Qb_raw,
         # without squaring its condition as a Cholesky of the Gram would
         R = np.linalg.qr(Qb_raw, mode="r")
@@ -266,32 +265,21 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     return SymplecticFactorization(E=E, Z=Z, residual=residual)
 
 
-def _require_full_rank(policy: TolerancePolicy, values, bound: float, stage: str):
-    """Require full rank of descending singular values, with a reciprocal
-    condition of at least MIN_RCOND."""
-    decision = policy.decide(values, bound, stage, expected=len(values))
-    if values[-1] < MIN_RCOND * values[0]:
-        raise RankAmbiguityError(f"{stage} has reciprocal condition below {MIN_RCOND:g}",
-                                 decision)
+def _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0):
+    """Directions dual to the kernel radical W0, in closed form.
 
-
-def _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0, policy):
-    """Directions dual to the kernel radical W0.
-
-    They live in the form-orthogonal complement of the paired blocks, carry
-    unit pairing with W0, and are sheared isotropic.  Being form-orthogonal
-    to the a-block forces their images under A to be Euclidean-orthogonal to
-    the a-block image, which is what keeps Q orthogonal.
+    X = J W0 pairs with the orthonormal W0 to the identity, and still does
+    once projected along the symplectic pairs A = [Za Zc], A' = [Za_partner
+    Zc_partner], all form-orthogonal to W0, onto their form-orthogonal
+    complement.  Its W0 component is then removed and the rest sheared
+    isotropic.  Being form-orthogonal to the a-block keeps its image under F
+    Euclidean-orthogonal to the a-block image, which keeps Q orthogonal.
     """
-    anchor = numerical_rank(np.hstack([Za, Za_partner, Zc, Zc_partner]), policy).image.basis
-    constraints = np.vstack([anchor.T @ J, W0.T])
-    candidates = numerical_rank(constraints, policy,
-                                expected_rank=J.shape[0] - W0.shape[1]).kernel.basis
-    pairing = candidates.T @ J @ W0
-    sv_pair = np.linalg.svd(pairing, compute_uv=False)
-    _require_full_rank(policy, sv_pair, max(pairing.shape) * float(sv_pair[0]),
-                       "pairing of the kernel radical with its complement")
-    Zb = candidates @ np.linalg.inv(pairing).T
+    A = np.hstack([Za, Zc])
+    A_partner = np.hstack([Za_partner, Zc_partner])
+    X = J @ W0
+    Zb = X + A @ (A_partner.T @ J @ X) - A_partner @ (A.T @ J @ X)
+    Zb -= W0 @ (W0.T @ Zb)
     shear = Zb.T @ J @ Zb
     return Zb + W0 @ (-shear / 2.0)
 

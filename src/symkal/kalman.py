@@ -44,6 +44,9 @@ from .model import QuadratureSystem, krylov_matrices
 
 # relative tolerance of the block-zero checks of the verifier and of refine
 CHECK_TOL = 1e-8
+# bound on ||V J V^T - J|| / max(1, ||V||_F)^2: rounding in V J V^T grows
+# with ||V||^2, so an absolute bound rejects correct V of large norm
+CCR_TOL = 1e-9
 # smallest Hautus observability margin of the block claimed observable;
 # correct decompositions sit above 1e-5, an nco/cno pair misread as co at
 # rounding level, or up to about 3e-7 where its eigenvalues form a Jordan pair
@@ -107,12 +110,12 @@ def pattern_residuals(A_hat, B_hat, C_hat, k: int, l: int, d: int) -> tuple[floa
 
 def pattern_violations(E: CanonicalE, T: np.ndarray) -> list[tuple[int, int]]:
     """(row block, slot) coordinates, in row-major order, where an s x 2r T
-    breaks the pattern of E: an entry above CHECK_TOL * (1 + ||T||) off the
+    breaks the pattern of E: an entry above CHECK_TOL * ||T|| off the
     support of E, or one at or below it on the support.  Rows split into
     one block per observable slot, holding E's run on that slot's columns,
     and a last block of the rows past the runs."""
     support = E.materialize() != 0
-    scale = CHECK_TOL * (1.0 + scaled_norm(T))
+    scale = CHECK_TOL * scaled_norm(T)
     bad = np.where(support, np.abs(T) <= scale, np.abs(T) > scale)
     sizes = [slot_indices(E.k, E.l, E.d, (slot,)).size for slot in SLOTS]
     runs = [sizes[slot] for slot in OBSERVABLE]
@@ -270,12 +273,15 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
         raise StructureError(f"k + l + d = {k + l + d}, expected n = {n}")
     J = jmat(n)
     ccr_residual = scaled_norm(V @ J @ V.T - J)
+    # the bound divides rather than scales: a V whose norm overflows gives
+    # inf / inf = nan, a failure, never an infinite bound
+    v = max(1.0, scaled_norm(V))
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
     pattern_scale = CHECK_TOL * (1.0 + scaled_norm(A_hat))
     margin = observability_margin(A_hat, C_hat, k, l)
     return DecompositionChecks(
         ccr_residual=ccr_residual,
-        ccr_ok=ccr_residual <= 1e-9,
+        ccr_ok=ccr_residual / v / v <= CCR_TOL,
         pattern_a=pattern_a,
         pattern_b=pattern_b,
         pattern_c=pattern_c,

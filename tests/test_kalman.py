@@ -291,6 +291,25 @@ class TestVerifyDecomposition:
         report = verify_decomposition(sys, bad)
         assert not report.ccr_ok
 
+    @pytest.mark.parametrize("seed, index", [(65, 63), (63, 94), (64, 93)])
+    def test_ccr_bound_scales_with_v(self, seed, index):
+        # correct answers whose V has a norm near 1e4: V J V^T - J reads
+        # above 1e-9 from rounding alone, at about eps ||V||^2
+        sys, truth = structured_split_input(seed, index)
+        dec = kalman_decompose(sys)
+        report = dec.residual_report
+        assert (dec.k, dec.l, dec.d) == truth
+        assert report.passed
+        assert report.ccr_residual > 1e-9
+
+    def test_scaled_v_breaks_symplecticity(self):
+        # (1e3 V) J (1e3 V)^T - J = (1e6 - 1) J, far above 1e-9 ||1e3 V||^2
+        sys = structured_system(9, 1, 1, 1)
+        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
+        report = verify_transformation(sys, 1e3 * dec.V, dec.k, dec.l, dec.d,
+                                       dec.A_hat, dec.B_hat, dec.C_hat)
+        assert not report.ccr_ok
+
     def test_counts_must_sum_to_n(self):
         sys = structured_system(9, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
@@ -395,10 +414,11 @@ class TestRefine:
         with pytest.raises(ValidationError, match="X invertible"):
             refine(dec, RefinementPair(X=X, Y=np.eye(2 * sys.n)))
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-300])
     def test_huge_x_accepted(self, scale):
-        # X E Y = scale * E matches the pattern exactly; the norm of X E Y,
-        # whose square overflows, must not make the check reject it
+        # X E Y = scale * E matches the pattern exactly; neither the norm of
+        # X E Y, whose square overflows or underflows, nor an absolute floor
+        # on the pattern bound may make the check reject it
         dec = kalman_decompose(optomech.build(1.0, 1.0, 1.0))
         E = dec.factorization.E
         with warnings.catch_warnings():

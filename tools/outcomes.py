@@ -1,0 +1,146 @@
+"""Per-input outcomes of a benchmark workload, and the flips between two checkouts.
+
+    python3 tools/outcomes.py run --checkout DIR --workload W --seed N [N ...] [--tiny]
+    python3 tools/outcomes.py diff A B
+
+``run`` imports ``symkal`` from ``DIR/src`` and builds the inputs with
+``DIR/perfbench/workloads.py``, runs every input once in this process with
+BLAS on one thread, judges each output with the workload's own check, and
+prints one tab-separated line per input:
+
+    seed/index  label  outcome  failing checks  sha256
+
+The outcome is ``ok``, ``exit_<code>`` for a CLI call that exits nonzero,
+the class of the exception a library call raised, or ``incorrect.<reason>``
+for an output the check rejects.  The failing checks name the
+``*_ok`` fields of a ConsistencyError's report, ``-`` otherwise.  The hash
+covers V, A_hat, B_hat, C_hat and (k, l, d) of a library result, or the
+bytes of the file a CLI case writes; it is ``-`` when there is no output.
+
+``diff`` reads two such files of the same inputs and prints the count of
+each outcome on both sides, the verified count per seed, the number of
+successes whose hashes agree, the number of failures whose failing checks
+moved, and every input whose outcome differs.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from collections import Counter  # noqa: E402
+
+
+def _sha256(result) -> str:
+    digest = hashlib.sha256()
+    if isinstance(result, str):
+        with open(result, "rb") as handle:
+            digest.update(handle.read())
+    else:
+        import numpy as np
+        for name in ("V", "A_hat", "B_hat", "C_hat"):
+            digest.update(np.ascontiguousarray(getattr(result, name), dtype=float).tobytes())
+        digest.update(repr((result.k, result.l, result.d)).encode())
+    return digest.hexdigest()
+
+
+def _failing_checks(exc) -> str:
+    report = getattr(exc, "report", None)
+    if report is None:
+        return "-"
+    failing = [name[:-3] for name in ("ccr_ok", "pattern_ok", "observability_ok")
+               if not getattr(report, name)]
+    return ",".join(failing) or "-"
+
+
+def outcome_lines(checkout: str, workload: str, seeds, tiny: bool):
+    root = os.path.abspath(checkout)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import symkal
+    if os.path.dirname(os.path.abspath(symkal.__file__)) != os.path.join(root, "src", "symkal"):
+        raise SystemExit(f"symkal imported from {symkal.__file__}, expected {root}/src")
+    import workloads
+
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as workdir:
+            for index, case in enumerate(workloads.build(workload, seed, workdir, tiny)):
+                checks, sha = "-", "-"
+                try:
+                    result = case.op()
+                except workloads.ExitCode as exc:
+                    outcome = f"exit_{exc.code}"
+                except Exception as exc:  # every library failure is an outcome to record
+                    outcome, checks = type(exc).__name__, _failing_checks(exc)
+                else:
+                    reason = case.check(result)
+                    outcome = "ok" if reason is None else f"incorrect.{reason}"
+                    sha = _sha256(result)
+                yield "\t".join((f"{seed}/{index}", case.label, outcome, checks, sha))
+
+
+def read_outcomes(path: str) -> dict:
+    """{seed/index: (label, outcome, checks, sha)} of a file ``run`` wrote."""
+    table = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            key, *fields = line.rstrip("\n").split("\t")
+            table[key] = tuple(fields)
+    return table
+
+
+def diff_lines(a: dict, b: dict):
+    if a.keys() != b.keys():
+        raise SystemExit(f"the files cover different inputs: {len(a.keys() ^ b.keys())} "
+                         "appear in one only")
+    counts_a = Counter(row[1] for row in a.values())
+    counts_b = Counter(row[1] for row in b.values())
+    yield "outcome\tA\tB"
+    for outcome in sorted(counts_a.keys() | counts_b.keys()):
+        yield f"{outcome}\t{counts_a[outcome]}\t{counts_b[outcome]}"
+    yield "seed\tverified A\tverified B"
+    seeds = sorted({key.split("/")[0] for key in a}, key=int)
+    for seed in seeds:
+        ok_a, ok_b = (sum(row[1] == "ok" for key, row in side.items()
+                          if key.split("/")[0] == seed) for side in (a, b))
+        yield f"{seed}\t{ok_a}\t{ok_b}"
+    both = [key for key in a if a[key][1] == b[key][1] == "ok"]
+    same = sum(a[key][3] == b[key][3] for key in both)
+    yield f"byte-identical successes: {same} of {len(both)}"
+    flips = [key for key in a if a[key][1] != b[key][1]]
+    moved = sum(a[key][1] == b[key][1] and a[key][2] != b[key][2] for key in a)
+    yield f"same outcome, other failing checks: {moved}"
+    yield f"flips: {len(flips)}"
+    for key in flips:
+        label, outcome_a, checks_a, _ = a[key]
+        _, outcome_b, checks_b, _ = b[key]
+        yield f"{key}\t{label}\t{outcome_a} [{checks_a}] -> {outcome_b} [{checks_b}]"
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    run = commands.add_parser("run", help="one line per input of a workload")
+    run.add_argument("--checkout", required=True)
+    run.add_argument("--workload", required=True,
+                     choices=("cli_small", "wide_stack", "structured_split"))
+    run.add_argument("--seed", type=int, nargs="+", required=True)
+    run.add_argument("--tiny", action="store_true")
+    diff = commands.add_parser("diff", help="compare two files that run wrote")
+    diff.add_argument("a")
+    diff.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        lines = outcome_lines(args.checkout, args.workload, args.seed, args.tiny)
+    else:
+        lines = diff_lines(read_outcomes(args.a), read_outcomes(args.b))
+    for line in lines:
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
