@@ -11,6 +11,7 @@ leading columns is a column of F Z over the one nonzero of E in that row.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -51,13 +52,16 @@ UNOBSERVABLE = (2, 4, 5)  # q_c, p_b, p_c
 OBSERVABLE = tuple(slot for slot in SLOTS if slot not in UNOBSERVABLE)
 
 
-def slot_indices(k: int, l: int, d: int, slots) -> np.ndarray:
+@lru_cache(maxsize=1024)
+def slot_indices(k: int, l: int, d: int, slots: tuple) -> np.ndarray:
     """Positions of the given slots along an axis laid out in the six slots,
-    slot after slot."""
+    slot after slot; built once per shape and slot tuple, and read-only."""
     sizes = (k, l, d) * 2
     starts = list(accumulate(sizes, initial=0))
-    return np.array([i for slot in slots for i in range(starts[slot], starts[slot] + sizes[slot])],
-                    dtype=int)
+    out = np.array([i for slot in slots for i in range(starts[slot], starts[slot] + sizes[slot])],
+                   dtype=int)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,10 +97,16 @@ class CanonicalE:
     def d(self) -> int:
         return self.r - self.k - self.l
 
+    def leading_rows(self) -> np.ndarray:
+        """The 2k + l leading rows of E, the only ones that hold a nonzero."""
+        cols = slot_indices(self.k, self.l, self.d, OBSERVABLE)
+        E = np.zeros((cols.size, 2 * self.r))
+        E[np.arange(cols.size), cols] = np.concatenate([self.xi, np.ones(self.l), self.xi])
+        return E
+
     def materialize(self) -> np.ndarray:
         E = np.zeros((self.s, 2 * self.r))
-        cols = slot_indices(self.k, self.l, self.d, OBSERVABLE)
-        E[np.arange(cols.size), cols] = np.concatenate([self.xi, np.ones(self.l), self.xi])
+        E[:2 * self.k + self.l] = self.leading_rows()
         return E
 
 
@@ -116,6 +126,31 @@ class SymplecticFactorization:
 
     def __post_init__(self):
         object.__setattr__(self, "Z", readonly(self.Z))
+
+
+def _check_leading_columns(Q_core: np.ndarray, s: int, policy: TolerancePolicy) -> None:
+    """The postcondition that the p leading columns of Q, read here off
+    Q_core (Q_F keeps singular values), are independent, so that they
+    complete to an orthogonal Q; the bound and stage are numerical_rank's on
+    the s x p Q_lead.
+
+    Every singular value of Q_core lies in [sqrt(1 - delta), sqrt(1 + delta)]
+    for delta = ||Q_core^T Q_core - I||_F.  When delta < 1/2 and the policy
+    keeps sqrt(1 - delta) against the largest bound the singular values
+    allow, the SVD would decide rank p as well, and none is taken.
+    Otherwise the SVD decides, and a rank short of p raises its
+    RankAmbiguityError.
+    """
+    p = Q_core.shape[1]
+    size = max(s, p)
+    gram = Q_core.T @ Q_core
+    gram.reshape(-1)[::p + 1] -= 1.0
+    delta = float(np.linalg.norm(gram))
+    if delta < 0.5 and policy.decide([np.sqrt(1.0 - delta)], size * np.sqrt(1.0 + delta),
+                                     "numerical_rank").rank:
+        return
+    sv_q = np.linalg.svd(Q_core, compute_uv=False)
+    policy.decide(sv_q, size * float(sv_q[0]), "numerical_rank", expected=p)
 
 
 def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> SymplecticFactorization:
@@ -219,7 +254,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
             f"kernel radical has dimension {W0.shape[1]}, expected l={l}", *decisions)
 
     Zb = _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0) if l else W0
-    Z = np.hstack([Za, Zb, Zc, Za_partner, W0, Zc_partner])
+    Z = np.concatenate([Za, Zb, Zc, Za_partner, W0, Zc_partner], axis=1)
     Z, scales = symplectic_gram_schmidt(Z, r)
     xi = xi * scales[:k]
 
@@ -248,20 +283,15 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     else:
         Qb = np.zeros((R_F.shape[0], 0))
 
-    Q_core = np.hstack([u_cols, Qb, v_cols])
-    p = Q_core.shape[1]
-    if 0 < p < s:
-        # the postcondition that the p leading columns of Q are independent,
-        # so that they complete to an orthogonal Q.  Q_F keeps
-        # singular values, so they are read off Q_core; the bound and stage
-        # are numerical_rank's on the s x p Q_lead, without its vectors.
-        sv_q = np.linalg.svd(Q_core, compute_uv=False)
-        policy.decide(sv_q, max(s, p) * float(sv_q[0]), "numerical_rank", expected=p)
+    Q_core = np.concatenate([u_cols, Qb, v_cols], axis=1)
+    if 0 < Q_core.shape[1] < s:
+        _check_leading_columns(Q_core, s, policy)
 
     E = CanonicalE(s=s, r=r, k=k, l=l, xi=xi)
     # rows of E past 2k + l are zero, so Q E = Q_F Q_core E[:2k + l], and
     # Q_F keeps norms: ||F Z - Q E|| = ||R_F Z - Q_core E[:2k + l]||
-    residual = scaled_norm(R_F @ Z - Q_core @ E.materialize()[:p])
+    residual = scaled_norm(R_F @ Z - Q_core @ E.leading_rows())
+    Z.setflags(write=False)
     return SymplecticFactorization(E=E, Z=Z, residual=residual)
 
 

@@ -10,6 +10,7 @@ observability classes while keeping conjugate coordinate pairs together.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dggev as _dggev
@@ -93,6 +94,20 @@ def _largest(values) -> float:
     return float(np.abs(values).max(initial=0.0))
 
 
+@lru_cache(maxsize=512)
+def _zero_masks(k: int, l: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only masks of the mandated zeros of A_hat, of the rows of
+    B_hat and of the columns of C_hat, built once per shape."""
+    ctl = np.zeros(2 * (k + l + d), dtype=bool)
+    unobs = np.zeros(2 * (k + l + d), dtype=bool)
+    ctl[slot_indices(k, l, d, CONTROLLABLE)] = True
+    unobs[slot_indices(k, l, d, UNOBSERVABLE)] = True
+    masks = ((ctl[None, :] & ~ctl[:, None]) | (unobs[None, :] & ~unobs[:, None]), ~ctl, unobs)
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
+
+
 def pattern_residuals(A_hat, B_hat, C_hat, k: int, l: int, d: int) -> tuple[float, float, float]:
     """Largest magnitude inside each set of mandated zero blocks.
 
@@ -101,11 +116,8 @@ def pattern_residuals(A_hat, B_hat, C_hat, k: int, l: int, d: int) -> tuple[floa
     its row does not.  B_hat has no uncontrollable rows and C_hat no
     unobservable columns.
     """
-    ctl, unobs = np.zeros((2, 2 * (k + l + d)), dtype=bool)
-    ctl[slot_indices(k, l, d, CONTROLLABLE)] = True
-    unobs[slot_indices(k, l, d, UNOBSERVABLE)] = True
-    a_zero = (ctl[None, :] & ~ctl[:, None]) | (unobs[None, :] & ~unobs[:, None])
-    return _largest(A_hat[a_zero]), _largest(B_hat[~ctl]), _largest(C_hat[:, unobs])
+    a_zero, b_zero, c_zero = _zero_masks(k, l, d)
+    return _largest(A_hat[a_zero]), _largest(B_hat[b_zero]), _largest(C_hat[:, c_zero])
 
 
 def pattern_violations(E: CanonicalE, T: np.ndarray) -> list[tuple[int, int]]:
@@ -209,6 +221,16 @@ def _transformed(sys: QuadratureSystem, V: np.ndarray):
     return V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv, sys.D
 
 
+@lru_cache(maxsize=128)
+def _identity_pencil(order: int) -> tuple[np.ndarray, int]:
+    """The read-only identity of order ``order`` and the workspace size
+    ggev asks for on a pencil of that order, which depends on the order
+    alone."""
+    eye = np.eye(order)
+    eye.setflags(write=False)
+    return eye, int(_dggev(eye, eye, lwork=-1)[-2][0])
+
+
 def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
     """Hautus margin of the transformed states claimed observable.
 
@@ -220,6 +242,8 @@ def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
     obs = slot_indices(k, l, A_hat.shape[0] // 2 - k - l, OBSERVABLE)
     if obs.size == 0:
         return float("inf")
+    # gathered even when obs takes every column: the gather lays C_obs out
+    # column by column, and its norm and product below sum in that order
     C_obs = C_hat[:, obs]
     scale = float(np.linalg.norm(C_obs))
     if scale == 0.0:
@@ -229,10 +253,11 @@ def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
     # the refined optomechanical demo.  The call and its workspace query
     # are those of scipy.linalg.eig(A_obs, I), so X holds the same
     # eigenvectors; they are normalized below through squared norms, all
-    # columns at once.
-    A_obs = np.asarray_chkfinite(A_hat[np.ix_(obs, obs)])
-    eye = np.eye(obs.size)
-    lwork = int(_dggev(A_obs, eye, lwork=-1)[-2][0])
+    # columns at once.  ggev works on a copy, so the whole A_hat is passed
+    # without a gather.
+    A_obs = np.asarray_chkfinite(A_hat if obs.size == A_hat.shape[0]
+                                 else A_hat[np.ix_(obs, obs)])
+    eye, lwork = _identity_pencil(obs.size)
     _, alphai, _, _, X, _, info = _dggev(A_obs, eye, compute_vl=0, lwork=lwork)
     if info:
         raise np.linalg.LinAlgError(
@@ -319,6 +344,10 @@ def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarra
     checks = verify_transformation(sys, V, k, l, sys.n - k - l, A_hat, B_hat, C_hat)
     if not checks.passed:
         raise ConsistencyError(f"{what} failed verification", report=checks)
+    # V and the transformed matrices are fresh arrays that nothing else
+    # holds: they are frozen in place rather than copied
+    for arr in (V, A_hat, B_hat, C_hat, D):
+        arr.setflags(write=False)
     return KalmanDecomposition(system=sys, factorization=fact, V=V, k=k, l=l, A_hat=A_hat,
                                B_hat=B_hat, C_hat=C_hat, D=D, residual_report=checks)
 

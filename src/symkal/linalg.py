@@ -109,6 +109,11 @@ def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
+    """A read-only array of the values of ``arr``: ``arr`` itself when it is
+    already a read-only ndarray that owns its data, a read-only copy of
+    anything else."""
+    if type(arr) is np.ndarray and not arr.flags.writeable and arr.flags.owndata:
+        return arr
     out = np.array(arr, copy=True)
     out.setflags(write=False)
     return out
@@ -135,7 +140,10 @@ def scaled_norm(X) -> float:
     big = float(np.abs(arr).max(initial=0.0))
     if big in (0.0, np.inf):
         return big
-    return big * float(np.linalg.norm(arr / big))
+    # sqrt(u . u) on u raveled in memory order is what np.linalg.norm
+    # computes for a real array, without its wrapper
+    unit = (arr / big).ravel(order="K")
+    return big * float(np.sqrt(unit.dot(unit)))
 
 
 def sharp_adjoint(X) -> np.ndarray:
@@ -350,8 +358,10 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     e = 0.5 * (np.diagonal(h, 1) - np.diagonal(h, -1))
     half = s_dim // 2
     B = np.zeros((s_dim - half, half))
-    B[range(half), range(half)] = e[0::2]
-    B[range(1, s_dim - half), range(s_dim - half - 1)] = -e[1::2]
+    # the diagonal and the subdiagonal of B, as strides of its flat view
+    flat = B.reshape(-1)
+    flat[::half + 1] = e[0::2]
+    flat[half::half + 1] = -e[1::2]
     X, sigma, Yh = np.linalg.svd(B)
     if bound is None:
         bound = s_dim * float(sigma[0]) if half else 0.0
@@ -376,6 +386,7 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     U_pairs = np.empty((s_dim, 2 * k))
     U_pairs[:, 0::2] = u * cos + v * sin
     U_pairs[:, 1::2] = v * cos - u * sin
+    U_pairs.setflags(write=False)
     return SkewCanonicalForm(pairs=U_pairs, mus=sigma[:k], decision=decision,
                              kernel_factors=(Q_even, X[:, k:], Q_odd, Y[:, k:]))
 

@@ -175,7 +175,9 @@ class KrylovMatrices:
     """Stacked controllability/observability matrices for one power basis.
 
     The observability stack is built eagerly; the controllability stack is
-    built from the same ``generator`` G on first read.
+    built from the same ``generator`` G on first read.  Arrays that are
+    already read-only and own their data are kept as given, anything else
+    is copied.
     """
 
     system: QuadratureSystem = field(repr=False)
@@ -209,17 +211,23 @@ def krylov_matrices(sys: QuadratureSystem, variant: str = "jr") -> KrylovMatrice
     if variant not in ("a", "jr"):
         raise StructureError(f"variant must be 'a' or 'jr', got {variant!r}")
     G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
-    obs_blocks = [sys.C]
+    G.setflags(write=False)
+    depth = 2 * sys.n
+    # each block C G^j is written into its place in the stack, one product
+    # of the block above it
+    observability = np.empty((depth * sys.C.shape[0], G.shape[0]))
+    blocks = observability.reshape(depth, *sys.C.shape)
+    blocks[0] = sys.C
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2 * sys.n - 1):
-            obs_blocks.append(obs_blocks[-1] @ G)
-    observability = np.vstack(obs_blocks)
+        for j in range(1, depth):
+            np.matmul(blocks[j - 1], G, out=blocks[j])
     if not np.isfinite(observability).all():
-        j = next(j for j, block in enumerate(obs_blocks) if not np.isfinite(block).all())
+        j = next(j for j, block in enumerate(blocks) if not np.isfinite(block).all())
         raise ValidationError("observability stack within float64 range",
                               detail=f"C G^{j} overflows, G = {'A' if variant == 'a' else 'J R'}")
+    observability.setflags(write=False)
     return KrylovMatrices(system=sys, generator=G, observability=observability,
-                          variant=variant, depth=len(obs_blocks))
+                          variant=variant, depth=depth)
 
 
 def t0_matrix(n: int, m: int, D) -> np.ndarray:

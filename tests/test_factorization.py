@@ -30,7 +30,14 @@ from symkal import (
     skew_canonical,
     verify_factorization,
 )
-from symkal.factorization import OBSERVABLE, UNOBSERVABLE, factor_count_oracles, slot_indices
+from symkal.factorization import (
+    OBSERVABLE,
+    UNOBSERVABLE,
+    _check_leading_columns,
+    factor_count_oracles,
+    slot_indices,
+)
+from symkal.linalg import DEFAULT_POLICY
 from symkal.model import krylov_matrices
 
 
@@ -410,12 +417,13 @@ class TestLazyQ:
 
     @pytest.mark.parametrize("make, counts, svd_calls", [
         # the kernel branch: the stack, the bidiagonal of F J F^T and that of
-        # the form on Ker F, the whitening and the rank check of Q's leading
-        # columns; the directions paired with the radical take none
-        (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 5),
-        # no kernel: the stack, the bidiagonal of F J F^T and the rank check
-        # of Q's leading columns
-        (lambda: random_system(6, 16, seed=3), (6, 0, 0), 3),
+        # the form on Ker F, and the whitening; the directions paired with
+        # the radical take none, and the rank check of Q's leading columns
+        # is certified from ||Q_core^T Q_core - I|| without one
+        (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 4),
+        # no kernel: the stack and the bidiagonal of F J F^T; the leading
+        # columns of Q are certified without an SVD
+        (lambda: random_system(6, 16, seed=3), (6, 0, 0), 2),
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
         # each skew form costs one SVD, of its half-size bidiagonal; the
@@ -432,6 +440,58 @@ class TestLazyQ:
         dec = kalman_decompose(system)
         assert (dec.k, dec.l, dec.d) == counts
         assert len(calls) == svd_calls, calls
+
+    @staticmethod
+    def _svd_decision(Q_core, s, policy):
+        """The decision the certificate stands in for: numerical_rank's on
+        the singular values of Q_core."""
+        sv = np.linalg.svd(Q_core, compute_uv=False)
+        return policy.decide(sv, max(s, Q_core.shape[1]) * float(sv[0]), "numerical_rank",
+                             expected=Q_core.shape[1])
+
+    @staticmethod
+    def _counted_svd(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    def test_certificate_decides_orthonormal_columns(self, monkeypatch):
+        Q_core = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 3)))[0]
+        assert self._svd_decision(Q_core, 12, DEFAULT_POLICY).rank == 3
+        calls = self._counted_svd(monkeypatch)
+        _check_leading_columns(Q_core, 12, DEFAULT_POLICY)
+        assert calls == []
+
+    def test_dependent_columns_fall_back_to_the_svd(self, monkeypatch):
+        Q_core = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 3)))[0]
+        Q_core[:, 2] *= 1e-20
+        with pytest.raises(RankAmbiguityError) as expected:
+            self._svd_decision(Q_core, 12, DEFAULT_POLICY)
+        calls = self._counted_svd(monkeypatch)
+        with pytest.raises(RankAmbiguityError) as raised:
+            _check_leading_columns(Q_core, 12, DEFAULT_POLICY)
+        assert calls == [(8, 3)]
+        assert str(raised.value) == str(expected.value)
+        assert "numerical_rank gives rank 2, expected 3" in str(raised.value)
+
+    def test_cutoff_past_the_certificate_leaves_the_svd_to_decide(self, monkeypatch):
+        # at scale 1e15 the cutoff of 8 x 1 exceeds every singular value: the
+        # certificate keeps nothing, and the SVD decides
+        policy = TolerancePolicy(scale=1e15)
+        Q_core = np.linalg.qr(np.random.default_rng(2).standard_normal((8, 3)))[0]
+        with pytest.raises(RankAmbiguityError) as expected:
+            self._svd_decision(Q_core, 8, policy)
+        calls = self._counted_svd(monkeypatch)
+        with pytest.raises(RankAmbiguityError) as raised:
+            _check_leading_columns(Q_core, 8, policy)
+        assert calls == [(8, 3)]
+        assert str(raised.value) == str(expected.value)
 
     def test_decomposition_does_not_pin_the_stack(self, monkeypatch):
         refs = []

@@ -1,5 +1,8 @@
 import dataclasses
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +266,43 @@ class TestLayout:
             mat = {"A": dec.A_hat, "B": dec.B_hat, "C": dec.C_hat}[name[0]]
             expected = mat[np.ix_(states(rows, mat.shape[0]), states(cols, mat.shape[1]))]
             assert np.array_equal(dec.classical_block(name), expected), name
+
+
+class TestPerShapeCaches:
+    """Constants of a shape are built once, shared between calls and
+    read-only, so that no decomposition can change another's."""
+
+    def test_slot_indices_are_read_only(self):
+        idx = slot_indices(2, 1, 1, CONTROLLABLE)
+        assert slot_indices(2, 1, 1, CONTROLLABLE) is idx
+        with pytest.raises(ValueError):
+            idx[0] = 5
+
+    def test_zero_masks_are_read_only(self):
+        masks = symkal.kalman._zero_masks(2, 1, 1)
+        assert symkal.kalman._zero_masks(2, 1, 1) is masks
+        for mask in masks:
+            with pytest.raises(ValueError):
+                mask[0] = True
+
+    def test_identity_pencil_is_read_only(self):
+        eye, lwork = symkal.kalman._identity_pencil(5)
+        assert np.array_equal(eye, np.eye(5)) and lwork >= 8 * 5
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+    def test_same_v_as_a_fresh_process(self):
+        kalman_decompose(random_system(6, 16, seed=3))
+        V = kalman_decompose(structured_system(13, 1, 1, 1)).V
+        script = ("import sys\n"
+                  "sys.path[:0] = sys.argv[1:]\n"
+                  "from helpers import structured_system\n"
+                  "from symkal import kalman_decompose\n"
+                  "print(kalman_decompose(structured_system(13, 1, 1, 1)).V.tobytes().hex())\n")
+        paths = [str(Path(symkal.kalman.__file__).parents[1]), str(Path(__file__).parent)]
+        fresh = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True,
+                               text=True, check=True, timeout=120)
+        assert fresh.stdout.strip() == V.tobytes().hex()
 
 
 class TestVerifyDecomposition:

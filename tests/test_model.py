@@ -192,6 +192,24 @@ class TestKrylov:
             assert largest_angle(ker_a, ker_jr) <= 1e-7
 
 
+class TestStackInPlace:
+    """The observability stack is written block by block into one array."""
+
+    @pytest.mark.parametrize("variant", ["a", "jr"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 8), (5, 1), (6, 16)])
+    def test_equals_list_and_vstack(self, variant, n, m):
+        # reference: the list of powers C G^j stacked once at the end
+        sys = random_system(n, m, seed=10 * n + m)
+        G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
+        blocks = [sys.C]
+        for _ in range(2 * n - 1):
+            blocks.append(blocks[-1] @ G)
+        kry = krylov_matrices(sys, variant=variant)
+        assert kry.observability.tobytes() == np.vstack(blocks).tobytes()
+        assert kry.generator.tobytes() == G.tobytes()
+        assert not kry.observability.flags.writeable
+
+
 class TestLazyControllability:
     """Only the observability stack is built eagerly."""
 

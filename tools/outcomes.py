@@ -14,13 +14,16 @@ The outcome is ``ok``, ``exit_<code>`` for a CLI call that exits nonzero,
 the class of the exception a library call raised, or ``incorrect.<reason>``
 for an output the check rejects.  The failing checks name the
 ``*_ok`` fields of a ConsistencyError's report, ``-`` otherwise.  The hash
-covers V, A_hat, B_hat, C_hat and (k, l, d) of a library result, or the
-bytes of the file a CLI case writes; it is ``-`` when there is no output.
+covers V, A_hat, B_hat, C_hat, (k, l, d), Z, the factorization residual and
+the residual report of a library result, the bytes of the file a CLI case
+writes, or the class and message of the exception a failed op raised.
 
 ``diff`` reads two such files of the same inputs and prints the count of
 each outcome on both sides, the verified count per seed, the number of
 successes whose hashes agree, the number of failures whose failing checks
-moved, and every input whose outcome differs.
+moved, and every input whose outcome differs.  It then lists every input
+whose outcome is the same on both sides but whose hash is not, and exits 1
+when any input flipped or changed its hash, 0 when both files agree.
 """
 
 import os
@@ -37,14 +40,17 @@ from collections import Counter  # noqa: E402
 
 def _sha256(result) -> str:
     digest = hashlib.sha256()
-    if isinstance(result, str):
+    if isinstance(result, BaseException):
+        digest.update(f"{type(result).__name__}: {result}".encode())
+    elif isinstance(result, str):
         with open(result, "rb") as handle:
             digest.update(handle.read())
     else:
         import numpy as np
-        for name in ("V", "A_hat", "B_hat", "C_hat"):
-            digest.update(np.ascontiguousarray(getattr(result, name), dtype=float).tobytes())
-        digest.update(repr((result.k, result.l, result.d)).encode())
+        for array in (result.V, result.A_hat, result.B_hat, result.C_hat, result.factorization.Z):
+            digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+        digest.update(repr((result.k, result.l, result.d, result.factorization.residual,
+                            result.residual_report)).encode())
     return digest.hexdigest()
 
 
@@ -72,9 +78,9 @@ def outcome_lines(checkout: str, workload: str, seeds, tiny: bool):
                 try:
                     result = case.op()
                 except workloads.ExitCode as exc:
-                    outcome = f"exit_{exc.code}"
+                    outcome, sha = f"exit_{exc.code}", _sha256(exc)
                 except Exception as exc:  # every library failure is an outcome to record
-                    outcome, checks = type(exc).__name__, _failing_checks(exc)
+                    outcome, checks, sha = type(exc).__name__, _failing_checks(exc), _sha256(exc)
                 else:
                     reason = case.check(result)
                     outcome = "ok" if reason is None else f"incorrect.{reason}"
@@ -90,6 +96,11 @@ def read_outcomes(path: str) -> dict:
             key, *fields = line.rstrip("\n").split("\t")
             table[key] = tuple(fields)
     return table
+
+
+def differing(a: dict, b: dict) -> list:
+    """Inputs whose outcome or hash differs between two files of the same inputs."""
+    return [key for key in a if a[key][1] != b[key][1] or a[key][3] != b[key][3]]
 
 
 def diff_lines(a: dict, b: dict):
@@ -113,6 +124,10 @@ def diff_lines(a: dict, b: dict):
     flips = [key for key in a if a[key][1] != b[key][1]]
     moved = sum(a[key][1] == b[key][1] and a[key][2] != b[key][2] for key in a)
     yield f"same outcome, other failing checks: {moved}"
+    changed = [key for key in differing(a, b) if a[key][1] == b[key][1]]
+    yield f"same outcome, other hash: {len(changed)}"
+    for key in changed:
+        yield f"{key}\t{a[key][0]}\t{a[key][1]}"
     yield f"flips: {len(flips)}"
     for key in flips:
         label, outcome_a, checks_a, _ = a[key]
@@ -134,12 +149,13 @@ def main(argv) -> int:
     diff.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "run":
-        lines = outcome_lines(args.checkout, args.workload, args.seed, args.tiny)
-    else:
-        lines = diff_lines(read_outcomes(args.a), read_outcomes(args.b))
-    for line in lines:
+        for line in outcome_lines(args.checkout, args.workload, args.seed, args.tiny):
+            print(line, flush=True)
+        return 0
+    a, b = read_outcomes(args.a), read_outcomes(args.b)
+    for line in diff_lines(a, b):
         print(line, flush=True)
-    return 0
+    return 1 if differing(a, b) else 0
 
 
 if __name__ == "__main__":
