@@ -3,9 +3,11 @@
 Any real F of shape s x 2r factors with Q orthogonal, Z real symplectic,
 and E in Xu's sparse canonical pattern, whose shape is controlled by two
 integers: k, half the rank of the form F J F^T carried onto the row space,
-and l, the rank of F beyond those paired directions.  The decomposition
-reads only Z and the counts in E, so Q is not stored: each of its 2k + l
-leading columns is a column of F Z over the one nonzero of E in that row.
+and l, the rank of F beyond those paired directions.  Only the 2k + l
+leading rows of E are nonzero, so the factorization is kept in its thin
+form F Z = Q_lead E: E is those (2k + l) x 2r rows, and Q_lead, the s x
+(2k + l) orthonormal leading columns of Q, is not stored.  Each of its
+columns is a column of F Z over the one nonzero of E in that row.
 """
 
 from __future__ import annotations
@@ -66,14 +68,13 @@ def slot_indices(k: int, l: int, d: int, slots: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CanonicalE:
-    """The sparse middle factor of the factorization, in Xu's form.
+    """The nonzero rows of the sparse middle factor, in Xu's form.
 
-    Row i < 2k + l holds one nonzero, on the i-th column of the observable
-    slots (q_a, q_b, p_a): xi on q_a, ones on q_b and xi again on p_a.  The
-    columns of the unobservable slots are zero.
+    E is (2k + l) x 2r.  Row i holds one nonzero, on the i-th column of the
+    observable slots (q_a, q_b, p_a): xi on q_a, ones on q_b and xi again on
+    p_a.  The columns of the unobservable slots are zero.
     """
 
-    s: int
     r: int
     k: int
     l: int
@@ -85,8 +86,6 @@ class CanonicalE:
             raise StructureError("k and l must be nonnegative")
         if self.k + self.l > self.r:
             raise StructureError(f"k + l = {self.k + self.l} exceeds r = {self.r}")
-        if 2 * self.k + self.l > self.s:
-            raise StructureError(f"2k + l = {2 * self.k + self.l} exceeds s = {self.s}")
         if xi.shape != (self.k,):
             raise StructureError(f"xi has shape {xi.shape}, expected ({self.k},)")
         if xi.size and not (np.isfinite(xi).all() and (xi > 0).all()):
@@ -97,27 +96,20 @@ class CanonicalE:
     def d(self) -> int:
         return self.r - self.k - self.l
 
-    def leading_rows(self) -> np.ndarray:
-        """The 2k + l leading rows of E, the only ones that hold a nonzero."""
+    def materialize(self) -> np.ndarray:
         cols = slot_indices(self.k, self.l, self.d, OBSERVABLE)
         E = np.zeros((cols.size, 2 * self.r))
         E[np.arange(cols.size), cols] = np.concatenate([self.xi, np.ones(self.l), self.xi])
         return E
 
-    def materialize(self) -> np.ndarray:
-        E = np.zeros((self.s, 2 * self.r))
-        E[:2 * self.k + self.l] = self.leading_rows()
-        return E
-
 
 @dataclass(frozen=True)
 class SymplecticFactorization:
-    """The pair (E, Z) of F = Q E Z^{-1}, with Z symplectic and F Z = Q E.
+    """The pair (E, Z) of the thin form F Z = Q_lead E, with Z symplectic.
 
-    Q is not stored.  Row i < 2k + l of E holds one nonzero, on the i-th
-    observable column, so the 2k + l leading columns of Q, the only ones
-    F Z = Q E uses, are Q_lead = (F Z)[:, obs] / (those entries of E); the
-    rest complete it to an orthogonal matrix and meet only zero rows of E.
+    Q_lead is not stored.  Row i of E holds one nonzero, on the i-th
+    observable column, so Q_lead = (F Z)[:, obs] / (those entries of E),
+    with orthonormal columns.
     """
 
     E: CanonicalE
@@ -287,10 +279,10 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     if 0 < Q_core.shape[1] < s:
         _check_leading_columns(Q_core, s, policy)
 
-    E = CanonicalE(s=s, r=r, k=k, l=l, xi=xi)
-    # rows of E past 2k + l are zero, so Q E = Q_F Q_core E[:2k + l], and
-    # Q_F keeps norms: ||F Z - Q E|| = ||R_F Z - Q_core E[:2k + l]||
-    residual = scaled_norm(R_F @ Z - Q_core @ E.leading_rows())
+    E = CanonicalE(r=r, k=k, l=l, xi=xi)
+    # Q_lead = Q_F Q_core, and Q_F keeps norms: ||F Z - Q_lead E|| =
+    # ||R_F Z - Q_core E||
+    residual = scaled_norm(R_F @ Z - Q_core @ E.materialize())
     Z.setflags(write=False)
     return SymplecticFactorization(E=E, Z=Z, residual=residual)
 
@@ -376,28 +368,27 @@ def verify_factorization(F, fact: SymplecticFactorization,
     and Q residuals against VERIFY_TOL directly.  The kernel check compares
     Ker F with Z applied to the pattern's kernel columns through principal
     angles.
-    The Q checks read only Q_lead, read off F Z through the one nonzero of
-    each leading row of E: the completion is orthonormal and orthogonal to
-    it, so Q^T Q = blockdiag(Q_lead^T Q_lead, I).
+    The Q checks read Q_lead, read off F Z through the one nonzero of each
+    row of E: the thin form F Z = Q_lead E holds with orthonormal columns in
+    Q_lead, and q_condition is cond(Q_lead), 1 when E has no rows.
     """
     A = as_matrix(F, "F")
     policy = policy or DEFAULT_POLICY
     E_mat = fact.E.materialize()
-    if A.shape != E_mat.shape:
-        raise StructureError(f"F has shape {A.shape} but the factorization expects {E_mat.shape}")
+    p, cols = E_mat.shape
+    if A.shape[1] != cols or A.shape[0] < p:
+        raise StructureError(f"F has shape {A.shape} but the factorization expects {cols} "
+                             f"columns and at least {p} rows")
     scale = max(1.0, float(np.linalg.norm(A)))
     k, l, d = fact.E.k, fact.E.l, fact.E.d
-    s, p = A.shape[0], 2 * k + l
     FZ = A @ fact.Z
     obs = slot_indices(k, l, d, OBSERVABLE)
     Q_lead = FZ[:, obs] / E_mat[np.arange(p), obs]
-    reconstruction = float(np.linalg.norm(FZ - Q_lead @ E_mat[:p]))
+    reconstruction = float(np.linalg.norm(FZ - Q_lead @ E_mat))
     z_residual = is_symplectic(fact.Z).residual
     q_residual = float(np.linalg.norm(Q_lead.T @ Q_lead - np.eye(p)))
     sv_q = np.linalg.svd(Q_lead, compute_uv=False)
-    if p < s:
-        sv_q = np.append(sv_q, 1.0)
-    q_condition = float(sv_q.max() / sv_q.min())
+    q_condition = float(sv_q[0] / sv_q[-1]) if p else 1.0
 
     k_oracle, l_oracle = factor_count_oracles(A, policy)
     counts_ok = (k_oracle == k) and (l_oracle == l)

@@ -121,17 +121,16 @@ def pattern_residuals(A_hat, B_hat, C_hat, k: int, l: int, d: int) -> tuple[floa
 
 
 def pattern_violations(E: CanonicalE, T: np.ndarray) -> list[tuple[int, int]]:
-    """(row block, slot) coordinates, in row-major order, where an s x 2r T
-    breaks the pattern of E: an entry above CHECK_TOL * ||T|| off the
-    support of E, or one at or below it on the support.  Rows split into
-    one block per observable slot, holding E's run on that slot's columns,
-    and a last block of the rows past the runs."""
+    """(row block, slot) coordinates, in row-major order, where a
+    (2k + l) x 2r T breaks the pattern of E: an entry above
+    CHECK_TOL * ||T|| off the support of E, or one at or below it on the
+    support.  Rows split into one block per observable slot, holding E's
+    run on that slot's columns."""
     support = E.materialize() != 0
     scale = CHECK_TOL * scaled_norm(T)
     bad = np.where(support, np.abs(T) <= scale, np.abs(T) > scale)
     sizes = [slot_indices(E.k, E.l, E.d, (slot,)).size for slot in SLOTS]
-    runs = [sizes[slot] for slot in OBSERVABLE]
-    row_block = np.repeat(np.arange(len(runs) + 1), runs + [E.s - sum(runs)])
+    row_block = np.repeat(np.arange(len(OBSERVABLE)), [sizes[slot] for slot in OBSERVABLE])
     col_slot = np.repeat(SLOTS, sizes)
     return sorted({(int(row_block[i]), int(col_slot[j])) for i, j in zip(*np.nonzero(bad))})
 
@@ -382,24 +381,28 @@ def refine(dec: KalmanDecomposition, pair: RefinementPair,
            policy: TolerancePolicy | None = None) -> KalmanDecomposition:
     """Rebuild the decomposition with V' = Y^{-1} V for a validated pair.
 
-    The pair is validated against the decomposition's canonical factor E:
-    Y symplectic, X invertible under ``policy``, and X E Y matching the
-    canonical pattern with nonzero diagonals.  Counts and labels are
-    preserved; every invariant is re-verified on the result.
+    The pair is validated against the decomposition's canonical factor E,
+    its (2k + l) x 2r nonzero rows: Y symplectic, the (2k + l) x (2k + l)
+    X invertible under ``policy``, and X E Y matching the canonical pattern
+    with nonzero diagonals.  Counts and labels are preserved; every
+    invariant is re-verified on the result.
     """
     E = dec.factorization.E
-    if pair.X.shape[0] != E.s or pair.Y.shape[0] != 2 * E.r:
+    E_mat = E.materialize()
+    p = E_mat.shape[0]
+    if pair.X.shape[0] != p or pair.Y.shape[0] != 2 * E.r:
         raise StructureError(
-            f"pair shapes {pair.X.shape}, {pair.Y.shape} do not match E ({E.s} x {2 * E.r})")
+            f"pair shapes {pair.X.shape}, {pair.Y.shape} do not match E ({p} x {2 * E.r})")
     y_check = is_symplectic(pair.Y, tol=1e-9)
     if not y_check.ok:
         raise ValidationError("Y symplectic", residual=y_check.residual)
     sv_x = np.linalg.svd(pair.X, compute_uv=False)
-    x_rank = (policy or DEFAULT_POLICY).decide(sv_x, E.s * sv_x[0], "rank X")
-    if x_rank.rank < E.s:
+    # an empty X (no observable state) is invertible: the bound 0 keeps no value
+    x_rank = (policy or DEFAULT_POLICY).decide(sv_x, p * sv_x.max(initial=0.0), "rank X")
+    if x_rank.rank < p:
         raise ValidationError("X invertible", residual=float(sv_x[-1]), detail=str(x_rank))
 
-    violations = pattern_violations(E, pair.X @ E.materialize() @ pair.Y)
+    violations = pattern_violations(E, pair.X @ E_mat @ pair.Y)
     if violations:
         raise RefinementRejectedError(
             "X E Y does not match the canonical pattern", blocks=violations)

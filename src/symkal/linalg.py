@@ -244,15 +244,12 @@ class RankResult:
         return SubspaceBasis(self.right_h[self.rank:].T)
 
 
-def numerical_rank(F, policy: TolerancePolicy | None = None,
-                   expected_rank: int | None = None) -> RankResult:
+def numerical_rank(F, policy: TolerancePolicy | None = None) -> RankResult:
     """Rank with orthonormal image and kernel bases from an SVD, each basis
     built on first read.
 
     The image lives in the column space (R^rows), the kernel in R^cols;
-    rank + kernel.dim = cols always holds, empty inputs included.  When
-    ``expected_rank`` is given and the thresholded rank disagrees, a
-    RankAmbiguityError is raised with the decision attached.
+    rank + kernel.dim = cols always holds, empty inputs included.
     """
     A = as_matrix(F, "F")
     policy = policy or DEFAULT_POLICY
@@ -261,7 +258,7 @@ def numerical_rank(F, policy: TolerancePolicy | None = None,
     # thin factorization
     U, sv, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     decision = policy.decide(sv, max(A.shape) * (float(sv[0]) if sv.size else 0.0),
-                             "numerical_rank", expected_rank)
+                             "numerical_rank")
     return RankResult(decision, U, Vh)
 
 

@@ -261,6 +261,8 @@ def random_system(n: int, m: int, seed: int) -> QuadratureSystem:
     """
     if n < 1 or m < 1:
         raise StructureError(f"random_system needs n, m >= 1, got n={n}, m={m}")
+    if seed < 0:
+        raise StructureError(f"random_system needs seed >= 0, got seed={seed}")
     rng = np.random.default_rng(seed)
     R0 = rng.standard_normal((2 * n, 2 * n))
     R = 0.5 * (R0 + R0.T)

@@ -4,9 +4,15 @@ mechanical mode.
 Three modes, one input/output field.  The energy is
 H = (omega/2)(q3^2 + p3^2) + lam q1 q3 + lam q2 q3 and the coupling
 operator is L = (gamma/sqrt 2)(q3 + i p3), so only the mechanical mode is
-damped.  The decomposition splits the six states into one co pair, one
-conjugate nco/cno pair, and one ncno pair for every positive choice of the
-parameters.
+damped.  The system splits its six states into one co pair, one conjugate
+nco/cno pair, and one ncno pair for every positive choice of the
+parameters.  The library reproduces that split numerically only inside the
+range its tests cover: omega and gamma from 1e-3 to 1e2 and lambda from
+1e-5 to 1e3, one at a time with the others at 1.  Past it the
+decomposition or its refinement fails: omega = 1e3 or gamma = 1e3 fails
+verification, omega = 1e4 decomposes as (1, 0, 2), lambda = 1e-6 fails
+verification of the refined decomposition and lambda = 1e-8 the check that
+Y is symplectic.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .factorization import OBSERVABLE, slot_indices
 from .kalman import KalmanDecomposition, RefinementPair, kalman_decompose, refine
-from .linalg import TolerancePolicy, numerical_rank
+from .linalg import TolerancePolicy
 from .model import PhysicalSpec, QuadratureSystem, build_system, from_physical
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -76,23 +82,18 @@ def refinement_pair(dec: KalmanDecomposition) -> RefinementPair:
     """Refinement pair steering this system's decomposition onto REFERENCE_V.
 
     Y = V Vref^T is symplectic because Vref is orthogonal symplectic, and
-    Y^{-1} V = Vref by construction.  X is then assembled to carry E Y onto
-    the canonical pattern: the three nonzero columns of E Y are mapped to
-    scaled unit columns and the construction is completed to an invertible
-    map on the rest of the space.
+    Y^{-1} V = Vref by construction.  X carries the three nonzero columns
+    of E Y, the 3 x 3 block lead, onto scaled unit columns: X is lead^{-1}
+    with row j scaled by the norm of column j of lead.  lead is invertible:
+    the observable rows of V and of Vref both annihilate the unobservable
+    subspace, so they differ by an invertible 3 x 3 factor.
     """
     if (dec.k, dec.l, dec.d) != (1, 1, 1):
         raise ValidationError("demo decomposition has (k, l, d) = (1, 1, 1)",
                               detail=f"got {(dec.k, dec.l, dec.d)}")
     Y = dec.V @ REFERENCE_V.T
-    E_mat = dec.factorization.E.materialize()
-    EY = E_mat @ Y
-    lead = EY[:, slot_indices(dec.k, dec.l, dec.d, OBSERVABLE)]
-    comp = numerical_rank(lead.T, expected_rank=lead.shape[1]).kernel.basis
-    target = np.eye(EY.shape[0])
-    for pos, norm in enumerate(np.linalg.norm(lead, axis=0)):
-        target[pos, pos] = norm
-    X = target @ np.linalg.inv(np.hstack([lead, comp]))
+    lead = (dec.factorization.E.materialize() @ Y)[:, slot_indices(dec.k, dec.l, dec.d, OBSERVABLE)]
+    X = np.linalg.norm(lead, axis=0)[:, None] * np.linalg.inv(lead)
     return RefinementPair(X=X, Y=Y)
 
 

@@ -212,16 +212,25 @@ def factor_population(count: int, base_seed: int = 1000):
     return [factor_case(base_seed + i, FACTOR_KINDS[i % 4]) for i in range(count)]
 
 
-def structured_split_input(seed: int, index: int) -> tuple[QuadratureSystem, tuple[int, int, int]]:
-    """Input ``index`` of the benchmark's ``structured_split`` workload at
-    ``seed`` and its true (k, l, d), replayed from the benchmark's own
-    generator so that the draw matches the benchmark bit for bit."""
+def structured_split_inputs(seed: int, count: int) -> list[tuple[QuadratureSystem, tuple]]:
+    """The first ``count`` inputs of the benchmark's ``structured_split``
+    workload at ``seed``, each with its true (k, l, d), replayed from the
+    benchmark's own generator so that the draws match the benchmark bit for
+    bit."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     if bench not in sys.path:
         sys.path.append(bench)
     import workloads
 
     rng = np.random.default_rng([seed, 2])
-    for shape in workloads.structured_shapes()[:index + 1]:
+    out = []
+    for shape in workloads.structured_shapes()[:count]:
         raw = workloads.structured_raw(*shape, rng)
-    return QuadratureSystem(R=raw[0], C=raw[1], Sigma=raw[2]), shape
+        out.append((QuadratureSystem(R=raw[0], C=raw[1], Sigma=raw[2]), shape))
+    return out
+
+
+def structured_split_input(seed: int, index: int) -> tuple[QuadratureSystem, tuple[int, int, int]]:
+    """Input ``index`` of the benchmark's ``structured_split`` workload at
+    ``seed`` and its true (k, l, d)."""
+    return structured_split_inputs(seed, index + 1)[index]

@@ -291,7 +291,7 @@ class TestOneVerifier:
         E = dec.factorization.E
         calls.clear()
         stacks.clear()
-        refine(dec, RefinementPair(X=np.eye(E.s), Y=np.eye(2 * E.r)))
+        refine(dec, RefinementPair(X=np.eye(2 * E.k + E.l), Y=np.eye(2 * E.r)))
         assert len(calls) == 1
         assert len(stacks) == 0
 
@@ -347,6 +347,11 @@ class TestGenerate:
         code2, out2, _ = run_cli(capsys, "generate", "--n", 2, "--m", 1, "--seed", 5)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "--n", 2, "--m", 1, "--seed", -1)
+        assert code == 2 and out == ""
+        assert err == "random_system needs seed >= 0, got seed=-1\n"
 
     def test_generated_document_valid(self, capsys, tmp_path):
         path = tmp_path / "gen.json"

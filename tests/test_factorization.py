@@ -43,9 +43,10 @@ from symkal.model import krylov_matrices
 
 class TestCanonicalE:
     def test_materialize_pattern(self):
-        E = CanonicalE(s=5, r=3, k=1, l=1, xi=np.array([2.0]))
+        E = CanonicalE(r=3, k=1, l=1, xi=np.array([2.0]))
         mat = E.materialize()
-        expected = np.zeros((5, 6))
+        # only the 2k + l nonzero rows are stored
+        expected = np.zeros((3, 6))
         expected[0, 0] = 2.0
         expected[1, 1] = 1.0
         expected[2, 3] = 2.0
@@ -54,14 +55,15 @@ class TestCanonicalE:
         assert E.d == 1
 
     def test_count_constraints(self):
+        assert CanonicalE(r=2, k=2, l=0, xi=np.ones(2)).materialize().shape == (4, 4)
         with pytest.raises(StructureError):
-            CanonicalE(s=2, r=2, k=2, l=0, xi=np.ones(2))
+            CanonicalE(r=2, k=-1, l=0, xi=np.ones(0))
         with pytest.raises(StructureError):
-            CanonicalE(s=4, r=1, k=1, l=1, xi=np.ones(1))
+            CanonicalE(r=1, k=1, l=1, xi=np.ones(1))
         with pytest.raises(StructureError):
-            CanonicalE(s=4, r=2, k=1, l=0, xi=np.array([-1.0]))
+            CanonicalE(r=2, k=1, l=0, xi=np.array([-1.0]))
         with pytest.raises(StructureError):
-            CanonicalE(s=4, r=2, k=1, l=0, xi=np.ones(2))
+            CanonicalE(r=2, k=1, l=0, xi=np.ones(2))
 
 
 class TestSpecialCases:
@@ -77,7 +79,8 @@ class TestSpecialCases:
         F = np.array([[1.0, 0.0], [0.0, 0.0]])
         fact = one_sided_symplectic_svd(F)
         assert (fact.E.k, fact.E.l) == (0, 1)
-        assert np.allclose(fact.E.materialize(), F)
+        # E is the one nonzero row of F
+        assert np.allclose(fact.E.materialize(), F[:1])
         # F Z = Q E with Q = diag(+-1)
         assert np.allclose(np.abs(F @ fact.Z), F)
         assert np.allclose(np.abs(fact.Z), np.eye(2))
@@ -191,6 +194,11 @@ class TestVerifyFactorization:
         fact = one_sided_symplectic_svd(np.eye(2))
         with pytest.raises(StructureError):
             verify_factorization(np.eye(4), fact)
+        # E has 2k + l = 2 rows: F needs at least as many, and any more
+        # rows of zeros leave F Z = Q_lead E intact
+        with pytest.raises(StructureError, match="at least 2 rows"):
+            verify_factorization(np.ones((1, 2)), fact)
+        assert verify_factorization(np.vstack([np.eye(2), np.zeros((3, 2))]), fact).passed
 
 
 class _InconsistentPolicy(TolerancePolicy):
@@ -514,16 +522,15 @@ class TestLazyQ:
         fact = one_sided_symplectic_svd(F, policy=policy)
         report = verify_factorization(F, fact, policy=policy)
         assert report.passed, report.as_dict()
-        # reference: the checks on the square Q, its leading columns read off
-        # F Z and completed by an orthonormal basis of their complement
+        # reference: the checks on the thin form F Z = Q_lead E, with the
+        # leading columns of Q read off F Z
         E = fact.E.materialize()
         obs = slot_indices(fact.E.k, fact.E.l, fact.E.d, OBSERVABLE)
         p = obs.size
         Q_lead = (F @ fact.Z)[:, obs] / E[np.arange(p), obs]
-        Q = np.hstack([Q_lead, numerical_rank(Q_lead.T, expected_rank=p).kernel.basis])
-        s = F.shape[0]
-        assert Q.shape == (s, s) and p < s
-        assert abs(report.q_residual - np.linalg.norm(Q.T @ Q - np.eye(s))) <= 1e-12
-        assert abs(report.q_condition - np.linalg.cond(Q)) <= 1e-12 * np.linalg.cond(Q)
-        reconstruction = np.linalg.norm(F @ fact.Z - Q @ fact.E.materialize())
+        assert E.shape == (p, F.shape[1]) and 0 < p < F.shape[0]
+        assert abs(report.q_residual - np.linalg.norm(Q_lead.T @ Q_lead - np.eye(p))) <= 1e-12
+        cond = np.linalg.cond(Q_lead)
+        assert abs(report.q_condition - cond) <= 1e-12 * cond
+        reconstruction = np.linalg.norm(F @ fact.Z - Q_lead @ E)
         assert abs(report.reconstruction_residual - reconstruction) <= 1e-12 * np.linalg.norm(F)

@@ -384,11 +384,29 @@ class TestRefine:
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         E = dec.factorization.E
-        pair = RefinementPair(X=np.eye(E.s), Y=np.eye(2 * E.r))
+        pair = RefinementPair(X=np.eye(2 * E.k + E.l), Y=np.eye(2 * E.r))
         out = refine(dec, pair, policy=POPULATION_POLICY)
         assert np.allclose(out.V, dec.V)
         assert out.labels == dec.labels
         assert (out.k, out.l, out.d) == (dec.k, dec.l, dec.d)
+
+    def test_x_is_sized_by_the_nonzero_rows_of_e(self):
+        # a 384-row stack factors to a 12 x 12 E: X is 12 x 12, and an X of
+        # the stack's height is rejected
+        dec = kalman_decompose(random_system(6, 16, 3))
+        assert dec.factorization.E.materialize().shape == (12, 12)
+        out = refine(dec, RefinementPair(X=np.eye(12), Y=np.eye(12)))
+        assert np.array_equal(out.V, dec.V)
+        with pytest.raises(StructureError, match=r"do not match E \(12 x 12\)"):
+            refine(dec, RefinementPair(X=np.eye(384), Y=np.eye(12)))
+
+    def test_no_observable_state_refines_with_an_empty_x(self):
+        # C = 0 gives k = l = 0: E has no rows, and the empty X is invertible
+        dec = kalman_decompose(build_system(np.eye(4), np.zeros((2, 4)), np.eye(2)))
+        assert (dec.k, dec.l) == (0, 0)
+        out = refine(dec, RefinementPair(X=np.zeros((0, 0)), Y=np.eye(4)))
+        assert np.array_equal(out.V, dec.V)
+        assert out.labels == dec.labels
 
     def test_block_symplectic_on_decoupled_states(self):
         # mixing only the uncontrollable-unobservable pair slots keeps the
@@ -403,7 +421,7 @@ class TestRefine:
         slots = list(range(dec.k + dec.l, n)) + list(range(n + dec.k + dec.l, 2 * n))
         Y[np.ix_(slots, slots)] = Sd
         assert is_symplectic(Y).ok
-        out = refine(dec, RefinementPair(X=np.eye(E.s), Y=Y), policy=POPULATION_POLICY)
+        out = refine(dec, RefinementPair(X=np.eye(2 * E.k + E.l), Y=Y), policy=POPULATION_POLICY)
         assert out.labels == dec.labels
         assert out.residual_report.passed
 
@@ -415,42 +433,42 @@ class TestRefine:
         rng = np.random.default_rng(8)
         Y = random_symplectic(n, rng)  # generic symplectic scrambles the pattern
         with pytest.raises(RefinementRejectedError) as info:
-            refine(dec, RefinementPair(X=np.eye(E.s), Y=Y), policy=POPULATION_POLICY)
+            refine(dec, RefinementPair(X=np.eye(2 * E.k + E.l), Y=Y), policy=POPULATION_POLICY)
         assert info.value.blocks
 
     def test_rejected_blocks_pinned(self):
-        # E's rows split as (k, l, k, rest) and its columns as the six slots.
-        # Swapping row k with the first zero row 2k + l moves the unit on
-        # slot q_b into the rest: a vanished diagonal in block (1, 1) and an
-        # entry off the pattern in (3, 1).  Adding row 2k + l - 1, whose xi
-        # sits on p_a, into row 0 puts an entry off the pattern in (0, 3).
+        # E's rows split as (k, l, k) and its columns as the six slots.
+        # Scaling row k, the unit on slot q_b, by 1e-12 leaves X invertible
+        # but puts that diagonal below the pattern bound: a vanished diagonal
+        # in block (1, 1).  Adding row 2k + l - 1, whose xi sits on p_a, into
+        # row 0 puts an entry off the pattern in (0, 3).
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         E = dec.factorization.E
         k, l = E.k, E.l
-        assert (k, l) == (1, 1) and E.s > 2 * k + l
-        X = np.eye(E.s)
-        X[[k, 2 * k + l]] = X[[2 * k + l, k]]
+        assert (k, l) == (1, 1)
+        X = np.eye(2 * k + l)
+        X[k, k] = 1e-12
         X[0, 2 * k + l - 1] = 0.5
         with pytest.raises(RefinementRejectedError) as info:
             refine(dec, RefinementPair(X=X, Y=np.eye(2 * E.r)), policy=POPULATION_POLICY)
-        assert info.value.blocks == ((0, 3), (1, 1), (3, 1))
+        assert info.value.blocks == ((0, 3), (1, 1))
         assert all(type(index) is int for block in info.value.blocks for index in block)
         assert str(info.value) == ("refinement rejected: X E Y does not match the canonical "
-                                   "pattern at blocks ((0, 3), (1, 1), (3, 1))")
+                                   "pattern at blocks ((0, 3), (1, 1))")
 
     def test_nonsymplectic_y_rejected(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         E = dec.factorization.E
         with pytest.raises(ValidationError, match="Y symplectic"):
-            refine(dec, RefinementPair(X=np.eye(E.s), Y=2.0 * np.eye(2 * sys.n)))
+            refine(dec, RefinementPair(X=np.eye(2 * E.k + E.l), Y=2.0 * np.eye(2 * sys.n)))
 
     def test_singular_x_rejected(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         E = dec.factorization.E
-        X = np.zeros((E.s, E.s))
+        X = np.zeros((2 * E.k + E.l, 2 * E.k + E.l))
         with pytest.raises(ValidationError, match="X invertible"):
             refine(dec, RefinementPair(X=X, Y=np.eye(2 * sys.n)))
 
@@ -463,17 +481,19 @@ class TestRefine:
         E = dec.factorization.E
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = refine(dec, RefinementPair(X=scale * np.eye(E.s), Y=np.eye(2 * E.r)))
+            out = refine(dec, RefinementPair(X=scale * np.eye(2 * E.k + E.l), Y=np.eye(2 * E.r)))
         assert np.array_equal(out.V, dec.V)
         assert out.labels == dec.labels
 
     def test_x_check_uses_the_policy(self):
-        # the demo's X has singular values 3.39 down to 0.723 with s = 12, so
-        # a scale of 1e14 puts the cutoff at 0.90, above the smallest
+        # the demo's 3 x 3 X has singular values 3.39, 1 and 0.723, so a
+        # scale of 4e14 puts the cutoff scale * eps * 3 * 3.39 at 0.90,
+        # above the smallest
         dec = kalman_decompose(optomech.build(1.0, 1.0, 1.0))
         pair = optomech.refinement_pair(dec)
+        assert pair.X.shape == (3, 3)
         with pytest.raises(ValidationError, match="X invertible"):
-            refine(dec, pair, policy=TolerancePolicy(scale=1e14))
+            refine(dec, pair, policy=TolerancePolicy(scale=4e14))
 
 
 class TestClassifyStates:

@@ -176,12 +176,6 @@ class TestNumericalRank:
         assert res.kernel.basis.shape == (shape[1], shape[1])
         assert np.allclose(res.kernel.basis.T @ res.kernel.basis, np.eye(shape[1]))
 
-    def test_expected_rank_mismatch(self):
-        assert numerical_rank(np.eye(3), expected_rank=3).rank == 3
-        with pytest.raises(RankAmbiguityError) as info:
-            numerical_rank(np.eye(3), expected_rank=2)
-        assert np.array_equal(info.value.decisions[0].values, np.ones(3))
-
 
 class TestSkewCanonical:
     def test_zero_matrix(self):

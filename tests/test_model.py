@@ -310,6 +310,8 @@ class TestRandomSystem:
     def test_bad_arguments(self):
         with pytest.raises(StructureError):
             random_system(0, 1, seed=0)
+        with pytest.raises(StructureError, match="seed >= 0, got seed=-1"):
+            random_system(1, 1, seed=-1)
 
 
 class TestClassDimensionPairing:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from symkal import (
+    ConsistencyError,
     ValidationError,
     is_symplectic,
     jmat,
+    kalman_decompose,
     krylov_matrices,
     largest_angle,
     numerical_rank,
@@ -18,6 +20,36 @@ PARAMETER_TRIPLES = [
     (2.0, 0.5, 1.5),
     (0.7, 1.3, 0.4),
     (3.1, 0.2, 2.2),
+]
+
+# the ends of the range where the split is reproduced numerically: one
+# parameter at a time, the others at 1
+RANGE_EDGES = [
+    (1e-3, 1.0, 1.0),
+    (1e2, 1.0, 1.0),
+    (1.0, 1e-5, 1.0),
+    (1.0, 1e3, 1.0),
+    (1.0, 1.0, 1e-3),
+    (1.0, 1.0, 1e2),
+]
+
+
+def _past_the_range(omega, lam, gamma, error, reason):
+    return pytest.param(omega, lam, gamma, marks=pytest.mark.xfail(
+        raises=error, strict=True, reason=reason))
+
+
+# the system still splits as (1, 1, 1) here, and refines to REFERENCE_V
+PAST_THE_RANGE = [
+    _past_the_range(1e3, 1.0, 1.0, ConsistencyError, "the decomposition fails verification"),
+    _past_the_range(1.0, 1.0, 1e3, ConsistencyError, "the decomposition fails verification"),
+    _past_the_range(1e4, 1.0, 1.0, ValidationError, "decomposed as (1, 0, 2)"),
+    _past_the_range(1.0, 1e-6, 1.0, ConsistencyError,
+                    "the refined decomposition fails verification"),
+    _past_the_range(1.0, 1e-7, 1.0, ConsistencyError,
+                    "the refined decomposition fails verification"),
+    _past_the_range(1.0, 1e-8, 1.0, ValidationError,
+                    "refine's check that Y is symplectic is absolute"),
 ]
 
 
@@ -115,6 +147,12 @@ class TestRefinement:
         assert np.linalg.norm(V.T @ V - np.eye(6)) <= 1e-9
         assert np.linalg.norm(V @ jmat(3) @ V.T - jmat(3)) <= 1e-9
 
+    @pytest.mark.parametrize("omega,lam,gamma", RANGE_EDGES + PAST_THE_RANGE)
+    def test_reference_form_across_scales(self, omega, lam, gamma):
+        _, dec, refined, _, _, _ = optomech.run(omega, lam, gamma)
+        assert (dec.k, dec.l, dec.d) == (1, 1, 1)
+        assert np.linalg.norm(np.asarray(refined.V) - optomech.REFERENCE_V) <= 1e-9
+
     @pytest.mark.parametrize("omega,lam,gamma", PARAMETER_TRIPLES)
     def test_refined_dynamics_coefficients(self, omega, lam, gamma):
         _, _, refined, _, _, _ = optomech.run(omega, lam, gamma)
@@ -136,6 +174,12 @@ class TestRefinement:
         for row in (1, 2, 5):
             assert np.allclose(A[row], 0.0, atol=1e-9)
             assert np.allclose(B[row], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("omega,lam,gamma", PARAMETER_TRIPLES)
+    def test_x_acts_on_the_nonzero_rows_of_e(self, omega, lam, gamma):
+        # E keeps its 2k + l = 3 nonzero rows, so X is 3 x 3
+        dec = kalman_decompose(optomech.build(omega, lam, gamma))
+        assert optomech.refinement_pair(dec).X.shape == (3, 3)
 
     def test_rows_have_expected_entries(self):
         _, _, refined, _, _, _ = optomech.run(1.0, 1.0, 1.0)
@@ -167,7 +211,7 @@ class TestRefinement:
         assert is_symplectic(pair.Y).ok
 
     def test_wrong_shape_decomposition_rejected(self):
-        from symkal import build_system, kalman_decompose
+        from symkal import build_system
         sys = build_system(np.zeros((2, 2)), np.eye(2))
         dec = kalman_decompose(sys)
         with pytest.raises(ValidationError):

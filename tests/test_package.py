@@ -82,7 +82,6 @@ SETTABLE_VALUES = [
     ("linalg", "RankResult", "left"),
     ("linalg", "RankResult", "right_h"),
     ("linalg", "numerical_rank", "policy"),
-    ("linalg", "numerical_rank", "expected_rank"),
     ("linalg", "skew_canonical", "policy"),
     ("linalg", "skew_canonical", "bound"),
     ("model", "build_system", "Sigma"),
