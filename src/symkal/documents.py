@@ -28,6 +28,7 @@ NUMBER = (int, float)
 # the exact types of matrix entries as json.load returns them
 _ENTRY_TYPES = frozenset(NUMBER)
 _INF = float("inf")
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _is_a(value, kind) -> bool:
@@ -59,7 +60,7 @@ def _array(data: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
                     raise DocumentError(field, f"entries must be numbers, got {type(entry).__name__}")
     try:
         arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(field, f"not a numeric array: {exc}") from None
     if arr.ndim != 2 or arr.shape != shape:
         raise DocumentError(field, f"expected shape {shape}, got {arr.shape if arr.ndim == 2 else 'non-2D'}")
@@ -274,7 +275,8 @@ def parse_report(data, m: int) -> dict:
     residuals = _require(data, "residuals", dict)
     for field in ("symplecticity", "pattern", "reconstruction"):
         value = _require(residuals, field, NUMBER)
-        if not np.isfinite(value):
+        # exact for ints too, which may lie beyond float64
+        if not abs(value) <= _FLOAT_MAX:
             raise DocumentError(f"residuals.{field}", "must be finite")
     out["residuals"] = residuals
     if len(out["labels"]) != 2 * n:

@@ -122,7 +122,7 @@ class SymplecticFactorization:
 
 def _check_leading_columns(Q_core: np.ndarray, s: int, policy: TolerancePolicy) -> None:
     """The postcondition that the p leading columns of Q, read here off
-    Q_core (Q_F keeps singular values), are independent, so that they
+    Q_core (U_F keeps singular values), are independent, so that they
     complete to an orthogonal Q; the bound and stage are numerical_rank's on
     the s x p Q_lead.
 
@@ -159,9 +159,9 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     Both decisions, Ker F and every image F X depend on F only through
     R_F, the triangular factor of F = Q_F R_F, so one Householder QR first
     compresses the s x 2r input to at most 2r rows, at O(s (2r)^2), and
-    every later step reads R_F at O((2r)^3): the SVD, the lifted columns,
-    the image of the paired directions, the rank check of the leading
-    columns of Q and the residual, all carried in the coordinates of Q_F.
+    every later step works at O((2r)^3): the SVD R_F = U_R Sigma V^T, the
+    image of the paired directions on R_F, and the rank check of the leading
+    columns of Q and the residual on S = Sigma V^T, in U_F = Q_F U_R.
     The directions paired with the kernel radical take no decomposition:
     they follow in closed form from the pairs already found.
 
@@ -175,17 +175,16 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     policy = policy or DEFAULT_POLICY
     J = jmat(r)
 
-    # F = Q_F R_F with orthonormal Q_F, so F X = Q_F (R_F X) for every X:
-    # every step below reads the min(s, 2r) x 2r R_F in place of F, and the
-    # images it forms are those of F in the coordinates of Q_F.
     R_F = np.linalg.qr(A, mode="r")
-    # One SVD R_F = U_F Sigma V^T decides rank F = rho and compresses the
-    # stack to its row space, F_c = the rho leading rows of Sigma V^T; the
-    # rows past rho are at or below the rank cutoff, rounding noise, so
-    # F J F^T is formed and reduced on rho x rho data.  V^T is kept whole
-    # because for s < 2r the kernel of F lies beyond the thin factor.  This
-    # is not numerical_rank: F_c needs U_F and every singular value.
-    U_F, sv, Vh = np.linalg.svd(R_F, full_matrices=R_F.shape[0] < cols)
+    # One SVD R_F = U_R Sigma V^T gives F = U_F S, with orthonormal U_F and
+    # S = Sigma V^T, so F X = U_F (S X) for every X.  It decides rank F = rho
+    # and compresses the stack to its row space, F_c = the rho leading rows
+    # of S; the rows past rho are at or below the rank cutoff, rounding
+    # noise, so F J F^T is formed and reduced on rho x rho data.  V^T is
+    # kept whole because for s < 2r the kernel of F lies beyond the thin
+    # factor.  This is not numerical_rank: S needs every singular value.
+    _, sv, Vh = np.linalg.svd(R_F, full_matrices=R_F.shape[0] < cols)
+    S = sv[:, None] * Vh[:sv.size]
     sigma_f = float(sv[0])
     size = max(s, cols)
     if size * sigma_f * sigma_f == np.inf:
@@ -194,7 +193,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
                                      "overflows when squared")
     rank_f = policy.decide(sv, size * sigma_f, "rank F")
     rho = rank_f.rank
-    F_c = sv[:rho, None] * Vh[:rho]
+    F_c = S[:rho]
     M_raw = F_c @ J @ F_c.T
     M = 0.5 * (M_raw - M_raw.T)  # remove the rounding asymmetry of the product
     # Rounding in F J F^T sits at the eps * sigma_f^2 level, so the skew
@@ -215,9 +214,6 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     # only the pairs are read: the kernel columns of canon.U are never built
     u_c = canon.pairs[:, 0::2]
     v_c = canon.pairs[:, 1::2]
-    u_cols = U_F[:, :rho] @ u_c
-    v_cols = U_F[:, :rho] @ v_c
-    # R_F^T U_F = F_c^T, so the lifted columns map back through F_c alone.
     Za = (J @ (F_c.T @ v_c)) / xi[None, :]
     Za_partner = -(J @ (F_c.T @ u_c)) / xi[None, :]
 
@@ -250,11 +246,16 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     Z, scales = symplectic_gram_schmidt(Z, r)
     xi = xi * scales[:k]
 
+    # Q_lead = U_F Q_core; the a-columns are the skew form's own pairs
+    Q_core = np.zeros((sv.size, 2 * k + l))
+    Q_core[:rho, :k] = u_c
+    Q_core[:rho, k + l:] = v_c
     if l:
         # the q_b and p_b slots of Z, read as views: the products below on
         # copies taken through slot_indices differ from these in the last bits
         Zb = Z[:, k:k + l]
         W0 = Z[:, r + k:r + k + l]
+        # F Zb whitens more closely through R_F and a QR than through S or an SVD
         Qb_raw = R_F @ Zb
         stage = "image of the paired directions"
         sv_b = np.linalg.svd(Qb_raw, compute_uv=False)
@@ -268,21 +269,15 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
         L = (R * np.where(np.diag(R) < 0, -1.0, 1.0)[:, None]).T
         W0 = W0 @ L
         Zb = Zb @ np.linalg.inv(L).T
-        Qb = R_F @ Zb
-        Z = Z.copy()
         Z[:, k:k + l] = Zb
         Z[:, r + k:r + k + l] = W0
-    else:
-        Qb = np.zeros((R_F.shape[0], 0))
-
-    Q_core = np.concatenate([u_cols, Qb, v_cols], axis=1)
+        Q_core[:, k:k + l] = S @ Zb
     if 0 < Q_core.shape[1] < s:
         _check_leading_columns(Q_core, s, policy)
 
     E = CanonicalE(r=r, k=k, l=l, xi=xi)
-    # Q_lead = Q_F Q_core, and Q_F keeps norms: ||F Z - Q_lead E|| =
-    # ||R_F Z - Q_core E||
-    residual = scaled_norm(R_F @ Z - Q_core @ E.materialize())
+    # U_F keeps norms: ||F Z - Q_lead E|| = ||S Z - Q_core E||
+    residual = scaled_norm(S @ Z - Q_core @ E.materialize())
     Z.setflags(write=False)
     return SymplecticFactorization(E=E, Z=Z, residual=residual)
 

@@ -674,6 +674,28 @@ class TestOverflow:
         assert err == f"invariant violated: {self.BUILTIN[omega]}\n"
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, field, message", [
+        ("decompose", "R", "not a numeric array: int too large to convert to float"),
+        ("verify", "V", "not a numeric array: int too large to convert to float"),
+        ("verify", "residuals.pattern", "must be finite"),
+    ], ids=["decompose_R", "verify_V", "verify_residual"])
+    def test_integer_literal_beyond_float64(self, command, field, message, system_doc,
+                                            tmp_path, capsys):
+        # JSON integers have no bound: json.load returns 10**400 as an int
+        report_path = tmp_path / "report.json"
+        assert run_cli(capsys, "decompose", system_doc, "--output", report_path)[0] == 0
+        files = {"decompose": [system_doc], "verify": [system_doc, report_path]}[command]
+        doc = json.loads(files[-1].read_text())
+        if field == "residuals.pattern":
+            doc["residuals"]["pattern"] = 10**400
+        else:
+            doc[field][0][0] = 10**400
+        files[-1].write_text(canonical_json(doc))
+        code, out, err = run_cli(capsys, command, *files)
+        assert code == 2 and not out
+        assert err == f"invariant violated: document field '{field}'; {message}\n"
+
+    @pytest.mark.filterwarnings("error")
     def test_verify_large_representable_a_hat(self, tmp_path, capsys):
         # C scaled by 1e100 puts entries near 1e200 into A = J R - C# C / 2;
         # with V = I the stored A_hat is A itself, representable, while the

@@ -435,19 +435,24 @@ class TestLazyQ:
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
         # each skew form costs one SVD, of its half-size bidiagonal; the
-        # kernel columns of U need none
+        # kernel columns of U need none.  One QR compresses the stack, and
+        # when l > 0 the whitening takes one more and inverts its l x l factor
         system = make()
-        calls = []
-        svd = np.linalg.svd
+        calls = {"svd": [], "qr": [], "inv": []}
 
-        def counting_svd(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return svd(*args, **kwargs)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(np.shape(args[0]))
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         dec = kalman_decompose(system)
         assert (dec.k, dec.l, dec.d) == counts
-        assert len(calls) == svd_calls, calls
+        assert len(calls["svd"]) == svd_calls, calls
+        assert len(calls["qr"]) == 1 + (dec.l > 0), calls
+        assert len(calls["inv"]) == (dec.l > 0), calls
 
     @staticmethod
     def _svd_decision(Q_core, s, policy):
