@@ -21,6 +21,7 @@ import numpy as np
 from .errors import RankAmbiguityError, StructureError, ValidationError
 from .linalg import (
     DEFAULT_POLICY,
+    RankDecision,
     TolerancePolicy,
     as_matrix,
     is_symplectic,
@@ -145,6 +146,43 @@ def _check_leading_columns(Q_core: np.ndarray, s: int, policy: TolerancePolicy) 
     policy.decide(sv_q, size * float(sv_q[0]), "numerical_rank", expected=p)
 
 
+@dataclass(frozen=True)
+class Compression:
+    """An s x 2r F reduced to what the factorization reads of it: the
+    triangular factor R_F of F = Q_F R_F, the SVD R_F = U_R Sigma V^T as its
+    singular values ``sv`` and the whole V^T ``Vh``, and the decision
+    ``rank_f`` on rank F made on them."""
+
+    s: int
+    R_F: np.ndarray
+    sv: np.ndarray
+    Vh: np.ndarray
+    rank_f: RankDecision
+
+
+def compress(A: np.ndarray, policy: TolerancePolicy) -> Compression:
+    """The compression of a finite s x 2r array, r >= 1, and its rank decision.
+
+    One Householder QR in mode "r" reduces the s rows to at most 2r at
+    O(s (2r)^2); every later step works at O((2r)^3).  One SVD of R_F with
+    vectors decides rank F.  V^T is kept whole because for s < 2r the kernel
+    of F lies beyond the thin factor.  This is not numerical_rank: the
+    factorization needs every singular value.  A ValidationError is raised
+    when F J F^T would overflow float64.
+    """
+    s, cols = A.shape
+    R_F = np.linalg.qr(A, mode="r")
+    _, sv, Vh = np.linalg.svd(R_F, full_matrices=R_F.shape[0] < cols)
+    sigma_f = float(sv[0])
+    size = max(s, cols)
+    if size * sigma_f * sigma_f == np.inf:
+        raise ValidationError("F J F^T within float64 range",
+                              detail=f"the largest singular value of F, {sigma_f:.3e}, "
+                                     "overflows when squared")
+    return Compression(s=s, R_F=R_F, sv=sv, Vh=Vh,
+                       rank_f=policy.decide(sv, size * sigma_f, "rank F"))
+
+
 def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> SymplecticFactorization:
     """Factor F = Q E Z^{-1} with Q orthogonal, Z real symplectic and E in
     Xu's canonical form: twin xi blocks and a unit l-block.
@@ -157,41 +195,36 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     raised rather than guessing.
 
     Both decisions, Ker F and every image F X depend on F only through
-    R_F, the triangular factor of F = Q_F R_F, so one Householder QR first
-    compresses the s x 2r input to at most 2r rows, at O(s (2r)^2), and
-    every later step works at O((2r)^3): the SVD R_F = U_R Sigma V^T, the
-    image of the paired directions on R_F, and the rank check of the leading
-    columns of Q and the residual on S = Sigma V^T, in U_F = Q_F U_R.
-    The directions paired with the kernel radical take no decomposition:
-    they follow in closed form from the pairs already found.
+    R_F, the triangular factor of F = Q_F R_F, so ``compress`` reduces the
+    s x 2r input to at most 2r rows first, and ``factor`` works on those:
+    the image of the paired directions on R_F, and the rank check of the
+    leading columns of Q and the residual on S = Sigma V^T, in
+    U_F = Q_F U_R.  The directions paired with the kernel radical take no
+    decomposition: they follow in closed form from the pairs already found.
 
     A ValidationError is raised when F J F^T would overflow float64.
     """
     A = as_matrix(F, "F")
-    s, cols = A.shape
-    if s == 0 or cols == 0 or cols % 2:
+    if A.shape[0] == 0 or A.shape[1] == 0 or A.shape[1] % 2:
         raise StructureError(f"F must be s x 2r with s, r >= 1, got {A.shape}")
-    r = cols // 2
     policy = policy or DEFAULT_POLICY
-    J = jmat(r)
+    return factor(compress(A, policy), policy)
 
-    R_F = np.linalg.qr(A, mode="r")
-    # One SVD R_F = U_R Sigma V^T gives F = U_F S, with orthonormal U_F and
-    # S = Sigma V^T, so F X = U_F (S X) for every X.  It decides rank F = rho
-    # and compresses the stack to its row space, F_c = the rho leading rows
-    # of S; the rows past rho are at or below the rank cutoff, rounding
-    # noise, so F J F^T is formed and reduced on rho x rho data.  V^T is
-    # kept whole because for s < 2r the kernel of F lies beyond the thin
-    # factor.  This is not numerical_rank: S needs every singular value.
-    _, sv, Vh = np.linalg.svd(R_F, full_matrices=R_F.shape[0] < cols)
+
+def factor(c: Compression, policy: TolerancePolicy) -> SymplecticFactorization:
+    """The factorization of the F that ``c`` compresses; see
+    one_sided_symplectic_svd."""
+    s, R_F, sv, Vh, rank_f = c.s, c.R_F, c.sv, c.Vh, c.rank_f
+    cols = Vh.shape[1]
+    r = cols // 2
+    J = jmat(r)
+    # F = U_F S, with orthonormal U_F and S = Sigma V^T, so F X = U_F (S X)
+    # for every X.  F_c = the rho = rank F leading rows of S is the stack
+    # compressed to its row space; the rows past rho are at or below the rank
+    # cutoff, rounding noise, so F J F^T is formed and reduced on rho x rho data.
     S = sv[:, None] * Vh[:sv.size]
     sigma_f = float(sv[0])
     size = max(s, cols)
-    if size * sigma_f * sigma_f == np.inf:
-        raise ValidationError("F J F^T within float64 range",
-                              detail=f"the largest singular value of F, {sigma_f:.3e}, "
-                                     "overflows when squared")
-    rank_f = policy.decide(sv, size * sigma_f, "rank F")
     rho = rank_f.rank
     F_c = S[:rho]
     M_raw = F_c @ J @ F_c.T

@@ -5,6 +5,8 @@ V = Z^{-1} is symplectic, so the transformed system is again a valid
 quadrature model, and the canonical sparsity of E forces the transformed
 (A, B, C) into a block pattern that separates the four controllability and
 observability classes while keeping conjugate coordinate pairs together.
+A stack of full rank 2n has no unobservable subspace; it is not factored,
+and V = I.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .factorization import (
     UNOBSERVABLE,
     CanonicalE,
     SymplecticFactorization,
-    one_sided_symplectic_svd,
+    compress,
+    factor,
     slot_indices,
 )
 from .linalg import (
@@ -325,26 +328,41 @@ def kalman_decompose(sys: QuadratureSystem,
 
     Factors the observability stack, takes V = Z^{-1}, and verifies the
     block-zero pattern, the symplecticity of V, and the observability margin
-    of the transformed system.  A ConsistencyError (with the full report
-    attached) is raised instead of returning a silently inconsistent
-    decomposition.
+    of the transformed system.  When the stack's rank decision gives
+    rank F = 2n, the unobservable subspace Ker F is {0}, (k, l, d) = (n, 0, 0)
+    and V = I: the factorization is then Xu's form of the orthonormal basis
+    I of Ker F's complement, E = I and Z = I, and no skew form is taken.
+    A ConsistencyError (with the full report attached) is raised instead of
+    returning a silently inconsistent decomposition.
     """
-    obs = krylov_matrices(sys, variant="jr").observability
-    fact = one_sided_symplectic_svd(obs, policy=policy)
-    return _verified(sys, fact, sharp_adjoint(fact.Z), fact.E.k, fact.E.l, "decomposition")
+    policy = policy or DEFAULT_POLICY
+    n = sys.n
+    # krylov_matrices has tested the stack for finiteness
+    compressed = compress(krylov_matrices(sys, variant="jr").observability, policy)
+    if compressed.rank_f.rank == 2 * n:
+        eye = np.eye(2 * n)
+        eye.setflags(write=False)
+        fact = SymplecticFactorization(E=CanonicalE(r=n, k=n, l=0, xi=np.ones(n)), Z=eye,
+                                       residual=0.0)
+        # V = I leaves the system as it is: no product is taken
+        return _verified(sys, fact, eye, n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D))
+    fact = factor(compressed, policy)
+    V = sharp_adjoint(fact.Z)
+    return _verified(sys, fact, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V))
 
 
 def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarray,
-              k: int, l: int, what: str) -> KalmanDecomposition:
-    """The decomposition of ``sys`` by V with counts (k, l), once the
-    transformed system passes verify_transformation; a ConsistencyError
-    naming ``what`` otherwise."""
-    A_hat, B_hat, C_hat, D = _transformed(sys, V)
+              k: int, l: int, what: str, transformed: tuple) -> KalmanDecomposition:
+    """The decomposition of ``sys`` by V with counts (k, l) and the
+    ``transformed`` (A_hat, B_hat, C_hat, D), once these pass
+    verify_transformation; a ConsistencyError naming ``what`` otherwise."""
+    A_hat, B_hat, C_hat, D = transformed
     checks = verify_transformation(sys, V, k, l, sys.n - k - l, A_hat, B_hat, C_hat)
     if not checks.passed:
         raise ConsistencyError(f"{what} failed verification", report=checks)
     # V and the transformed matrices are fresh arrays that nothing else
-    # holds: they are frozen in place rather than copied
+    # holds, or read-only already, as the system's own C is under V = I:
+    # they are frozen in place rather than copied
     for arr in (V, A_hat, B_hat, C_hat, D):
         arr.setflags(write=False)
     return KalmanDecomposition(system=sys, factorization=fact, V=V, k=k, l=l, A_hat=A_hat,
@@ -406,5 +424,6 @@ def refine(dec: KalmanDecomposition, pair: RefinementPair,
     if violations:
         raise RefinementRejectedError(
             "X E Y does not match the canonical pattern", blocks=violations)
-    return _verified(dec.system, dec.factorization, sharp_adjoint(pair.Y) @ dec.V,
-                     dec.k, dec.l, "refined decomposition")
+    V = sharp_adjoint(pair.Y) @ dec.V
+    return _verified(dec.system, dec.factorization, V, dec.k, dec.l, "refined decomposition",
+                     _transformed(dec.system, V))

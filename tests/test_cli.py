@@ -100,13 +100,13 @@ class TestAnalyze:
         assert "ambiguous" in err
 
     def test_ambiguous_rank_reports_its_decisions(self, capsys, tmp_path):
-        # the raw power stack of a generated n = 9 system keeps rank F = 18
-        # but only 7 pairs of F J F^T, which leaves d = 9 - 7 - 4 < 0
-        path = tmp_path / "n9.json"
-        run_cli(capsys, "generate", "--n", 9, "--m", 1, "--seed", 0, "--output", path)
+        # the raw power stack of a generated n = 12 system keeps rank F = 22
+        # but only 8 pairs of F J F^T, which leaves d = 12 - 8 - 6 < 0
+        path = tmp_path / "n12.json"
+        run_cli(capsys, "generate", "--n", 12, "--m", 4, "--seed", 0, "--output", path)
         code, _, err = run_cli(capsys, "decompose", path, "--format", "text")
         assert code == 3
-        assert "d=-2" in err
+        assert "rank(F)=22 and rank(F J F^T)=16 imply l=6, d=-2" in err
         for stage in ("rank F", "skew_canonical"):
             line = next(line for line in err.splitlines() if line.strip().startswith(stage))
             assert "cutoff" in line and "margin" in line

@@ -400,7 +400,9 @@ class TestLazyQ:
     ], ids=["no_kernel", "kernel"])
     def test_stack_rows_read_once(self, monkeypatch, make):
         # one Householder QR compresses the stack and computes no vectors;
-        # every later step reads its triangular factor
+        # every later step reads its triangular factor.  With no kernel,
+        # V = I and the factorization is Xu's form of I, the orthonormal
+        # basis of Ker F's complement
         system = make()
         s = 4 * system.n * system.m
         calls = []
@@ -419,7 +421,11 @@ class TestLazyQ:
         assert calls
         assert [(name, kwargs) for name, shape, kwargs in calls
                 if shape[:1] == (s,)] == [("qr", {"mode": "r"})], calls
-        F = np.asarray(krylov_matrices(system, variant="jr").observability)
+        if dec.k == system.n:
+            F = np.eye(2 * system.n)
+            assert np.array_equal(dec.V, F)
+        else:
+            F = np.asarray(krylov_matrices(system, variant="jr").observability)
         report = verify_factorization(F, dec.factorization)
         assert report.passed, report.as_dict()
 
@@ -429,16 +435,17 @@ class TestLazyQ:
         # the radical take none, and the rank check of Q's leading columns
         # is certified from ||Q_core^T Q_core - I|| without one
         (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 4),
-        # no kernel: the stack and the bidiagonal of F J F^T; the leading
-        # columns of Q are certified without an SVD
-        (lambda: random_system(6, 16, seed=3), (6, 0, 0), 2),
+        # no kernel: the stack alone; rank F = 2n decides V = I, and no skew
+        # form, polish or certificate follows
+        (lambda: random_system(6, 16, seed=3), (6, 0, 0), 1),
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
         # each skew form costs one SVD, of its half-size bidiagonal; the
         # kernel columns of U need none.  One QR compresses the stack, and
         # when l > 0 the whitening takes one more and inverts its l x l factor
         system = make()
-        calls = {"svd": [], "qr": [], "inv": []}
+        calls = {"svd": [], "qr": [], "inv": [], "skew_canonical": [],
+                 "symplectic_gram_schmidt": []}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -447,12 +454,28 @@ class TestLazyQ:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+            module = np.linalg if hasattr(np.linalg, name) else symkal.factorization
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         dec = kalman_decompose(system)
         assert (dec.k, dec.l, dec.d) == counts
         assert len(calls["svd"]) == svd_calls, calls
         assert len(calls["qr"]) == 1 + (dec.l > 0), calls
         assert len(calls["inv"]) == (dec.l > 0), calls
+        # F J F^T and the form on Ker F, and one polish, only when F has a kernel
+        factored = dec.k < system.n
+        assert len(calls["skew_canonical"]) == 2 * factored, calls
+        assert len(calls["symplectic_gram_schmidt"]) == factored, calls
+
+    def test_kernel_branch_is_the_public_factorization(self):
+        # kalman_decompose factors the compression it made of the stack, with
+        # the same bits as one_sided_symplectic_svd on that stack
+        system = structured_system(13, 1, 1, 1)
+        F = krylov_matrices(system, variant="jr").observability
+        fact = one_sided_symplectic_svd(F)
+        dec = kalman_decompose(system)
+        assert dec.factorization.E == fact.E
+        assert np.array_equal(dec.factorization.Z, fact.Z)
+        assert dec.factorization.residual == fact.residual
 
     @staticmethod
     def _svd_decision(Q_core, s, policy):

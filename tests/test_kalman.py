@@ -42,6 +42,7 @@ from symkal import (
 )
 from symkal.factorization import CONTROLLABLE, UNOBSERVABLE, slot_indices
 from symkal.kalman import (
+    CCR_TOL,
     CHECK_TOL,
     LABEL_CNO,
     LABEL_CO,
@@ -131,6 +132,18 @@ class TestDecomposition:
             kalman_decompose(random_system(64, 1, 2))
         except ConsistencyError as exc:
             assert np.isfinite(exc.report.ccr_residual)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("n, m", [(8, 1), (8, 4), (9, 1), (9, 4)])
+    def test_generic_system_is_all_co(self, n, m, seed):
+        # a generic draw has no unobservable subspace: rank F = 2n gives
+        # (n, 0, 0) with V = I, and the Hautus margin on A confirms it,
+        # where the skew form of the raw power stack can lose pairs
+        sys = random_system(n, m, seed)
+        dec = kalman_decompose(sys)
+        assert (dec.k, dec.l, dec.d) == (n, 0, 0)
+        assert np.array_equal(dec.V, np.eye(2 * n))
+        assert verify_decomposition(sys, dec).passed
 
     def test_block_ordering_of_labels(self):
         labels = state_labels(1, 2, 1)
@@ -333,14 +346,23 @@ class TestVerifyDecomposition:
 
     @pytest.mark.parametrize("seed, index", [(65, 63), (63, 94), (64, 93)])
     def test_ccr_bound_scales_with_v(self, seed, index):
-        # correct answers whose V has a norm near 1e4: V J V^T - J reads
-        # above 1e-9 from rounding alone, at about eps ||V||^2
+        # T = diag(D, D^-1) with D = 2^20 on the q_c slot and 1 elsewhere is
+        # symplectic and scales rows without rounding, so T V is a correct
+        # answer whose V J V^T - J carries the rounding of V's q_c block times
+        # 2^40, orders of magnitude above 1e-9; the observable block, and
+        # with it the Hautus margin, is left as it is
         sys, truth = structured_split_input(seed, index)
         dec = kalman_decompose(sys)
-        report = dec.residual_report
         assert (dec.k, dec.l, dec.d) == truth
-        assert report.passed
-        assert report.ccr_residual > 1e-9
+        t = np.ones(2 * sys.n)
+        t[slot_indices(dec.k, dec.l, dec.d, (2,))] = 2.0 ** 20
+        t[slot_indices(dec.k, dec.l, dec.d, (5,))] = 2.0 ** -20
+        V = t[:, None] * dec.V
+        V_inv = sharp_adjoint(V)
+        report = verify_transformation(sys, V, dec.k, dec.l, dec.d,
+                                       V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv)
+        assert report.passed, report.as_dict()
+        assert report.ccr_residual > 1e3 * CCR_TOL
 
     def test_scaled_v_breaks_symplecticity(self):
         # (1e3 V) J (1e3 V)^T - J = (1e6 - 1) J, far above 1e-9 ||1e3 V||^2
