@@ -173,14 +173,22 @@ def compress(A: np.ndarray, policy: TolerancePolicy) -> Compression:
     s, cols = A.shape
     R_F = np.linalg.qr(A, mode="r")
     _, sv, Vh = np.linalg.svd(R_F, full_matrices=R_F.shape[0] < cols)
-    sigma_f = float(sv[0])
-    size = max(s, cols)
-    if size * sigma_f * sigma_f == np.inf:
-        raise ValidationError("F J F^T within float64 range",
-                              detail=f"the largest singular value of F, {sigma_f:.3e}, "
-                                     "overflows when squared")
     return Compression(s=s, R_F=R_F, sv=sv, Vh=Vh,
-                       rank_f=policy.decide(sv, size * sigma_f, "rank F"))
+                       rank_f=decide_rank(sv, max(s, cols), policy, "F"))
+
+
+def decide_rank(sv: np.ndarray, size: int, policy: TolerancePolicy, name: str) -> RankDecision:
+    """The decision, stage "rank <name>", on the rank of the matrix ``name``
+    of larger dimension ``size`` from its descending singular values ``sv``,
+    against the bound size * sigma_max.  A ValidationError is raised first
+    when size * sigma_max^2 overflows float64, as products quadratic in the
+    matrix, such as ``name`` J ``name``^T, then can."""
+    sigma = float(sv[0])
+    if size * sigma * sigma == np.inf:
+        raise ValidationError(f"{name} J {name}^T within float64 range",
+                              detail=f"the largest singular value of {name}, {sigma:.3e}, "
+                                     "overflows when squared")
+    return policy.decide(sv, size * sigma, f"rank {name}")
 
 
 def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> SymplecticFactorization:

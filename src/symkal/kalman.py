@@ -6,7 +6,7 @@ quadrature model, and the canonical sparsity of E forces the transformed
 (A, B, C) into a block pattern that separates the four controllability and
 observability classes while keeping conjugate coordinate pairs together.
 A stack of full rank 2n has no unobservable subspace; it is not factored,
-and V = I.
+and V = I.  Nor is it built when its first block C already has rank 2n.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .factorization import (
     CanonicalE,
     SymplecticFactorization,
     compress,
+    decide_rank,
     factor,
     slot_indices,
 )
@@ -332,23 +333,41 @@ def kalman_decompose(sys: QuadratureSystem,
     rank F = 2n, the unobservable subspace Ker F is {0}, (k, l, d) = (n, 0, 0)
     and V = I: the factorization is then Xu's form of the orthonormal basis
     I of Ker F's complement, E = I and Z = I, and no skew form is taken.
+    Ker F lies in Ker C, so when C has 2m >= 2n rows and the decision on
+    its singular values, stage "rank C", gives rank C = 2n, the same V = I
+    is returned before the stack is built.
     A ConsistencyError (with the full report attached) is raised instead of
     returning a silently inconsistent decomposition.
     """
     policy = policy or DEFAULT_POLICY
     n = sys.n
+    two_m = sys.C.shape[0]
+    # C is the stack's first block, so N lies in Ker C: a C of rank 2n leaves
+    # N = {0} with no power of G.  Its overflow test is the stack's, and also
+    # keeps C# C in A finite
+    if two_m >= 2 * n and decide_rank(np.linalg.svd(sys.C, compute_uv=False), two_m, policy,
+                                      "C").rank == 2 * n:
+        return _without_kernel(sys)
     # krylov_matrices has tested the stack for finiteness
     compressed = compress(krylov_matrices(sys, variant="jr").observability, policy)
     if compressed.rank_f.rank == 2 * n:
-        eye = np.eye(2 * n)
-        eye.setflags(write=False)
-        fact = SymplecticFactorization(E=CanonicalE(r=n, k=n, l=0, xi=np.ones(n)), Z=eye,
-                                       residual=0.0)
-        # V = I leaves the system as it is: no product is taken
-        return _verified(sys, fact, eye, n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D))
+        return _without_kernel(sys)
     fact = factor(compressed, policy)
     V = sharp_adjoint(fact.Z)
     return _verified(sys, fact, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V))
+
+
+def _without_kernel(sys: QuadratureSystem) -> KalmanDecomposition:
+    """The decomposition (n, 0, 0) of a system with N = {0}: V = I, and the
+    factorization is Xu's form of I, the orthonormal basis of N's
+    complement, E = I and Z = I."""
+    n = sys.n
+    eye = np.eye(2 * n)
+    eye.setflags(write=False)
+    fact = SymplecticFactorization(E=CanonicalE(r=n, k=n, l=0, xi=np.ones(n)), Z=eye,
+                                   residual=0.0)
+    # V = I leaves the system as it is: no product is taken
+    return _verified(sys, fact, eye, n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D))
 
 
 def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarray,

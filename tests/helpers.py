@@ -212,16 +212,22 @@ def factor_population(count: int, base_seed: int = 1000):
     return [factor_case(base_seed + i, FACTOR_KINDS[i % 4]) for i in range(count)]
 
 
-def structured_split_inputs(seed: int, count: int) -> list[tuple[QuadratureSystem, tuple]]:
-    """The first ``count`` inputs of the benchmark's ``structured_split``
-    workload at ``seed``, each with its true (k, l, d), replayed from the
-    benchmark's own generator so that the draws match the benchmark bit for
-    bit."""
+def _workloads():
+    """The benchmark's generator module, from the perfbench directory."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     if bench not in sys.path:
         sys.path.append(bench)
     import workloads
 
+    return workloads
+
+
+def structured_split_inputs(seed: int, count: int) -> list[tuple[QuadratureSystem, tuple]]:
+    """The first ``count`` inputs of the benchmark's ``structured_split``
+    workload at ``seed``, each with its true (k, l, d), replayed from the
+    benchmark's own generator so that the draws match the benchmark bit for
+    bit."""
+    workloads = _workloads()
     rng = np.random.default_rng([seed, 2])
     out = []
     for shape in workloads.structured_shapes()[:count]:
@@ -234,3 +240,18 @@ def structured_split_input(seed: int, index: int) -> tuple[QuadratureSystem, tup
     """Input ``index`` of the benchmark's ``structured_split`` workload at
     ``seed`` and its true (k, l, d)."""
     return structured_split_inputs(seed, index + 1)[index]
+
+
+def with_uncoupled_fields(k: int, l: int, d: int, extra: int, seed: int) -> QuadratureSystem:
+    """The benchmark's two-field system of sizes (k, l, d), with ``extra``
+    uncoupled fields appended: zero rows of C, and the feedthrough the
+    direct sum of Sigma and an identity.  The sizes stay (k, l, d), and rank C stays at
+    most 4, below 2n when n > 2, however wide C is."""
+    R, C, Sigma = _workloads().structured_raw(k, l, d, np.random.default_rng(seed))
+    n, m = R.shape[0] // 2, C.shape[0] // 2 + extra
+    fields = [0, 1, m, m + 1]
+    C_wide = np.zeros((2 * m, 2 * n))
+    C_wide[fields] = C
+    Sigma_wide = np.eye(2 * m)
+    Sigma_wide[np.ix_(fields, fields)] = Sigma
+    return QuadratureSystem(R=R, C=C_wide, Sigma=Sigma_wide)

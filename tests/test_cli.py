@@ -10,6 +10,7 @@ import pytest
 import symkal.cli
 import symkal.kalman
 from symkal import (
+    QuadratureSystem,
     RankAmbiguityError,
     RefinementPair,
     build_system,
@@ -654,6 +655,21 @@ class TestOverflow:
         assert code == 2 and not out
         assert len(err.splitlines()) == 1
         assert "B within float64 range; -C# Sigma overflows" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 4), (6, 16)])
+    def test_coupling_of_rank_2n(self, n, m, tmp_path, capsys):
+        # a C of rank 2n decides N = {0} without the stack; its squares,
+        # C# C in A among them, overflow
+        base = random_system(n, m, 1)
+        doc = system_to_document(QuadratureSystem(R=base.R, C=1e160 * base.C, Sigma=base.Sigma))
+        path = tmp_path / "large.json"
+        path.write_text(canonical_json(doc))
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1
+        assert err.startswith("invariant violated: C J C^T within float64 range; "
+                              "the largest singular value of C, ")
 
     # the demo's R holds omega, and its stack C (J R)^j grows like omega^j
     BUILTIN = {

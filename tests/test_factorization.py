@@ -15,6 +15,7 @@ from helpers import (
     mixed_population,
     random_symplectic,
     structured_system,
+    with_uncoupled_fields,
 )
 from symkal import (
     CanonicalE,
@@ -27,6 +28,7 @@ from symkal import (
     numerical_rank,
     one_sided_symplectic_svd,
     random_system,
+    sharp_adjoint,
     skew_canonical,
     verify_factorization,
 )
@@ -375,10 +377,14 @@ class TestStrictWhitening:
 
 
 class TestLazyQ:
-    """No s x s Q and no s x (2k + l) Q_lead is formed on the decompose path."""
+    """No s x s Q and no s x (2k + l) Q_lead is formed on the decompose path.
+
+    A C of rank 2n decides N = {0} without the stack, so the stack route is
+    pinned on narrow systems (2m < 2n): random_system(6, 2, seed=3) takes it
+    to (6, 0, 0)."""
 
     def test_no_stack_squared_svd(self, monkeypatch):
-        system = random_system(6, 16, seed=3)
+        system = random_system(6, 2, seed=3)
         s = 4 * system.n * system.m
         sizes = []
         svd = np.linalg.svd
@@ -393,18 +399,10 @@ class TestLazyQ:
         assert sizes
         assert max(sizes) < s * s, max(sizes)
 
-    @pytest.mark.parametrize("make", [
-        lambda: random_system(6, 16, seed=3),
-        # the kernel branch, where the image of the paired directions is whitened
-        lambda: structured_system(13, 1, 1, 1),
-    ], ids=["no_kernel", "kernel"])
-    def test_stack_rows_read_once(self, monkeypatch, make):
-        # one Householder QR compresses the stack and computes no vectors;
-        # every later step reads its triangular factor.  With no kernel,
-        # V = I and the factorization is Xu's form of I, the orthonormal
-        # basis of Ker F's complement
-        system = make()
-        s = 4 * system.n * system.m
+    @staticmethod
+    def _recorded_linalg(monkeypatch) -> list:
+        """(name, shape of the first argument, keywords) of every call into
+        np.linalg."""
         calls = []
 
         def recording(name, fn):
@@ -417,6 +415,21 @@ class TestLazyQ:
             fn = getattr(np.linalg, name)
             if callable(fn) and not isinstance(fn, type):
                 monkeypatch.setattr(np.linalg, name, recording(name, fn))
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_system(6, 2, seed=3),
+        # the kernel branch, where the image of the paired directions is whitened
+        lambda: structured_system(13, 1, 1, 1),
+    ], ids=["no_kernel", "kernel"])
+    def test_stack_rows_read_once(self, monkeypatch, make):
+        # one Householder QR compresses the stack and computes no vectors;
+        # every later step reads its triangular factor.  With no kernel,
+        # V = I and the factorization is Xu's form of I, the orthonormal
+        # basis of Ker F's complement
+        system = make()
+        s = 4 * system.n * system.m
+        calls = self._recorded_linalg(monkeypatch)
         dec = kalman_decompose(system)
         assert calls
         assert [(name, kwargs) for name, shape, kwargs in calls
@@ -437,7 +450,7 @@ class TestLazyQ:
         (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 4),
         # no kernel: the stack alone; rank F = 2n decides V = I, and no skew
         # form, polish or certificate follows
-        (lambda: random_system(6, 16, seed=3), (6, 0, 0), 1),
+        (lambda: random_system(6, 2, seed=3), (6, 0, 0), 1),
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
         # each skew form costs one SVD, of its half-size bidiagonal; the
@@ -465,6 +478,62 @@ class TestLazyQ:
         factored = dec.k < system.n
         assert len(calls["skew_canonical"]) == 2 * factored, calls
         assert len(calls["symplectic_gram_schmidt"]) == factored, calls
+
+    def test_wide_system_of_full_rank_c_reads_c_alone(self, monkeypatch):
+        # 2m >= 2n and rank C = 2n: one SVD of C, values only, decides
+        # N = {0}; no stack is built, compressed or factored
+        system = random_system(6, 16, seed=3)
+        calls = self._recorded_linalg(monkeypatch)
+        stacks = self._recorded_stacks(monkeypatch)
+        dec = kalman_decompose(system)
+        assert stacks == []
+        assert [(name, shape, kwargs) for name, shape, kwargs in calls
+                if name in ("svd", "qr")] == [("svd", system.C.shape, {"compute_uv": False})], calls
+        assert (dec.k, dec.l, dec.d) == (6, 0, 0)
+        assert np.array_equal(dec.V, np.eye(12))
+        report = verify_factorization(np.eye(12), dec.factorization)
+        assert report.passed, report.as_dict()
+
+    @staticmethod
+    def _recorded_stacks(monkeypatch) -> list:
+        """The observability stack of every krylov_matrices call kalman makes."""
+        stacks = []
+
+        def recording(*args, **kwargs):
+            out = krylov_matrices(*args, **kwargs)
+            stacks.append(out.observability)
+            return out
+
+        monkeypatch.setattr(symkal.kalman, "krylov_matrices", recording)
+        return stacks
+
+    def test_wide_system_of_deficient_c_takes_the_stack_route(self, monkeypatch):
+        # 2m = 10 >= 2n = 8, but only two fields couple, so rank C <= 4: the
+        # stack decides, bit for bit as its public factorization does
+        system = with_uncoupled_fields(2, 1, 1, 3, seed=0)
+        stacks = self._recorded_stacks(monkeypatch)
+        dec = kalman_decompose(system)
+        assert (dec.k, dec.l, dec.d) == (2, 1, 1)
+        assert len(stacks) == 1
+        fact = one_sided_symplectic_svd(stacks[0])
+        E = dec.factorization.E
+        assert (E.r, E.k, E.l) == (fact.E.r, fact.E.k, fact.E.l)
+        assert np.array_equal(E.xi, fact.E.xi)
+        assert np.array_equal(dec.factorization.Z, fact.Z)
+        assert dec.factorization.residual == fact.residual
+        assert np.array_equal(dec.V, sharp_adjoint(fact.Z))
+
+    def test_wide_system_at_a_coarse_cutoff_takes_the_stack_route(self, monkeypatch):
+        # at scale 1e15 the cutoff leaves rank C below 2n; the stack route
+        # then raises what the factorization of the stack raises
+        policy = TolerancePolicy(scale=1e15)
+        stacks = self._recorded_stacks(monkeypatch)
+        with pytest.raises(RankAmbiguityError) as raised:
+            kalman_decompose(random_system(4, 8, 2), policy)
+        assert len(stacks) == 1
+        with pytest.raises(RankAmbiguityError) as expected:
+            one_sided_symplectic_svd(stacks[0], policy)
+        assert str(raised.value) == str(expected.value)
 
     def test_kernel_branch_is_the_public_factorization(self):
         # kalman_decompose factors the compression it made of the stack, with
@@ -538,10 +607,10 @@ class TestLazyQ:
             return out
 
         monkeypatch.setattr(symkal.kalman, "krylov_matrices", recording)
-        dec = kalman_decompose(random_system(4, 8, 1))
+        dec = kalman_decompose(random_system(6, 2, seed=3))
         gc.collect()
         # the decomposition is alive, the stack it was factored from is not
-        assert dec.factorization.Z.shape == (8, 8)
+        assert dec.factorization.Z.shape == (12, 12)
         assert len(refs) == 1 and refs[0]() is None
 
     @pytest.mark.parametrize("case", range(2))

@@ -23,6 +23,7 @@ from symkal import (
     largest_angle,
     numerical_rank,
     optomech,
+    QuadratureSystem,
     random_system,
     RefinementPair,
     RefinementRejectedError,
@@ -133,8 +134,12 @@ class TestDecomposition:
         except ConsistencyError as exc:
             assert np.isfinite(exc.report.ccr_residual)
 
-    @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("n, m", [(8, 1), (8, 4), (9, 1), (9, 4)])
+    @pytest.mark.parametrize("n, m, seed", [
+        *((n, m, seed) for n, m in [(8, 1), (8, 4), (9, 1), (9, 4)] for seed in range(10)),
+        # 2m >= 2n: rank C = 2n decides it without the stack, whose raw
+        # powers lose the rank F decision from n = 16 on
+        *((n, m, seed) for n, m in [(16, 16), (32, 32), (16, 24)] for seed in range(3)),
+    ])
     def test_generic_system_is_all_co(self, n, m, seed):
         # a generic draw has no unobservable subspace: rank F = 2n gives
         # (n, 0, 0) with V = I, and the Hautus margin on A confirms it,
@@ -143,6 +148,19 @@ class TestDecomposition:
         dec = kalman_decompose(sys)
         assert (dec.k, dec.l, dec.d) == (n, 0, 0)
         assert np.array_equal(dec.V, np.eye(2 * n))
+        assert verify_decomposition(sys, dec).passed
+
+    @pytest.mark.parametrize("n, m, r_factor, c_factor", [
+        (3, 4, 1e40, 1.0), (3, 4, 1e100, 1.0), (6, 16, 1e40, 1.0), (6, 16, 1e100, 1.0),
+        (6, 16, 1.0, 1e150),
+    ])
+    def test_wide_system_is_all_co_in_any_units(self, n, m, r_factor, c_factor):
+        # rank C = 2n needs no power of G, so units whose raw powers, or the
+        # square of the stack, leave float64 still decompose
+        base = random_system(n, m, 1)
+        sys = QuadratureSystem(R=r_factor * base.R, C=c_factor * base.C, Sigma=base.Sigma)
+        dec = kalman_decompose(sys)
+        assert (dec.k, dec.l, dec.d) == (n, 0, 0)
         assert verify_decomposition(sys, dec).passed
 
     def test_block_ordering_of_labels(self):
