@@ -36,9 +36,9 @@ class ValidationError(SymkalError):
 class DocumentError(ValidationError):
     """A system document or report file is malformed.  Carries the field name."""
 
-    def __init__(self, field: str, detail: str, residual: float | None = None):
+    def __init__(self, field: str, detail: str):
         self.field = field
-        super().__init__(invariant=f"document field '{field}'", residual=residual, detail=detail)
+        super().__init__(invariant=f"document field '{field}'", detail=detail)
 
 
 class RankAmbiguityError(SymkalError):
@@ -61,17 +61,14 @@ class RefinementRejectedError(SymkalError):
     ``blocks`` lists the offending (block_row, block_col) coordinates.
     """
 
-    def __init__(self, detail: str, blocks=()):
+    def __init__(self, detail: str, blocks):
         self.blocks = tuple(blocks)
-        msg = f"refinement rejected: {detail}"
-        if self.blocks:
-            msg += f" at blocks {self.blocks}"
-        super().__init__(msg)
+        super().__init__(f"refinement rejected: {detail} at blocks {self.blocks}")
 
 
 class ConsistencyError(SymkalError):
     """Internal verification failed after an apparently successful computation."""
 
-    def __init__(self, detail: str, report=None):
+    def __init__(self, detail: str, report):
         self.report = report
         super().__init__(f"internal consistency check failed: {detail}")

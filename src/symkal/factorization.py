@@ -128,22 +128,21 @@ def _check_leading_columns(Q_core: np.ndarray, s: int, policy: TolerancePolicy) 
     the s x p Q_lead.
 
     Every singular value of Q_core lies in [sqrt(1 - delta), sqrt(1 + delta)]
-    for delta = ||Q_core^T Q_core - I||_F.  When delta < 1/2 and the policy
-    keeps sqrt(1 - delta) against the largest bound the singular values
-    allow, the SVD would decide rank p as well, and none is taken.
-    Otherwise the SVD decides, and a rank short of p raises its
-    RankAmbiguityError.
+    for delta = ||Q_core^T Q_core - I||_F, so when delta < 1/2 and the
+    policy keeps sqrt(1 - delta) against the largest bound the singular
+    values allow, rank p is decided with no SVD.  Otherwise the columns are
+    not certified, and a RankAmbiguityError carrying that decision is raised;
+    once delta >= 1 the lower bound is 0.
     """
     p = Q_core.shape[1]
-    size = max(s, p)
     gram = Q_core.T @ Q_core
     gram.reshape(-1)[::p + 1] -= 1.0
     delta = float(np.linalg.norm(gram))
-    if delta < 0.5 and policy.decide([np.sqrt(1.0 - delta)], size * np.sqrt(1.0 + delta),
-                                     "numerical_rank").rank:
-        return
-    sv_q = np.linalg.svd(Q_core, compute_uv=False)
-    policy.decide(sv_q, size * float(sv_q[0]), "numerical_rank", expected=p)
+    decision = policy.decide([np.sqrt(max(1.0 - delta, 0.0))],
+                             max(s, p) * np.sqrt(1.0 + delta), "numerical_rank")
+    if delta >= 0.5 or not decision.rank:
+        raise RankAmbiguityError(f"leading columns of Q not certified independent: "
+                                 f"||Q_core^T Q_core - I||_F = {delta:.3e}", decision)
 
 
 @dataclass(frozen=True)
@@ -258,26 +257,24 @@ def factor(c: Compression, policy: TolerancePolicy) -> SymplecticFactorization:
     Za = (J @ (F_c.T @ v_c)) / xi[None, :]
     Za_partner = -(J @ (F_c.T @ u_c)) / xi[None, :]
 
+    # an empty kernel gives the 0 x 0 form, with d = 0 pairs and no radical
     N = Vh[rho:].T
-    if N.shape[1]:
-        G_raw = N.T @ J @ N
-        G = 0.5 * (G_raw - G_raw.T)
-        # N is orthonormal, so the form's rounding sits at the level of J
-        canon_ker = skew_canonical(G, policy=policy, bound=cols)
-        decisions += (replace(canon_ker.decision, stage="skew_canonical on Ker F"),)
-        if canon_ker.k < d:
-            raise RankAmbiguityError(
-                f"kernel of F carries only {canon_ker.k} symplectic pairs, expected {d}",
-                *decisions)
-        # Pairs beyond the d mandated ones are threshold noise on an exactly
-        # degenerate form; fold them into the radical.
-        pair_cols = N @ canon_ker.U[:, :2 * d]
-        roots = np.sqrt(canon_ker.mus[:d])
-        Zc = pair_cols[:, 0::2] / roots[None, :]
-        Zc_partner = pair_cols[:, 1::2] / roots[None, :]
-        W0 = N @ canon_ker.U[:, 2 * d:]
-    else:
-        Zc = Zc_partner = W0 = np.zeros((2 * r, 0))
+    G_raw = N.T @ J @ N
+    G = 0.5 * (G_raw - G_raw.T)
+    # N is orthonormal, so the form's rounding sits at the level of J
+    canon_ker = skew_canonical(G, policy=policy, bound=cols)
+    decisions += (replace(canon_ker.decision, stage="skew_canonical on Ker F"),)
+    if canon_ker.k < d:
+        raise RankAmbiguityError(
+            f"kernel of F carries only {canon_ker.k} symplectic pairs, expected {d}",
+            *decisions)
+    # Pairs beyond the d mandated ones are threshold noise on an exactly
+    # degenerate form; fold them into the radical.
+    pair_cols = N @ canon_ker.U[:, :2 * d]
+    roots = np.sqrt(canon_ker.mus[:d])
+    Zc = pair_cols[:, 0::2] / roots[None, :]
+    Zc_partner = pair_cols[:, 1::2] / roots[None, :]
+    W0 = N @ canon_ker.U[:, 2 * d:]
     if W0.shape[1] != l:
         raise RankAmbiguityError(
             f"kernel radical has dimension {W0.shape[1]}, expected l={l}", *decisions)
@@ -300,7 +297,10 @@ def factor(c: Compression, policy: TolerancePolicy) -> SymplecticFactorization:
         Qb_raw = R_F @ Zb
         stage = "image of the paired directions"
         sv_b = np.linalg.svd(Qb_raw, compute_uv=False)
-        decision = policy.decide(sv_b, size * sigma_f, stage, expected=l)
+        decision = policy.decide(sv_b, size * sigma_f, stage)
+        if decision.rank != l:
+            raise RankAmbiguityError(f"{stage} gives rank {decision.rank}, expected {l}",
+                                     decision)
         if sv_b[-1] < MIN_RCOND * sv_b[0]:
             raise RankAmbiguityError(f"{stage} has reciprocal condition below {MIN_RCOND:g}",
                                      decision)

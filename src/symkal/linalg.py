@@ -73,23 +73,18 @@ class TolerancePolicy:
             return ZERO_LEVEL
         return self.scale * EPS * bound
 
-    def decide(self, values, bound: float, stage: str, expected: int | None = None) -> RankDecision:
-        """Count the values above the cutoff of ``bound``.  When ``expected``
-        is given and the count differs, raise a RankAmbiguityError carrying
-        the decision."""
+    def decide(self, values, bound: float, stage: str) -> RankDecision:
+        """Count the values above the cutoff of ``bound``; a caller that
+        needs a given rank compares it with the decision's."""
         values = np.sort(np.asarray(values, dtype=float))[::-1]
         cut = self.cutoff(float(bound))
-        decision = RankDecision(stage, int(np.count_nonzero(values > cut)), cut, values)
-        if expected is not None and decision.rank != expected:
-            raise RankAmbiguityError(f"{stage} gives rank {decision.rank}, expected {expected}",
-                                     decision)
-        return decision
+        return RankDecision(stage, int(np.count_nonzero(values > cut)), cut, values)
 
 
 DEFAULT_POLICY = TolerancePolicy()
 
 
-def as_matrix(value, name: str = "matrix") -> np.ndarray:
+def as_matrix(value, name: str) -> np.ndarray:
     """Coerce to a 2-D float array, rejecting non-finite entries."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2:
@@ -99,7 +94,7 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
+def as_complex_matrix(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     if arr.ndim != 2:
         raise StructureError(f"{name} must be 2-dimensional, got shape {arr.shape}")

@@ -151,23 +151,21 @@ def from_physical(spec: PhysicalSpec) -> tuple[np.ndarray, np.ndarray]:
     """Realify complex coupling data into the (C, Sigma) quadrature matrices.
 
     C = (1/sqrt 2) [[Lq + Lq*, Lp + Lp*], [-i(Lq - Lq*), -i(Lp - Lp*)]] and
-    Sigma = [[Re S, -Im S], [Im S, Re S]]; both are real by construction and
-    Sigma is orthogonal symplectic.
+    Sigma = [[Re S, -Im S], [Im S, Re S]], read off the real and imaginary
+    parts in real arithmetic; Sigma is orthogonal symplectic.  The scaling
+    multiplies by 1/sqrt 2, as complex division by sqrt 2 does, and every
+    zero of C and of -Im S comes out as +0.0, never as -0.0.
     """
     Lq, Lp, S = spec.Lq, spec.Lp, spec.S
-    C_complex = np.block([
-        [Lq + Lq.conj(), Lp + Lp.conj()],
-        [-1j * (Lq - Lq.conj()), -1j * (Lp - Lp.conj())],
-    ]) / np.sqrt(2.0)
-    Sigma_complex = 0.5 * np.block([
-        [S + S.conj(), 1j * (S - S.conj())],
-        [-1j * (S - S.conj()), S + S.conj()],
+    C = np.block([
+        [Lq.real + Lq.real, Lp.real + Lp.real],
+        [Lq.imag + Lq.imag, Lp.imag + Lp.imag],
+    ]) * (1.0 / np.sqrt(2.0)) + 0.0
+    Sigma = np.block([
+        [S.real, 0.0 - S.imag],
+        [S.imag, S.real],
     ])
-    for name, arr in (("C", C_complex), ("Sigma", Sigma_complex)):
-        imag = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-        if imag > 1e-12 * max(1.0, float(np.max(np.abs(arr.real)))):
-            raise ValidationError(f"{name} real-valued", residual=imag)
-    return C_complex.real.copy(), Sigma_complex.real.copy()
+    return C, Sigma
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,6 @@ class KrylovMatrices:
     system: QuadratureSystem = field(repr=False)
     generator: np.ndarray = field(repr=False)
     observability: np.ndarray
-    variant: str
     depth: int
 
     def __post_init__(self):
@@ -226,8 +223,7 @@ def krylov_matrices(sys: QuadratureSystem, variant: str = "jr") -> KrylovMatrice
         raise ValidationError("observability stack within float64 range",
                               detail=f"C G^{j} overflows, G = {'A' if variant == 'a' else 'J R'}")
     observability.setflags(write=False)
-    return KrylovMatrices(system=sys, generator=G, observability=observability,
-                          variant=variant, depth=depth)
+    return KrylovMatrices(system=sys, generator=G, observability=observability, depth=depth)
 
 
 def t0_matrix(n: int, m: int, D) -> np.ndarray:

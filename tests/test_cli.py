@@ -116,7 +116,7 @@ class TestAnalyze:
         import symkal.cli as cli_mod
 
         def explode(*args, **kwargs):
-            raise ConsistencyError("forced for the exit-code contract")
+            raise ConsistencyError("forced for the exit-code contract", report=None)
 
         monkeypatch.setattr(cli_mod, "kalman_decompose", explode)
         code, _, err = run_cli(capsys, "decompose", system_doc)

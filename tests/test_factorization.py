@@ -14,6 +14,7 @@ from helpers import (
     factor_population,
     mixed_population,
     random_symplectic,
+    structured_split_input,
     structured_system,
     with_uncoupled_fields,
 )
@@ -357,9 +358,31 @@ def _isotropic_image_stack(rho: float, seed: int) -> np.ndarray:
     return (U * [1.0, rho]) @ V.T @ W.T
 
 
+class _ImageCutoffPolicy(TolerancePolicy):
+    """Raises the bound of the l-block image's decision alone, by 1e20, so
+    that its cutoff keeps no value while every other decision is the
+    default policy's."""
+
+    def decide(self, values, bound, stage):
+        if stage == "image of the paired directions":
+            bound = 1e20 * bound
+        return super().decide(values, bound, stage)
+
+
 class TestStrictWhitening:
     """The factorization whitens the l-block image through a thresholded SVD and
     the triangular factor of that image, not a Cholesky of its Gram matrix."""
+
+    def test_image_rank_short_of_l_raises_with_decision(self):
+        F = krylov_matrices(structured_system(13, 1, 1, 1), variant="jr").observability
+        assert one_sided_symplectic_svd(F).E.l == 1
+        with pytest.raises(RankAmbiguityError) as info:
+            one_sided_symplectic_svd(F, policy=_ImageCutoffPolicy())
+        (decision,) = info.value.decisions
+        assert decision.stage == "image of the paired directions" and decision.rank == 0
+        assert str(info.value).startswith(
+            "ambiguous rank decision: image of the paired directions gives rank 0, expected 1")
+        assert str(decision) in str(info.value)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_ill_conditioned_image_verifies(self, seed):
@@ -368,6 +391,19 @@ class TestStrictWhitening:
         assert (fact.E.k, fact.E.l) == (0, 2)
         report = verify_factorization(F, fact)
         assert report.passed, report.as_dict()
+
+    @pytest.mark.parametrize("index, truth", [(42, (2, 4, 1)), (145, (9, 7, 1))])
+    def test_min_rcond_keeps_wrong_sizes_out(self, index, truth):
+        # structured_split seed 11: with the reciprocal-condition guard gone
+        # these two decompose as (2, 5, 0) and (9, 8, 0), one l too many,
+        # and the verifier passes both
+        system, shape = structured_split_input(11, index)
+        assert shape == truth
+        with pytest.raises(RankAmbiguityError) as info:
+            kalman_decompose(system)
+        assert str(info.value).startswith(
+            "ambiguous rank decision: image of the paired directions has reciprocal "
+            "condition below 1e-08")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rank_deficient_image_raises(self, seed):
@@ -547,12 +583,11 @@ class TestLazyQ:
         assert dec.factorization.residual == fact.residual
 
     @staticmethod
-    def _svd_decision(Q_core, s, policy):
-        """The decision the certificate stands in for: numerical_rank's on
-        the singular values of Q_core."""
+    def _svd_rank(Q_core, s, policy):
+        """The rank the certificate stands in for: numerical_rank's decision
+        on the singular values of Q_core."""
         sv = np.linalg.svd(Q_core, compute_uv=False)
-        return policy.decide(sv, max(s, Q_core.shape[1]) * float(sv[0]), "numerical_rank",
-                             expected=Q_core.shape[1])
+        return policy.decide(sv, max(s, Q_core.shape[1]) * float(sv[0]), "numerical_rank").rank
 
     @staticmethod
     def _counted_svd(monkeypatch):
@@ -568,35 +603,40 @@ class TestLazyQ:
 
     def test_certificate_decides_orthonormal_columns(self, monkeypatch):
         Q_core = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 3)))[0]
-        assert self._svd_decision(Q_core, 12, DEFAULT_POLICY).rank == 3
+        assert self._svd_rank(Q_core, 12, DEFAULT_POLICY) == 3
         calls = self._counted_svd(monkeypatch)
         _check_leading_columns(Q_core, 12, DEFAULT_POLICY)
         assert calls == []
 
-    def test_dependent_columns_fall_back_to_the_svd(self, monkeypatch):
+    def test_dependent_columns_raise_without_an_svd(self, monkeypatch):
+        # delta = ||Q_core^T Q_core - I||_F is about 1, past 1/2: the lower
+        # bound sqrt(1 - delta) is 0 and the certificate raises its own error
         Q_core = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 3)))[0]
         Q_core[:, 2] *= 1e-20
-        with pytest.raises(RankAmbiguityError) as expected:
-            self._svd_decision(Q_core, 12, DEFAULT_POLICY)
+        assert self._svd_rank(Q_core, 12, DEFAULT_POLICY) == 2
         calls = self._counted_svd(monkeypatch)
         with pytest.raises(RankAmbiguityError) as raised:
             _check_leading_columns(Q_core, 12, DEFAULT_POLICY)
-        assert calls == [(8, 3)]
-        assert str(raised.value) == str(expected.value)
-        assert "numerical_rank gives rank 2, expected 3" in str(raised.value)
+        assert calls == []
+        (decision,) = raised.value.decisions
+        assert decision.stage == "numerical_rank" and decision.rank == 0
+        assert np.array_equal(decision.values, [0.0])
+        assert "leading columns of Q not certified independent" in str(raised.value)
 
-    def test_cutoff_past_the_certificate_leaves_the_svd_to_decide(self, monkeypatch):
-        # at scale 1e15 the cutoff of 8 x 1 exceeds every singular value: the
-        # certificate keeps nothing, and the SVD decides
+    def test_cutoff_past_the_certificate_raises_without_an_svd(self, monkeypatch):
+        # at scale 1e15 the cutoff of 8 x 1 exceeds every singular value, so
+        # it exceeds sqrt(1 - delta) too: the certificate keeps nothing
         policy = TolerancePolicy(scale=1e15)
         Q_core = np.linalg.qr(np.random.default_rng(2).standard_normal((8, 3)))[0]
-        with pytest.raises(RankAmbiguityError) as expected:
-            self._svd_decision(Q_core, 8, policy)
+        assert self._svd_rank(Q_core, 8, policy) == 0
         calls = self._counted_svd(monkeypatch)
         with pytest.raises(RankAmbiguityError) as raised:
             _check_leading_columns(Q_core, 8, policy)
-        assert calls == [(8, 3)]
-        assert str(raised.value) == str(expected.value)
+        assert calls == []
+        (decision,) = raised.value.decisions
+        assert decision.rank == 0 and decision.values[0] > 1.0 - 1e-12
+        assert decision.cutoff > 1.0
+        assert "leading columns of Q not certified independent" in str(raised.value)
 
     def test_decomposition_does_not_pin_the_stack(self, monkeypatch):
         refs = []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import symkal.factorization
 import symkal.kalman
 
 from helpers import (
@@ -25,6 +26,7 @@ from symkal import (
     optomech,
     QuadratureSystem,
     random_system,
+    RankAmbiguityError,
     RefinementPair,
     RefinementRejectedError,
     StructureError,
@@ -595,6 +597,22 @@ class TestObservabilityMargin:
         assert (report.k, report.l, report.d) == (k + 1, l, d - 1)
         assert report.ccr_ok and report.pattern_ok
         assert not report.observability_ok
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the pattern bound CHECK_TOL (1 + ||A_hat||) ignores cond(V): on seed 11 input 42 "
+        "||V||_F is 6.3e12, the pattern residual 3.2e-5 against a bound of 4.3e17, the CCR "
+        "residual 4.8e8 against ||V||_F^2 and the Hautus margin 5.5e-2"))
+    @pytest.mark.parametrize("index", [42, 145])
+    def test_wrong_sizes_past_min_rcond_rejected(self, monkeypatch, index):
+        # structured_split seed 11 inputs that only factorization.MIN_RCOND
+        # keeps out: without it they decompose with one l too many
+        monkeypatch.setattr(symkal.factorization, "MIN_RCOND", 0.0)
+        sys, truth = structured_split_input(11, index)
+        try:
+            dec = kalman_decompose(sys)
+        except (ConsistencyError, RankAmbiguityError):
+            return
+        assert (dec.k, dec.l, dec.d) == truth
 
     def test_ncno_pair_claimed_co(self):
         sys = structured_system(9, 1, 0, 1)

@@ -511,13 +511,6 @@ class TestRankDecision:
         assert decision.rank == 0 and decision.cutoff == ZERO_LEVEL
         assert decision.margin == np.inf
 
-    def test_expected_mismatch_raises_with_decision(self):
-        with pytest.raises(RankAmbiguityError) as info:
-            TolerancePolicy().decide([1.0, 1e-20], 2.0, "hand", expected=2)
-        (decision,) = info.value.decisions
-        assert decision.rank == 1 and decision.stage == "hand"
-        assert str(decision) in str(info.value)
-
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_scale_must_be_positive_and_finite(self, scale):
         with pytest.raises(ValidationError, match="tolerance scale positive and finite"):

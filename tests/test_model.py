@@ -64,6 +64,28 @@ class TestBuildSystem:
         with pytest.raises(ValidationError, match="R symmetric"):
             build_system(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.eye(2))
 
+    @staticmethod
+    def _squeezed(squeeze: float) -> np.ndarray:
+        """Sigma = W1 diag(squeeze, 1, 1/squeeze, 1) W2 on m = 2 fields, W1 and
+        W2 orthogonal symplectic: symplectic, with Sigma Sigma# rounded at
+        about eps squeeze^2."""
+        rng = np.random.default_rng(0)
+        W1, W2 = random_orthogonal_symplectic(2, rng), random_orthogonal_symplectic(2, rng)
+        return W1 @ np.diag([squeeze, 1.0, 1.0 / squeeze, 1.0]) @ W2
+
+    def test_squeezed_sigma_accepted(self):
+        # ||Sigma Sigma# - I||_F reads 1.8e-11 at squeezing 1e3
+        sys = build_system(np.eye(2), np.vstack([np.eye(2), np.eye(2)]), self._squeezed(1e3))
+        assert sys.m == 2
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Sigma symplectic is judged by the absolute ||Sigma Sigma# - I||_F <= 1e-10: at "
+        "squeezing 1e4 rounding alone reads 1.9e-9, while ||Sigma J Sigma^T - J||_F / "
+        "||Sigma||_F^2 is 1.9e-17"))
+    def test_strongly_squeezed_sigma_accepted(self):
+        sys = build_system(np.eye(2), np.vstack([np.eye(2), np.eye(2)]), self._squeezed(1e4))
+        assert sys.m == 2
+
     def test_nonsymplectic_sigma_rejected(self):
         with pytest.raises(ValidationError, match="Sigma symplectic"):
             build_system(np.zeros((2, 2)), np.eye(2), np.diag([2.0, 3.0]))
