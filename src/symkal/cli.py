@@ -119,7 +119,9 @@ def _analyze_text(dec) -> str:
     checks = dec.residual_report
     lines.append(f"symplecticity residual: {checks.ccr_residual:.3e}")
     lines.append(f"pattern residual: {checks.pattern_residual:.3e} (allowed {checks.pattern_scale:.3e})")
-    lines.append(f"observability margin: {checks.observability_margin:.3e}")
+    # a certified margin is a lower bound on the QZ margin
+    bound = "at least " if checks.observability_certified else ""
+    lines.append(f"observability margin: {bound}{checks.observability_margin:.3e}")
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,12 @@ quadrature model, and the canonical sparsity of E forces the transformed
 observability classes while keeping conjugate coordinate pairs together.
 A stack of full rank 2n has no unobservable subspace; it is not factored,
 and V = I.  Nor is it built when its first block C already has rank 2n.
+
+Every result is checked by verify_transformation before it is returned.
+The check reads only V and the transformed matrices.  Its Hautus test of
+the block claimed observable is certified from the singular values of
+C_obs when C_obs has at least as many rows as columns and sigma_min(C_obs)
+/ ||C_obs||_F reaches MIN_PBH_MARGIN; any other block takes one QZ of A_obs.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .linalg import (
     readonly,
     scaled_norm,
     sharp_adjoint,
+    smallest_gain,
 )
 from .model import QuadratureSystem, krylov_matrices
 
@@ -152,6 +159,9 @@ class DecompositionChecks:
     pattern_ok: bool
     observability_margin: float
     observability_ok: bool
+    # True when observability_margin is the bound certified from the
+    # singular values of C_obs, False when it is the QZ margin itself
+    observability_certified: bool
     k: int
     l: int
     d: int
@@ -280,6 +290,26 @@ def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
     return float(np.sqrt(np.min(cx_sq / x_sq))) / scale
 
 
+def _certified_margin(C_hat, k: int, l: int, d: int) -> float:
+    """A lower bound on the Hautus margin of the states claimed observable,
+    read from the transformed C alone.
+
+    Every x has ||C_obs x|| >= sigma_min(C_obs) ||x||, the eigenvectors of
+    A_obs included, so smallest_gain(C_obs) / ||C_obs||_F bounds
+    observability_margin from below whatever A_obs is.  Only a 2m x p
+    C_obs with 2m >= p > 0 can have sigma_min > 0; any other block, and a
+    C_obs that is zero or not finite, gives 0, which certifies nothing.
+    """
+    obs = slot_indices(k, l, d, OBSERVABLE)
+    if not 0 < obs.size <= C_hat.shape[0]:
+        return 0.0
+    C_obs = C_hat if obs.size == C_hat.shape[1] else C_hat[:, obs]
+    scale = float(np.linalg.norm(C_obs))
+    if not 0.0 < scale < np.inf:
+        return 0.0
+    return smallest_gain(C_obs) / scale
+
+
 def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,
                           A_hat, B_hat, C_hat) -> DecompositionChecks:
     """Check a state transformation V and its claimed (k, l, d) on a system.
@@ -292,6 +322,12 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     symplectic complement, span(q_a, p_a, p_b) under a symplectic V, is the
     controllable subspace of a quadrature system; so the three checks fix
     (k, l, d) without reading the Krylov stacks the algorithm factors.
+
+    The margin is first bounded from below by sigma_min(C_obs) /
+    ||C_obs||_F, less its rounding.  A bound of at least MIN_PBH_MARGIN
+    proves the block observable with no eigenvectors, and the report holds
+    that bound with observability_certified True.  Otherwise the report
+    holds observability_margin's QZ margin.
     """
     n = sys.n
     V = np.asarray(V)
@@ -306,7 +342,10 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     v = max(1.0, scaled_norm(V))
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
     pattern_scale = CHECK_TOL * (1.0 + scaled_norm(A_hat))
-    margin = observability_margin(A_hat, C_hat, k, l)
+    margin = _certified_margin(C_hat, k, l, d)
+    certified = margin >= MIN_PBH_MARGIN
+    if not certified:
+        margin = observability_margin(A_hat, C_hat, k, l)
     return DecompositionChecks(
         ccr_residual=ccr_residual,
         ccr_ok=ccr_residual / v / v <= CCR_TOL,
@@ -317,6 +356,7 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
         pattern_ok=max(pattern_a, pattern_b, pattern_c) <= pattern_scale,
         observability_margin=margin,
         observability_ok=margin >= MIN_PBH_MARGIN,
+        observability_certified=certified,
         k=k,
         l=l,
         d=d,
@@ -357,17 +397,25 @@ def kalman_decompose(sys: QuadratureSystem,
     return _verified(sys, fact, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V))
 
 
+@lru_cache(maxsize=128)
+def _identity_factorization(n: int) -> SymplecticFactorization:
+    """Xu's form of the 2n x 2n identity, E = I and Z = I with residual 0,
+    built once per n; its Z is read-only and doubles as V = I."""
+    eye = np.eye(2 * n)
+    eye.setflags(write=False)
+    return SymplecticFactorization(E=CanonicalE(r=n, k=n, l=0, xi=np.ones(n)), Z=eye,
+                                   residual=0.0)
+
+
 def _without_kernel(sys: QuadratureSystem) -> KalmanDecomposition:
     """The decomposition (n, 0, 0) of a system with N = {0}: V = I, and the
     factorization is Xu's form of I, the orthonormal basis of N's
-    complement, E = I and Z = I."""
+    complement, E = I and Z = I.  Every such result of one n shares the
+    same read-only V and factorization."""
     n = sys.n
-    eye = np.eye(2 * n)
-    eye.setflags(write=False)
-    fact = SymplecticFactorization(E=CanonicalE(r=n, k=n, l=0, xi=np.ones(n)), Z=eye,
-                                   residual=0.0)
+    fact = _identity_factorization(n)
     # V = I leaves the system as it is: no product is taken
-    return _verified(sys, fact, eye, n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D))
+    return _verified(sys, fact, fact.Z, n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D))
 
 
 def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarray,
@@ -430,7 +478,7 @@ def refine(dec: KalmanDecomposition, pair: RefinementPair,
     if pair.X.shape[0] != p or pair.Y.shape[0] != 2 * E.r:
         raise StructureError(
             f"pair shapes {pair.X.shape}, {pair.Y.shape} do not match E ({p} x {2 * E.r})")
-    y_check = is_symplectic(pair.Y, tol=1e-9)
+    y_check = is_symplectic(pair.Y)
     if not y_check.ok:
         raise ValidationError("Y symplectic", residual=y_check.residual)
     sv_x = np.linalg.svd(pair.X, compute_uv=False)

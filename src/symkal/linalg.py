@@ -141,6 +141,15 @@ def scaled_norm(X) -> float:
     return big * float(np.sqrt(unit.dot(unit)))
 
 
+def smallest_gain(X) -> float:
+    """A lower bound on min ||X x|| / ||x|| over nonzero x, for a finite
+    rows x cols X with rows >= cols: the computed sigma_min less
+    rows * EPS * sigma_max, which covers the rounding of the singular
+    values.  Negative when X may have a kernel."""
+    sv = np.linalg.svd(X, compute_uv=False)
+    return float(sv[-1] - X.shape[0] * EPS * sv[0])
+
+
 def sharp_adjoint(X) -> np.ndarray:
     """Adjoint -J X^H J with respect to the symplectic form.
 
@@ -179,8 +188,14 @@ class SymplecticCheck(NamedTuple):
         return self.ok
 
 
-def is_symplectic(T, tol: float = 1e-9) -> SymplecticCheck:
-    """Test T @ T^sharp = I, returning the verdict together with the residual."""
+def is_symplectic(T) -> SymplecticCheck:
+    """Test T @ T^sharp = I, returning the verdict together with the
+    residual ||T T^sharp - I||_F.
+
+    Rounding in T T^sharp grows with ||T||_F^2, so T passes when
+    residual / max(1, ||T||_F)^2 <= 1e-9: an absolute bound would reject a
+    correct T of large norm, such as a strongly squeezing one.
+    """
     arr = as_matrix(T, "T")
     rows, cols = arr.shape
     if rows != cols or rows % 2 or rows == 0:
@@ -188,7 +203,10 @@ def is_symplectic(T, tol: float = 1e-9) -> SymplecticCheck:
     # a T too large for float64 gives an infinite residual, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm(arr @ sharp_adjoint(arr) - np.eye(rows)))
-    return SymplecticCheck(residual <= tol, residual)
+    # the bound divides rather than scales: a T whose norm overflows gives
+    # inf / inf = nan, a failure, never an infinite bound
+    t = max(1.0, scaled_norm(arr))
+    return SymplecticCheck(residual / t / t <= 1e-9, residual)
 
 
 @dataclass(frozen=True)

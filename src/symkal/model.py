@@ -25,7 +25,6 @@ from .linalg import (
 )
 
 _SYMMETRY_TOL = 1e-10
-_SYMPLECTIC_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 
 
@@ -58,7 +57,7 @@ class QuadratureSystem:
         sym_residual = float(np.linalg.norm(R - R.T))
         if sym_residual > _SYMMETRY_TOL * max(1.0, r_norm):
             raise ValidationError("R symmetric", residual=sym_residual)
-        check = is_symplectic(Sigma, tol=_SYMPLECTIC_TOL)
+        check = is_symplectic(Sigma)
         if not check.ok:
             raise ValidationError("Sigma symplectic", residual=check.residual)
         object.__setattr__(self, "R", readonly(R))
@@ -152,15 +151,19 @@ def from_physical(spec: PhysicalSpec) -> tuple[np.ndarray, np.ndarray]:
 
     C = (1/sqrt 2) [[Lq + Lq*, Lp + Lp*], [-i(Lq - Lq*), -i(Lp - Lp*)]] and
     Sigma = [[Re S, -Im S], [Im S, Re S]], read off the real and imaginary
-    parts in real arithmetic; Sigma is orthogonal symplectic.  The scaling
-    multiplies by 1/sqrt 2, as complex division by sqrt 2 does, and every
-    zero of C and of -Im S comes out as +0.0, never as -0.0.
+    parts in real arithmetic; Sigma is orthogonal symplectic.  Each part x
+    is multiplied by 2 (1/sqrt 2), an exact double: the product is that of
+    (x + x) (1/sqrt 2), as complex division by sqrt 2 rounds it, wherever
+    x + x is finite, and it overflows only where sqrt 2 x does.  A C that
+    overflows raises a ValidationError.  Every zero of C and of -Im S comes
+    out as +0.0, never as -0.0.
     """
     Lq, Lp, S = spec.Lq, spec.Lp, spec.S
-    C = np.block([
-        [Lq.real + Lq.real, Lp.real + Lp.real],
-        [Lq.imag + Lq.imag, Lp.imag + Lp.imag],
-    ]) * (1.0 / np.sqrt(2.0)) + 0.0
+    with np.errstate(over="ignore"):
+        C = np.block([[Lq.real, Lp.real],
+                      [Lq.imag, Lp.imag]]) * (2.0 * (1.0 / np.sqrt(2.0))) + 0.0
+    if not np.isfinite(C).all():
+        raise ValidationError("C within float64 range", detail="sqrt 2 times Lq or Lp overflows")
     Sigma = np.block([
         [S.real, 0.0 - S.imag],
         [S.imag, S.real],
@@ -239,7 +242,7 @@ def t0_matrix(n: int, m: int, D) -> np.ndarray:
     Dm = as_matrix(D, "D")
     if Dm.shape != (2 * m, 2 * m):
         raise ValidationError("D is 2m x 2m", detail=f"got shape {Dm.shape} against 2m={2 * m}")
-    check = is_symplectic(Dm, tol=1e-9)
+    check = is_symplectic(Dm)
     if not check.ok:
         raise ValidationError("D symplectic", residual=check.residual)
     J2m = jmat(m)

@@ -163,6 +163,25 @@ class TestDecompose:
         assert "cannot write" in err
 
 
+class TestObservabilityMarginReport:
+    """The text report says when the margin is a certified lower bound, and
+    verify prints which kind it took."""
+
+    @pytest.mark.parametrize("n, m, certified", [(3, 4, True), (2, 1, False)])
+    def test_text_and_verify(self, n, m, certified, tmp_path, capsys):
+        doc, report = tmp_path / "system.json", tmp_path / "report.json"
+        assert run_cli(capsys, "generate", "--n", n, "--m", m, "--seed", 1,
+                       "--output", doc)[0] == 0
+        code, out, _ = run_cli(capsys, "decompose", doc, "--format", "text")
+        assert code == 0
+        margin = re.search(r"^observability margin: (at least )?\S+$", out, re.M)
+        assert margin and bool(margin.group(1)) == certified
+        assert run_cli(capsys, "decompose", doc, "--output", report)[0] == 0
+        code, out, _ = run_cli(capsys, "verify", doc, report)
+        assert code == 0
+        assert f"\nobservability_certified: {certified}\n" in out
+
+
 class TestVerify:
     def _decompose(self, system_doc, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -641,6 +660,23 @@ class TestOverflow:
         code, out, err = run_cli(capsys, "decompose", path)
         assert code == 2 and not out
         assert err == "invariant violated: S within float64 range; S^H S overflows\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, entry, message", [
+        # C holds sqrt 2 times each part of Lq and Lp
+        ("Lq_re", 1.5e308, "C within float64 range; sqrt 2 times Lq or Lp overflows"),
+        ("Lp_im", -1.5e308, "C within float64 range; sqrt 2 times Lq or Lp overflows"),
+        # 2 Lq overflows here but sqrt 2 Lq does not; the QR of the stack does
+        ("Lq_re", 1e308, "F J F^T within float64 range; the QR of F overflows"),
+    ])
+    def test_physical_coupling(self, field, entry, message, tmp_path, capsys):
+        doc = physical_to_document(physical_spec(1.0), hamiltonian_matrix(1.0, 1.0))
+        doc["coupling"][field][0][0] = entry
+        path = tmp_path / "large.json"
+        path.write_text(canonical_json(doc))
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert code == 2 and not out
+        assert err == f"invariant violated: {message}\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("route", ["decompose", "text"])

@@ -482,10 +482,12 @@ class TestLazyQ:
         # the kernel branch: the stack, the bidiagonal of F J F^T and that of
         # the form on Ker F, and the whitening; the directions paired with
         # the radical take none, and the rank check of Q's leading columns
-        # is certified from ||Q_core^T Q_core - I|| without one
-        (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 4),
+        # is certified from ||Q_core^T Q_core - I|| without one.  The
+        # verifier takes the fifth, of the 4 x 3 C_obs, to bound its margin
+        (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 5),
         # no kernel: the stack alone; rank F = 2n decides V = I, and no skew
-        # form, polish or certificate follows
+        # form, polish or certificate follows.  C_obs is 4 x 12, too wide
+        # for the verifier's bound, which then takes no SVD
         (lambda: random_system(6, 2, seed=3), (6, 0, 0), 1),
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
@@ -517,14 +519,18 @@ class TestLazyQ:
 
     def test_wide_system_of_full_rank_c_reads_c_alone(self, monkeypatch):
         # 2m >= 2n and rank C = 2n: one SVD of C, values only, decides
-        # N = {0}; no stack is built, compressed or factored
+        # N = {0}; no stack is built, compressed or factored.  The verifier
+        # takes one more, of C_obs = C_hat = C, values only, to bound the
+        # Hautus margin
         system = random_system(6, 16, seed=3)
         calls = self._recorded_linalg(monkeypatch)
         stacks = self._recorded_stacks(monkeypatch)
         dec = kalman_decompose(system)
         assert stacks == []
         assert [(name, shape, kwargs) for name, shape, kwargs in calls
-                if name in ("svd", "qr")] == [("svd", system.C.shape, {"compute_uv": False})], calls
+                if name in ("svd", "qr")] == 2 * [("svd", system.C.shape,
+                                                   {"compute_uv": False})], calls
+        assert dec.residual_report.observability_certified
         assert (dec.k, dec.l, dec.d) == (6, 0, 0)
         assert np.array_equal(dec.V, np.eye(12))
         report = verify_factorization(np.eye(12), dec.factorization)

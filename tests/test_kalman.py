@@ -18,6 +18,7 @@ from helpers import (
     random_symplectic,
     structured_split_input,
     structured_system,
+    with_uncoupled_fields,
 )
 from symkal import (
     krylov_matrices,
@@ -323,6 +324,18 @@ class TestPerShapeCaches:
         assert np.array_equal(eye, np.eye(5)) and lwork >= 8 * 5
         with pytest.raises(ValueError):
             eye[0, 0] = 2.0
+
+    def test_results_without_kernel_share_v_and_factorization(self):
+        # N = {0} for both, one from C alone, one from the stack
+        first = kalman_decompose(random_system(3, 4, seed=1))
+        second = kalman_decompose(random_system(3, 1, seed=2))
+        assert (first.k, second.k) == (3, 3)
+        assert second.V is first.V and second.factorization is first.factorization
+        assert first.factorization.Z is first.V
+        assert np.array_equal(first.V, np.eye(6))
+        for arr in (first.V, first.factorization.E.xi):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
 
     def test_same_v_as_a_fresh_process(self):
         kalman_decompose(random_system(6, 16, seed=3))
@@ -701,3 +714,72 @@ class TestMarginAgainstQZ:
         monkeypatch.setattr(symkal.kalman, "_dggev", failing)
         with pytest.raises(np.linalg.LinAlgError, match=r"\(ggev\) did not converge \(LAPACK info=3\)"):
             observability_margin(dec.A_hat, dec.C_hat, dec.k, dec.l)
+
+
+class TestCertifiedMargin:
+    """verify_transformation bounds the Hautus margin by sigma_min(C_obs) /
+    ||C_obs||_F, less its rounding, and takes no QZ when that bound reaches
+    MIN_PBH_MARGIN; any other block takes the QZ margin."""
+
+    @staticmethod
+    def _assert_sound(dec) -> bool:
+        """Whether the report's margin is certified; a certified one must lie
+        below the QZ margin, with the same verdict."""
+        report = dec.residual_report
+        qz = observability_margin(dec.A_hat, dec.C_hat, dec.k, dec.l)
+        if report.observability_certified:
+            assert report.observability_margin <= qz * (1 + 1e-12), (report, qz)
+            assert report.observability_ok == (qz >= MIN_PBH_MARGIN)
+        else:
+            assert report.observability_margin == qz
+        return report.observability_certified
+
+    def test_random_population(self):
+        certified = [self._assert_sound(kalman_decompose(random_system(n, m, seed)))
+                     for n in range(1, 7) for m in range(1, 17) for seed in range(3)]
+        # C_obs = C is 2m x 2n: certified from m = n on
+        assert sum(certified) >= 100
+
+    def test_structured_population(self):
+        certified = [self._assert_sound(kalman_decompose(structured_system(seed, *shape),
+                                                         policy=POPULATION_POLICY))
+                     for shape in STRUCTURED_SHAPES for seed in range(40, 44)]
+        assert 0 < sum(certified) < len(certified)
+
+    @staticmethod
+    def _counted_qz(monkeypatch) -> list:
+        calls = []
+        margin = symkal.kalman.observability_margin
+
+        def counting(*args):
+            calls.append(args[2:])
+            return margin(*args)
+
+        monkeypatch.setattr(symkal.kalman, "observability_margin", counting)
+        return calls
+
+    def test_wide_c_of_deficient_rank_takes_qz(self, monkeypatch):
+        # C_obs is 10 x 5, but only two fields couple: rank C_obs <= 4
+        system = with_uncoupled_fields(2, 1, 1, 3, seed=0)
+        calls = self._counted_qz(monkeypatch)
+        dec = kalman_decompose(system)
+        assert calls == [(2, 1)]
+        assert self._assert_sound(dec) is False
+
+    def test_dark_c_takes_qz(self, monkeypatch):
+        sys = build_system(np.eye(4), np.zeros((2, 4)))
+        calls = self._counted_qz(monkeypatch)
+        checks = verify_transformation(sys, np.eye(4), 1, 0, 1, sys.A, sys.B, sys.C)
+        assert calls == [(1, 0)]
+        assert checks.observability_margin == 0.0
+        assert not checks.observability_certified and not checks.passed
+
+    def test_certified_result_takes_no_qz(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("ggev called")
+
+        monkeypatch.setattr(symkal.kalman, "_dggev", failing)
+        dec = kalman_decompose(random_system(6, 16, seed=3))
+        report = dec.residual_report
+        assert report.passed and report.observability_certified
+        assert report == verify_decomposition(dec.system, dec)

@@ -3,6 +3,7 @@ import pytest
 
 from symkal import (
     ConsistencyError,
+    RefinementRejectedError,
     ValidationError,
     is_symplectic,
     jmat,
@@ -48,8 +49,8 @@ PAST_THE_RANGE = [
                     "the refined decomposition fails verification"),
     _past_the_range(1.0, 1e-7, 1.0, ConsistencyError,
                     "the refined decomposition fails verification"),
-    _past_the_range(1.0, 1e-8, 1.0, ValidationError,
-                    "refine's check that Y is symplectic is absolute"),
+    _past_the_range(1.0, 1e-8, 1.0, RefinementRejectedError,
+                    "X E Y misses the canonical pattern at block (1, 1)"),
 ]
 
 

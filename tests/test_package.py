@@ -83,7 +83,6 @@ SETTABLE_VALUES = [
     ("kalman", "kalman_decompose", "policy"),
     ("kalman", "refine", "policy"),
     ("linalg", "TolerancePolicy", "scale"),
-    ("linalg", "is_symplectic", "tol"),
     ("linalg", "numerical_rank", "policy"),
     ("linalg", "skew_canonical", "policy"),
     ("linalg", "skew_canonical", "bound"),
