@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConsistencyError,
-    DegenerateDimensionError,
     DocumentError,
     RankAmbiguityError,
     RefinementRejectedError,
@@ -60,7 +59,7 @@ from . import optomech
 __all__ = [
     "__version__",
     # errors
-    "SymkalError", "StructureError", "DegenerateDimensionError", "ValidationError",
+    "SymkalError", "StructureError", "ValidationError",
     "DocumentError", "RankAmbiguityError",
     "RefinementRejectedError", "ConsistencyError",
     # linear algebra

@@ -11,10 +11,6 @@ class StructureError(SymkalError):
     """A matrix does not have the shape or structure an operation requires."""
 
 
-class DegenerateDimensionError(StructureError):
-    """A dimension parameter is zero or negative where a positive one is required."""
-
-
 class ValidationError(SymkalError):
     """An input violates a documented invariant.
 

@@ -80,20 +80,6 @@ LABEL_MEANINGS = {
 _CLASSES = {(True, False): LABEL_CO, (False, False): LABEL_NCO,
             (True, True): LABEL_CNO, (False, True): LABEL_NCNO}
 _SLOT_LABELS = tuple(_CLASSES[slot in CONTROLLABLE, slot in UNOBSERVABLE] for slot in SLOTS)
-# the slots of each class, in slot order
-_CLASS_SLOTS = {label: tuple(slot for slot in SLOTS if _SLOT_LABELS[slot] == label)
-                for label in LABEL_MEANINGS}
-
-# (row class, column class) of each named block; None takes every row or
-# column of B_hat or C_hat
-_CLASSICAL_BLOCKS = {
-    "A_co": (LABEL_CO, LABEL_CO), "A_nco": (LABEL_NCO, LABEL_NCO),
-    "A_cno": (LABEL_CNO, LABEL_CNO), "A_ncno": (LABEL_NCNO, LABEL_NCNO),
-    "A_13": (LABEL_CO, LABEL_NCO), "A_21": (LABEL_CNO, LABEL_CO), "A_23": (LABEL_CNO, LABEL_NCO),
-    "A_24": (LABEL_CNO, LABEL_NCNO), "A_43": (LABEL_NCNO, LABEL_NCO),
-    "B_co": (LABEL_CO, None), "B_cno": (LABEL_CNO, None),
-    "C_co": (None, LABEL_CO), "C_nco": (None, LABEL_NCO),
-}
 
 
 def state_labels(k: int, l: int, d: int) -> tuple[str, ...]:
@@ -203,30 +189,12 @@ class KalmanDecomposition:
             object.__setattr__(self, name, readonly(getattr(self, name)))
 
     @property
-    def n(self) -> int:
-        return self.system.n
-
-    @property
     def d(self) -> int:
         return self.system.n - self.k - self.l
 
     @property
     def labels(self) -> tuple[str, ...]:
         return state_labels(self.k, self.l, self.d)
-
-    def classical_block(self, name: str) -> np.ndarray:
-        """Named view into A_hat/B_hat/C_hat in classical grouping.
-
-        Recognized names: A_co, A_nco, A_cno, A_ncno, A_13, A_21, A_23,
-        A_24, A_43, B_co, B_cno, C_co, C_nco.
-        """
-        if name not in _CLASSICAL_BLOCKS:
-            raise KeyError(f"unknown block {name!r}")
-        mat = getattr(self, f"{name[0]}_hat")
-        rows, cols = (np.arange(size) if label is None
-                      else slot_indices(self.k, self.l, self.d, _CLASS_SLOTS[label])
-                      for label, size in zip(_CLASSICAL_BLOCKS[name], mat.shape))
-        return mat[np.ix_(rows, cols)]
 
 
 def _transformed(sys: QuadratureSystem, V: np.ndarray):
@@ -437,9 +405,14 @@ def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarra
 
 
 def verify_decomposition(sys: QuadratureSystem, dec: KalmanDecomposition) -> DecompositionChecks:
-    """Re-derive every invariant of a decomposition from scratch."""
-    return verify_transformation(sys, dec.V, dec.k, dec.l, dec.d,
-                                 dec.A_hat, dec.B_hat, dec.C_hat)
+    """Re-derive every invariant of a decomposition from scratch: ``sys`` is
+    transformed by dec.V anew, so the stored dec.A_hat, dec.B_hat and
+    dec.C_hat are not read."""
+    two_n = 2 * sys.n
+    if dec.V.shape != (two_n, two_n):
+        raise StructureError(f"V has shape {dec.V.shape}, expected {(two_n, two_n)}")
+    A_hat, B_hat, C_hat, _ = _transformed(sys, dec.V)
+    return verify_transformation(sys, dec.V, dec.k, dec.l, dec.d, A_hat, B_hat, C_hat)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgehrd, dorghr
 
-from .errors import DegenerateDimensionError, RankAmbiguityError, StructureError, ValidationError
+from .errors import RankAmbiguityError, StructureError, ValidationError
 
 EPS = float(np.finfo(np.float64).eps)
 # a rank bound below this means the data is identically zero
@@ -119,7 +119,7 @@ def jmat(k: int) -> np.ndarray:
     """The 2k x 2k symplectic form matrix [[0, I_k], [-I_k, 0]], shared
     between calls and read-only."""
     if k < 1:
-        raise DegenerateDimensionError(f"jmat requires k >= 1, got k={k}")
+        raise StructureError(f"jmat requires k >= 1, got k={k}")
     J = np.zeros((2 * k, 2 * k))
     J[:k, k:] = np.eye(k)
     J[k:, :k] = -np.eye(k)
@@ -315,15 +315,6 @@ class SkewCanonicalForm:
         U[:, 2 * self.k + 1::2] = Q_odd @ Y
         U.setflags(write=False)
         return U
-
-    def block_matrix(self) -> np.ndarray:
-        """Materialize blockdiag(mu_i J_2, ..., 0) for residual checks."""
-        s = self.size
-        B = np.zeros((s, s))
-        for i, mu in enumerate(self.mus):
-            B[2 * i, 2 * i + 1] = mu
-            B[2 * i + 1, 2 * i] = -mu
-        return B
 
 
 def skew_canonical(M, policy: TolerancePolicy | None = None,

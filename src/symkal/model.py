@@ -199,7 +199,7 @@ class KrylovMatrices:
         return readonly(np.hstack(blocks))
 
 
-def krylov_matrices(sys: QuadratureSystem, variant: str = "jr") -> KrylovMatrices:
+def krylov_matrices(sys: QuadratureSystem, variant: str) -> KrylovMatrices:
     """Build the stacked [C; C G; ...; C G^{d-1}], and on first read of
     ``controllability`` the matrix [B, G B, ..., G^{d-1} B].
 

@@ -9,8 +9,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from symkal import QuadratureSystem, TolerancePolicy, build_system, jmat, sharp_adjoint
-from symkal.factorization import factor_count_oracles
-from symkal.model import krylov_matrices
 
 # Scrambled products carry rounding a couple of orders above the machine
 # floor, so population work shares one generous-but-safe rank threshold.
@@ -87,37 +85,6 @@ def scramble(sys: QuadratureSystem, rng, sigma: str = "identity") -> QuadratureS
     return QuadratureSystem(R=R, C=C, Sigma=Sigma)
 
 
-def measured_counts(sys: QuadratureSystem) -> tuple[int, int, int]:
-    k, l = factor_count_oracles(krylov_matrices(sys, variant="jr").observability,
-                                POPULATION_POLICY)
-    return k, l, sys.n - k - l
-
-
-def _clean_rank_gap(mat: np.ndarray, expected_rank: int, bound: float | None = None) -> bool:
-    """True when the spectrum splits decisively at the expected rank: a
-    margin of at least 10 on each side of the cutoff."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if bound is None:
-        bound = max(mat.shape) * (float(sv[0]) if sv.size else 0.0)
-    decision = POPULATION_POLICY.decide(sv, bound, "population screen")
-    return decision.rank == expected_rank and decision.margin >= 10.0
-
-
-def _generic_draw(sys: QuadratureSystem, counts: tuple[int, int, int]) -> bool:
-    """Accept only systems whose rank decisions sit far from the threshold."""
-    k, l, _ = counts
-    kry = krylov_matrices(sys, variant="jr")
-    obs = np.asarray(kry.observability)
-    ctl = np.asarray(kry.controllability)
-    J = jmat(sys.n)
-    form = obs @ J @ obs.T
-    sigma_obs = float(np.linalg.norm(obs, 2))
-    form_bound = max(form.shape[0], 2 * sys.n) * sigma_obs * sigma_obs
-    return (_clean_rank_gap(obs, 2 * k + l)
-            and _clean_rank_gap(ctl, 2 * k + l)
-            and _clean_rank_gap(0.5 * (form - form.T), 2 * k, bound=form_bound))
-
-
 def structured_system(seed: int, n_co: int, n_pair: int, n_dec: int,
                       m_core: int = 1, sigma: str = "identity") -> QuadratureSystem:
     """A scrambled system with known class dimensions (k, l, d) =
@@ -125,34 +92,27 @@ def structured_system(seed: int, n_co: int, n_pair: int, n_dec: int,
 
     Built as a direct sum of a fully coupled core, position-only coupled
     single modes (each contributing one conjugate nco/cno pair), and
-    uncoupled modes, then conjugated by a random symplectic map.  Seeds
-    yielding a degenerate core are skipped deterministically.
+    uncoupled modes, then conjugated by a random symplectic map.  The sizes
+    come from the construction alone: a Gaussian core is fully coupled with
+    probability 1.
     """
     if n_co + n_pair == 0:
         raise ValueError("at least one coupled mode is needed to carry a field")
-    for attempt in range(20):
-        rng = np.random.default_rng(seed + 1_000_003 * attempt)
-        parts = []
-        if n_co:
-            R0 = rng.standard_normal((2 * n_co, 2 * n_co))
-            parts.append((0.5 * (R0 + R0.T),
-                          rng.standard_normal((2 * m_core, 2 * n_co))))
-        for _ in range(n_pair):
-            alpha = float(rng.uniform(0.0, 2.0))
-            gamma = float(rng.uniform(0.5, 2.0))
-            R_s = np.array([[alpha, 0.0], [0.0, 0.0]])
-            C_s = np.array([[np.sqrt(2.0) * gamma, 0.0], [0.0, 0.0]])
-            parts.append((R_s, C_s))
-        if n_dec:
-            R0 = rng.standard_normal((2 * n_dec, 2 * n_dec))
-            parts.append((0.5 * (R0 + R0.T), np.zeros((0, 2 * n_dec))))
-        sys0 = direct_sum(parts)
-        candidate = scramble(sys0, rng, sigma=sigma)
-        counts = (n_co, n_pair, n_dec)
-        if measured_counts(candidate) == counts and _generic_draw(candidate, counts):
-            return candidate
-    raise AssertionError(
-        f"no generic draw found for (k, l, d) = ({n_co}, {n_pair}, {n_dec}) from seed {seed}")
+    rng = np.random.default_rng(seed)
+    parts = []
+    if n_co:
+        R0 = rng.standard_normal((2 * n_co, 2 * n_co))
+        parts.append((0.5 * (R0 + R0.T), rng.standard_normal((2 * m_core, 2 * n_co))))
+    for _ in range(n_pair):
+        alpha = float(rng.uniform(0.0, 2.0))
+        gamma = float(rng.uniform(0.5, 2.0))
+        R_s = np.array([[alpha, 0.0], [0.0, 0.0]])
+        C_s = np.array([[np.sqrt(2.0) * gamma, 0.0], [0.0, 0.0]])
+        parts.append((R_s, C_s))
+    if n_dec:
+        R0 = rng.standard_normal((2 * n_dec, 2 * n_dec))
+        parts.append((0.5 * (R0 + R0.T), np.zeros((0, 2 * n_dec))))
+    return scramble(direct_sum(parts), rng, sigma=sigma)
 
 
 STRUCTURED_SHAPES = [

@@ -256,8 +256,9 @@ def _tall_stacks():
     wide = random_system(6, 16, seed=3)
     structured = structured_system(5, 2, 2, 1, m_core=2)
     return [
-        (np.asarray(krylov_matrices(wide).observability), TolerancePolicy(), None),
-        (np.asarray(krylov_matrices(structured).observability), POPULATION_POLICY, (2, 2)),
+        (np.asarray(krylov_matrices(wide, variant="jr").observability), TolerancePolicy(), None),
+        (np.asarray(krylov_matrices(structured, variant="jr").observability), POPULATION_POLICY,
+         (2, 2)),
     ]
 
 

@@ -181,22 +181,6 @@ class TestDecomposition:
             rel = np.linalg.norm(moved - orig) / max(np.linalg.norm(orig), 1e-12)
             assert rel <= 1e-7
 
-    def test_classical_block_views(self):
-        sys = structured_system(3, 1, 1, 1)
-        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        k, l, d = dec.k, dec.l, dec.d
-        assert dec.classical_block("A_co").shape == (2 * k, 2 * k)
-        assert dec.classical_block("A_nco").shape == (l, l)
-        assert dec.classical_block("A_cno").shape == (l, l)
-        assert dec.classical_block("A_ncno").shape == (2 * d, 2 * d)
-        assert dec.classical_block("B_co").shape == (2 * k, 2 * sys.m)
-        assert dec.classical_block("C_nco").shape == (2 * sys.m, l)
-        n = k + l + d
-        p_b, q_b = slice(n + k, n + k + l), slice(k, k + l)
-        assert np.array_equal(dec.classical_block("A_23"), dec.A_hat[p_b, q_b])
-        with pytest.raises(KeyError):
-            dec.classical_block("A_unknown")
-
     def test_zero_block_list_consistency(self):
         # the mandated A zero blocks are exactly the invariance constraints
         # of the controllable and unobservable slot sets
@@ -221,13 +205,6 @@ PAPER_A_ZERO_BLOCKS = {
 PAPER_B_ZERO_ROWS = {1, 2, 5}
 PAPER_C_ZERO_COLS = {2, 4, 5}
 PAPER_SLOT_LABELS = ("co", "nco", "ncno", "co", "cno", "ncno")
-PAPER_CLASSICAL_BLOCKS = {
-    "A_co": ((0, 3), (0, 3)), "A_nco": ((1,), (1,)), "A_cno": ((4,), (4,)),
-    "A_ncno": ((2, 5), (2, 5)), "A_13": ((0, 3), (1,)), "A_21": ((4,), (0, 3)),
-    "A_23": ((4,), (1,)), "A_24": ((4,), (2, 5)), "A_43": ((2, 5), (1,)),
-    "B_co": ((0, 3), None), "B_cno": ((4,), None),
-    "C_co": (None, (0, 3)), "C_nco": (None, (1,)),
-}
 LAYOUT_SHAPES = [(1, 1, 1), (2, 1, 3), (0, 2, 1), (1, 0, 2), (2, 3, 0), (0, 0, 2), (1, 0, 0),
                  (0, 1, 0)]
 
@@ -283,23 +260,6 @@ class TestLayout:
             assert slot_indices(k, l, d, (i,)).tolist() == np.flatnonzero(slot == i).tolist()
         assert slot_indices(k, l, d, (5, 0)).tolist() == (
             np.flatnonzero(slot == 5).tolist() + np.flatnonzero(slot == 0).tolist())
-
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 2), (0, 2, 1)])
-    def test_classical_blocks_match_the_paper(self, shape):
-        sys = structured_system(3, *shape)
-        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        assert (dec.k, dec.l, dec.d) == shape
-        slot = _slot_of(*shape)
-
-        def states(slots, size):
-            if slots is None:
-                return np.arange(size)
-            return np.concatenate([np.flatnonzero(slot == i) for i in slots])
-
-        for name, (rows, cols) in PAPER_CLASSICAL_BLOCKS.items():
-            mat = {"A": dec.A_hat, "B": dec.B_hat, "C": dec.C_hat}[name[0]]
-            expected = mat[np.ix_(states(rows, mat.shape[0]), states(cols, mat.shape[1]))]
-            assert np.array_equal(dec.classical_block(name), expected), name
 
 
 class TestPerShapeCaches:
@@ -432,6 +392,25 @@ class TestVerifyDecomposition:
         dec = kalman_decompose(sys_small)
         with pytest.raises(StructureError):
             verify_decomposition(sys_large, dec)
+
+    def test_decomposition_of_another_system_fails(self):
+        # the stored A_hat, B_hat and C_hat are those of the decomposed
+        # system; the verdict must come from the system given, moved by V
+        dec = kalman_decompose(structured_split_input(11, 0)[0])
+        assert (dec.k, dec.l, dec.d) == (1, 1, 1)
+        assert verify_decomposition(dec.system, dec) == dec.residual_report
+        report = verify_decomposition(random_system(3, 2, seed=5), dec)
+        assert not report.pattern_ok and not report.passed
+        assert report.pattern_residual > 1.0
+
+    def test_identity_of_another_system_is_judged_on_the_system_given(self):
+        # V = I decomposes every system whose C has rank 2n, so the report
+        # of one such system is that system's own, whichever V = I is given
+        dec = kalman_decompose(random_system(3, 4, seed=1))
+        other = kalman_decompose(random_system(3, 4, seed=2))
+        assert dec.V is other.V and (dec.k, other.k) == (3, 3)
+        assert verify_decomposition(other.system, dec) == other.residual_report
+        assert dec.residual_report != other.residual_report
 
 
 class TestRefine:

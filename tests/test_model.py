@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    measured_counts,
+    POPULATION_POLICY,
     mixed_population,
     random_orthogonal_symplectic,
     structured_system,
@@ -28,6 +28,7 @@ from symkal import (
     t0_matrix,
     transfer_matrix,
 )
+import helpers
 import symkal.kalman
 from symkal.factorization import factor_count_oracles
 from symkal.optomech import build as build_demo
@@ -171,7 +172,7 @@ class TestFromPhysical:
 class TestKrylov:
     def test_zero_coupling(self):
         sys = build_system(np.eye(4), np.zeros((2, 4)), np.eye(2))
-        kry = krylov_matrices(sys)
+        kry = krylov_matrices(sys, variant="jr")
         assert not kry.controllability.any()
         assert not kry.observability.any()
 
@@ -182,7 +183,7 @@ class TestKrylov:
 
     def test_depth(self):
         sys = random_system(2, 1, seed=1)
-        kry = krylov_matrices(sys)
+        kry = krylov_matrices(sys, variant="jr")
         assert kry.depth == 4
         assert kry.controllability.shape == (4, 8)
         assert kry.observability.shape == (8, 4)
@@ -347,8 +348,23 @@ class TestClassDimensionPairing:
         assert (k_obs, l_obs) == (k_ctl, l_ctl)
 
     def test_structured_counts(self):
+        # the construction fixes (1, 2, 1), and the count oracle must find it
         sys = structured_system(7, 1, 2, 1)
-        assert measured_counts(sys) == (1, 2, 1)
+        obs = krylov_matrices(sys, variant="jr").observability
+        assert factor_count_oracles(obs, POPULATION_POLICY) == (1, 2)
+
+    def test_populations_call_no_rank_code(self, monkeypatch):
+        # the test populations take their sizes from how they are built, so
+        # they must not depend on the rank code they are used to test
+        def refuse(*args, **kwargs):
+            raise AssertionError("a test population called the library's rank code")
+
+        for module in (symkal, symkal.factorization, symkal.model, symkal.kalman, helpers):
+            for name, value in list(vars(module).items()):
+                if value is factor_count_oracles or value is krylov_matrices:
+                    monkeypatch.setattr(module, name, refuse)
+        assert structured_system(7, 1, 2, 1).n == 4
+        assert len(mixed_population(20, 2026)) == 20
 
 
 class TestTransferMatrix:

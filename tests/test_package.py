@@ -87,7 +87,6 @@ SETTABLE_VALUES = [
     ("linalg", "skew_canonical", "policy"),
     ("linalg", "skew_canonical", "bound"),
     ("model", "build_system", "Sigma"),
-    ("model", "krylov_matrices", "variant"),
     ("optomech", "run", "policy"),
 ]
 

@@ -22,18 +22,20 @@ def test_outcomes_of_a_checkout_against_itself(tmp_path, workload):
                                   "--seed", "11", "--tiny").stdout)
         files.append(str(path))
     rows = [line.split("\t") for line in Path(files[0]).read_text().splitlines()]
-    assert rows and all(len(row) == 5 and row[0].startswith("11/") for row in rows)
-    # every outcome, a failure's too, carries a hash
+    assert rows and all(len(row) == 6 and row[0].startswith("11/") for row in rows)
+    # every outcome, a failure's too, carries a hash; a library result's
+    # report carries one of its own, anything else "-"
     assert all(len(row[4]) == 64 for row in rows)
+    assert all(row[5] == "-" or len(row[5]) == 64 for row in rows)
     report = _outcomes("diff", *files).stdout.splitlines()
     assert f"byte-identical successes: {len(rows)} of {len(rows)}" in report
     assert report[-1] == "flips: 0"
 
 
 ROWS = [
-    ("11/0", "n=3 kld=1,1,1", "ok", "-", "a" * 64),
-    ("11/1", "n=4 kld=2,1,1", "RankAmbiguityError", "-", "b" * 64),
-    ("11/2", "n=4 kld=1,2,1", "ConsistencyError", "pattern", "c" * 64),
+    ("11/0", "n=3 kld=1,1,1", "ok", "-", "a" * 64, "f" * 64),
+    ("11/1", "n=4 kld=2,1,1", "RankAmbiguityError", "-", "b" * 64, "-"),
+    ("11/2", "n=4 kld=1,2,1", "ConsistencyError", "pattern", "c" * 64, "-"),
 ]
 
 
@@ -46,25 +48,42 @@ def test_diff_of_a_file_against_itself_exits_0(tmp_path):
     path = _write(tmp_path / "a.tsv", ROWS)
     done = _outcomes("diff", path, path, check=False)
     assert done.returncode == 0, done.stdout
-    assert "same outcome, other hash: 0" in done.stdout.splitlines()
+    lines = done.stdout.splitlines()
+    assert "byte-identical successes: 1 of 1" in lines
+    assert "same outcome, other hash: 0" in lines
+    assert "same outcome, same hash, other report: 0" in lines
 
 
 @pytest.mark.parametrize("index", range(len(ROWS)))
 def test_diff_of_an_edited_hash_exits_1_and_names_the_input(tmp_path, index):
     edited = list(ROWS)
-    edited[index] = ROWS[index][:4] + ("d" * 64,)
+    edited[index] = ROWS[index][:4] + ("d" * 64, ROWS[index][5])
     done = _outcomes("diff", _write(tmp_path / "a.tsv", ROWS), _write(tmp_path / "b.tsv", edited),
                      check=False)
     assert done.returncode == 1
     lines = done.stdout.splitlines()
     assert "same outcome, other hash: 1" in lines
+    assert "same outcome, same hash, other report: 0" in lines
     assert f"{ROWS[index][0]}\t{ROWS[index][1]}\t{ROWS[index][2]}" in lines
     assert lines[-1] == "flips: 0"
 
 
+def test_diff_of_an_edited_report_hash_exits_1_and_names_the_input(tmp_path):
+    edited = list(ROWS)
+    edited[0] = ROWS[0][:5] + ("d" * 64,)
+    done = _outcomes("diff", _write(tmp_path / "a.tsv", ROWS), _write(tmp_path / "b.tsv", edited),
+                     check=False)
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert "byte-identical successes: 0 of 1" in lines
+    assert lines[-4:] == ["same outcome, other hash: 0",
+                          "same outcome, same hash, other report: 1",
+                          "11/0\tn=3 kld=1,1,1\tok", "flips: 0"]
+
+
 def test_diff_of_a_flip_exits_1(tmp_path):
     flipped = list(ROWS)
-    flipped[1] = ("11/1", "n=4 kld=2,1,1", "ok", "-", "e" * 64)
+    flipped[1] = ("11/1", "n=4 kld=2,1,1", "ok", "-", "e" * 64, "f" * 64)
     done = _outcomes("diff", _write(tmp_path / "a.tsv", ROWS), _write(tmp_path / "b.tsv", flipped),
                      check=False)
     assert done.returncode == 1

@@ -8,22 +8,26 @@
 BLAS on one thread, judges each output with the workload's own check, and
 prints one tab-separated line per input:
 
-    seed/index  label  outcome  failing checks  sha256
+    seed/index  label  outcome  failing checks  sha256  report sha256
 
 The outcome is ``ok``, ``exit_<code>`` for a CLI call that exits nonzero,
 the class of the exception a library call raised, or ``incorrect.<reason>``
 for an output the check rejects.  The failing checks name the
-``*_ok`` fields of a ConsistencyError's report, ``-`` otherwise.  The hash
-covers V, A_hat, B_hat, C_hat, (k, l, d), Z, the factorization residual and
-the residual report of a library result, the bytes of the file a CLI case
-writes, or the class and message of the exception a failed op raised.
+``*_ok`` fields of a ConsistencyError's report, ``-`` otherwise.  The first
+hash covers V, A_hat, B_hat, C_hat, Z, (k, l, d) and the factorization
+residual of a library result, the bytes of the file a CLI case writes, or
+the class and message of the exception a failed op raised.  The second
+covers the repr of a library result's residual report, and is ``-`` for
+every other outcome, so a field added to the report moves only it.
 
 ``diff`` reads two such files of the same inputs and prints the count of
 each outcome on both sides, the verified count per seed, the number of
-successes whose hashes agree, the number of failures whose failing checks
-moved, and every input whose outcome differs.  It then lists every input
-whose outcome is the same on both sides but whose hash is not, and exits 1
-when any input flipped or changed its hash, 0 when both files agree.
+successes whose hashes all agree, and the number of failures whose failing
+checks moved.  It then lists every input whose outcome is the same on both
+sides but whose first hash is not, every one whose first hash agrees but
+whose report hash does not, and every input whose outcome differs.  It
+exits 1 when any input flipped or changed either hash, 0 when both files
+agree.
 """
 
 import os
@@ -38,20 +42,25 @@ import tempfile  # noqa: E402
 from collections import Counter  # noqa: E402
 
 
-def _sha256(result) -> str:
+def _sha256(*parts: bytes) -> str:
     digest = hashlib.sha256()
-    if isinstance(result, BaseException):
-        digest.update(f"{type(result).__name__}: {result}".encode())
-    elif isinstance(result, str):
-        with open(result, "rb") as handle:
-            digest.update(handle.read())
-    else:
-        import numpy as np
-        for array in (result.V, result.A_hat, result.B_hat, result.C_hat, result.factorization.Z):
-            digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
-        digest.update(repr((result.k, result.l, result.d, result.factorization.residual,
-                            result.residual_report)).encode())
+    for part in parts:
+        digest.update(part)
     return digest.hexdigest()
+
+
+def _hashes(result) -> tuple:
+    """(hash of the result, hash of its residual report or ``-``)."""
+    if isinstance(result, BaseException):
+        return _sha256(f"{type(result).__name__}: {result}".encode()), "-"
+    if isinstance(result, str):
+        with open(result, "rb") as handle:
+            return _sha256(handle.read()), "-"
+    import numpy as np
+    arrays = (result.V, result.A_hat, result.B_hat, result.C_hat, result.factorization.Z)
+    return (_sha256(*(np.ascontiguousarray(array, dtype=float).tobytes() for array in arrays),
+                    repr((result.k, result.l, result.d, result.factorization.residual)).encode()),
+            _sha256(repr(result.residual_report).encode()))
 
 
 def _failing_checks(exc) -> str:
@@ -74,22 +83,22 @@ def outcome_lines(checkout: str, workload: str, seeds, tiny: bool):
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
             for index, case in enumerate(workloads.build(workload, seed, workdir, tiny)):
-                checks, sha = "-", "-"
+                checks = "-"
                 try:
                     result = case.op()
                 except workloads.ExitCode as exc:
-                    outcome, sha = f"exit_{exc.code}", _sha256(exc)
+                    outcome, hashes = f"exit_{exc.code}", _hashes(exc)
                 except Exception as exc:  # every library failure is an outcome to record
-                    outcome, checks, sha = type(exc).__name__, _failing_checks(exc), _sha256(exc)
+                    outcome, checks, hashes = type(exc).__name__, _failing_checks(exc), _hashes(exc)
                 else:
                     reason = case.check(result)
                     outcome = "ok" if reason is None else f"incorrect.{reason}"
-                    sha = _sha256(result)
-                yield "\t".join((f"{seed}/{index}", case.label, outcome, checks, sha))
+                    hashes = _hashes(result)
+                yield "\t".join((f"{seed}/{index}", case.label, outcome, checks, *hashes))
 
 
 def read_outcomes(path: str) -> dict:
-    """{seed/index: (label, outcome, checks, sha)} of a file ``run`` wrote."""
+    """{seed/index: (label, outcome, checks, sha, report sha)} of a file ``run`` wrote."""
     table = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -99,8 +108,8 @@ def read_outcomes(path: str) -> dict:
 
 
 def differing(a: dict, b: dict) -> list:
-    """Inputs whose outcome or hash differs between two files of the same inputs."""
-    return [key for key in a if a[key][1] != b[key][1] or a[key][3] != b[key][3]]
+    """Inputs whose outcome or either hash differs between two files of the same inputs."""
+    return [key for key in a if a[key][1] != b[key][1] or a[key][3:] != b[key][3:]]
 
 
 def diff_lines(a: dict, b: dict):
@@ -119,19 +128,22 @@ def diff_lines(a: dict, b: dict):
                           if key.split("/")[0] == seed) for side in (a, b))
         yield f"{seed}\t{ok_a}\t{ok_b}"
     both = [key for key in a if a[key][1] == b[key][1] == "ok"]
-    same = sum(a[key][3] == b[key][3] for key in both)
+    same = sum(a[key][3:] == b[key][3:] for key in both)
     yield f"byte-identical successes: {same} of {len(both)}"
     flips = [key for key in a if a[key][1] != b[key][1]]
     moved = sum(a[key][1] == b[key][1] and a[key][2] != b[key][2] for key in a)
     yield f"same outcome, other failing checks: {moved}"
-    changed = [key for key in differing(a, b) if a[key][1] == b[key][1]]
-    yield f"same outcome, other hash: {len(changed)}"
-    for key in changed:
-        yield f"{key}\t{a[key][0]}\t{a[key][1]}"
+    kept = [key for key in a if a[key][1] == b[key][1]]
+    changed = [key for key in kept if a[key][3] != b[key][3]]
+    report_only = [key for key in kept if a[key][3] == b[key][3] and a[key][4] != b[key][4]]
+    for title, keys in (("other hash", changed), ("same hash, other report", report_only)):
+        yield f"same outcome, {title}: {len(keys)}"
+        for key in keys:
+            yield f"{key}\t{a[key][0]}\t{a[key][1]}"
     yield f"flips: {len(flips)}"
     for key in flips:
-        label, outcome_a, checks_a, _ = a[key]
-        _, outcome_b, checks_b, _ = b[key]
+        label, outcome_a, checks_a, _, _ = a[key]
+        _, outcome_b, checks_b, _, _ = b[key]
         yield f"{key}\t{label}\t{outcome_a} [{checks_a}] -> {outcome_b} [{checks_b}]"
 
 
