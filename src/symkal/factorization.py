@@ -254,7 +254,6 @@ def factor(c: Compression, policy: TolerancePolicy) -> SymplecticFactorization:
             f"rank(F)={rho} and rank(F J F^T)={2 * k} imply l={l}, d={d}", *decisions)
 
     xi = np.sqrt(canon.mus)
-    # only the pairs are read: the kernel columns of canon.U are never built
     u_c = canon.pairs[:, 0::2]
     v_c = canon.pairs[:, 1::2]
     Za = (J @ (F_c.T @ v_c)) / xi[None, :]

@@ -43,6 +43,7 @@ from .factorization import (
 )
 from .linalg import (
     DEFAULT_POLICY,
+    SYMPLECTIC_TOL,
     TolerancePolicy,
     as_matrix,
     is_symplectic,
@@ -56,9 +57,6 @@ from .model import QuadratureSystem, krylov_matrices
 
 # relative tolerance of the block-zero checks of the verifier and of refine
 CHECK_TOL = 1e-8
-# bound on ||V J V^T - J|| / max(1, ||V||_F)^2: rounding in V J V^T grows
-# with ||V||^2, so an absolute bound rejects correct V of large norm
-CCR_TOL = 1e-9
 # smallest Hautus observability margin of the block claimed observable;
 # correct decompositions sit above 1e-5, an nco/cno pair misread as co at
 # rounding level, or up to about 3e-7 where its eigenvalues form a Jordan pair
@@ -316,7 +314,7 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
         margin = observability_margin(A_hat, C_hat, k, l)
     return DecompositionChecks(
         ccr_residual=ccr_residual,
-        ccr_ok=ccr_residual / v / v <= CCR_TOL,
+        ccr_ok=ccr_residual / v / v <= SYMPLECTIC_TOL,
         pattern_a=pattern_a,
         pattern_b=pattern_b,
         pattern_c=pattern_c,

@@ -7,8 +7,8 @@ omega(u, v) = u^T J v with J = [[0, I_k], [-I_k, 0]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +21,8 @@ EPS = float(np.finfo(np.float64).eps)
 ZERO_LEVEL = 1e-300
 # relative asymmetry above which skew_canonical rejects its input
 SKEW_TOL = 1e-9
+# bound on ||T T^sharp - I||_F / max(1, ||T||_F)^2 for a symplectic T
+SYMPLECTIC_TOL = 1e-9
 # smallest pairing omega(z_i, z_{r+i}) the symplectic polish accepts, and
 # largest residual entry it may leave
 MIN_PAIRING = 0.1
@@ -193,8 +195,8 @@ def is_symplectic(T) -> SymplecticCheck:
     residual ||T T^sharp - I||_F.
 
     Rounding in T T^sharp grows with ||T||_F^2, so T passes when
-    residual / max(1, ||T||_F)^2 <= 1e-9: an absolute bound would reject a
-    correct T of large norm, such as a strongly squeezing one.
+    residual / max(1, ||T||_F)^2 <= SYMPLECTIC_TOL: an absolute bound would
+    reject a correct T of large norm, such as a strongly squeezing one.
     """
     arr = as_matrix(T, "T")
     rows, cols = arr.shape
@@ -206,7 +208,7 @@ def is_symplectic(T) -> SymplecticCheck:
     # the bound divides rather than scales: a T whose norm overflows gives
     # inf / inf = nan, a failure, never an infinite bound
     t = max(1.0, scaled_norm(arr))
-    return SymplecticCheck(residual / t / t <= 1e-9, residual)
+    return SymplecticCheck(residual / t / t <= SYMPLECTIC_TOL, residual)
 
 
 @dataclass(frozen=True)
@@ -236,30 +238,20 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class RankResult:
-    """A thresholded rank with the SVD factors it was read from.  The
-    orthonormal image and kernel bases are built, and validated by
-    SubspaceBasis, on first read."""
+    """A thresholded rank with the orthonormal image and kernel bases of
+    the SVD it was read from."""
 
     decision: RankDecision
-    left: np.ndarray = field(repr=False)
-    right_h: np.ndarray = field(repr=False)
+    image: SubspaceBasis
+    kernel: SubspaceBasis
 
     @property
     def rank(self) -> int:
         return self.decision.rank
 
-    @cached_property
-    def image(self) -> SubspaceBasis:
-        return SubspaceBasis(self.left[:, :self.rank])
-
-    @cached_property
-    def kernel(self) -> SubspaceBasis:
-        return SubspaceBasis(self.right_h[self.rank:].T)
-
 
 def numerical_rank(F, policy: TolerancePolicy | None = None) -> RankResult:
-    """Rank with orthonormal image and kernel bases from an SVD, each basis
-    built on first read.
+    """Rank with orthonormal image and kernel bases from an SVD.
 
     The image lives in the column space (R^rows), the kernel in R^cols;
     rank + kernel.dim = cols always holds, empty inputs included.
@@ -272,7 +264,8 @@ def numerical_rank(F, policy: TolerancePolicy | None = None) -> RankResult:
     U, sv, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     decision = policy.decide(sv, max(A.shape) * (float(sv[0]) if sv.size else 0.0),
                              "numerical_rank")
-    return RankResult(decision, U, Vh)
+    rank = decision.rank
+    return RankResult(decision, SubspaceBasis(U[:, :rank]), SubspaceBasis(Vh[rank:].T))
 
 
 @dataclass(frozen=True)
@@ -281,20 +274,16 @@ class SkewCanonicalForm:
 
     U^T M U = blockdiag(mu_1 J_2, ..., mu_k J_2, 0) with mus sorted in
     descending order and U orthogonal.  Columns come interleaved:
-    (u_1, v_1, u_2, v_2, ..., kernel columns).  ``pairs`` holds the 2k
-    paired columns.  The kernel columns of ``U`` are formed on first read
-    from ``kernel_factors`` = (Q_even, X, Q_odd, Y), interleaved as the
-    pairs are: the columns of Q_even X in the even places, those of Q_odd Y
-    in the odd ones.
+    (u_1, v_1, u_2, v_2, ..., kernel columns).  ``pairs`` is the view
+    ``U[:, :2k]`` of the paired columns.
     """
 
-    pairs: np.ndarray
+    U: np.ndarray
     mus: np.ndarray
     decision: RankDecision
-    kernel_factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", readonly(as_matrix(self.pairs, "pairs")))
+        object.__setattr__(self, "U", readonly(as_matrix(self.U, "U")))
         object.__setattr__(self, "mus", readonly(np.asarray(self.mus, dtype=float)))
 
     @property
@@ -302,19 +291,8 @@ class SkewCanonicalForm:
         return self.decision.rank
 
     @property
-    def size(self) -> int:
-        return self.pairs.shape[0]
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        """The square U: the pairs followed by the kernel columns."""
-        Q_even, X, Q_odd, Y = self.kernel_factors
-        U = np.empty((self.size, self.size))
-        U[:, :2 * self.k] = self.pairs
-        U[:, 2 * self.k::2] = Q_even @ X
-        U[:, 2 * self.k + 1::2] = Q_odd @ Y
-        U.setflags(write=False)
-        return U
+    def pairs(self) -> np.ndarray:
+        return self.U[:, :2 * self.k]
 
 
 def skew_canonical(M, policy: TolerancePolicy | None = None,
@@ -333,7 +311,8 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     the size times the largest sigma; callers that build M as a product
     should pass the bound of that product's rounding.  More pairs than
     floor(s/2) raise a RankAmbiguityError.  The kernel columns of ``U``
-    cost two products, paid only when ``U`` is read.
+    are the unkept columns of Q_even X and Q_odd Y, interleaved as the
+    pairs are.
     """
     A = as_matrix(M, "M")
     s_dim, cols = A.shape
@@ -346,10 +325,8 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
         raise StructureError("matrix is not skew-symmetric within tolerance")
     policy = policy or DEFAULT_POLICY
     if s_dim == 0:
-        empty = np.zeros((0, 0))
-        return SkewCanonicalForm(pairs=empty, mus=np.zeros(0),
-                                 decision=policy.decide(np.zeros(0), 0.0, "skew_canonical"),
-                                 kernel_factors=(empty,) * 4)
+        return SkewCanonicalForm(U=np.zeros((0, 0)), mus=np.zeros(0),
+                                 decision=policy.decide(np.zeros(0), 0.0, "skew_canonical"))
     K = 0.5 * (A - A.T)
 
     # the wrappers' minimal workspace selects the unblocked reduction, which
@@ -384,12 +361,13 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     cos, sin = u[anchor, range(k)], v[anchor, range(k)]
     norm = np.sqrt(cos * cos + sin * sin)
     cos, sin = cos / norm, sin / norm
-    U_pairs = np.empty((s_dim, 2 * k))
-    U_pairs[:, 0::2] = u * cos + v * sin
-    U_pairs[:, 1::2] = v * cos - u * sin
-    U_pairs.setflags(write=False)
-    return SkewCanonicalForm(pairs=U_pairs, mus=sigma[:k], decision=decision,
-                             kernel_factors=(Q_even, X[:, k:], Q_odd, Y[:, k:]))
+    U = np.empty((s_dim, s_dim))
+    U[:, 0:2 * k:2] = u * cos + v * sin
+    U[:, 1:2 * k:2] = v * cos - u * sin
+    U[:, 2 * k::2] = Q_even @ X[:, k:]
+    U[:, 2 * k + 1::2] = Q_odd @ Y[:, k:]
+    U.setflags(write=False)
+    return SkewCanonicalForm(U=U, mus=sigma[:k], decision=decision)
 
 
 def largest_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:

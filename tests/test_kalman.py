@@ -46,7 +46,6 @@ from symkal import (
 )
 from symkal.factorization import CONTROLLABLE, UNOBSERVABLE, slot_indices
 from symkal.kalman import (
-    CCR_TOL,
     CHECK_TOL,
     LABEL_CNO,
     LABEL_CO,
@@ -57,6 +56,7 @@ from symkal.kalman import (
     pattern_residuals,
     state_labels,
 )
+from symkal.linalg import SYMPLECTIC_TOL
 
 SQRT2 = np.sqrt(2.0)
 
@@ -355,7 +355,7 @@ class TestVerifyDecomposition:
         report = verify_transformation(sys, V, dec.k, dec.l, dec.d,
                                        V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv)
         assert report.passed, report.as_dict()
-        assert report.ccr_residual > 1e3 * CCR_TOL
+        assert report.ccr_residual > 1e3 * SYMPLECTIC_TOL
 
     def test_scaled_v_breaks_symplecticity(self):
         # (1e3 V) J (1e3 V)^T - J = (1e6 - 1) J, far above 1e-9 ||1e3 V||^2

@@ -1,9 +1,12 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import symkal
 
 SOURCE = Path(symkal.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_all_names_resolve():
@@ -111,6 +114,49 @@ def test_settable_values():
     for path in sorted(SOURCE.glob("*.py")):
         found += _settable(ast.parse(path.read_text()), path.stem)
     assert sorted(found) == sorted(SETTABLE_VALUES)
+
+
+def _cached_properties(tree: ast.AST, module: str) -> list[tuple[str, str]]:
+    """(module, Class.member) of every member decorated as a cached property."""
+    return [(module, f"{node.name}.{item.name}")
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(ast.unparse(d).endswith("cached_property") for d in item.decorator_list)]
+
+
+# Every result computed on first read rather than when its owner is built.
+# A new one has to be added here, with a measurement that it pays for itself.
+CACHED_PROPERTIES = [
+    ("model", "QuadratureSystem.C_sharp"),
+    ("model", "KrylovMatrices.controllability"),
+]
+
+
+def test_cached_properties():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += _cached_properties(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == sorted(CACHED_PROPERTIES)
+
+
+def test_failing_property_test_is_reported(tmp_path):
+    # a failing @given test makes hypothesis import libcst for its patch
+    # file; the warnings that import raises must not abort the session
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(REPO / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
 
 
 def _eig_uses(tree: ast.AST) -> list[int]:
