@@ -38,7 +38,7 @@ from .linalg import (
 # matrix that rounding alone keeps positive definite is not a rank decision
 MIN_RCOND = 1e-8
 # residual bound of verify_factorization: relative to max(1, ||F||_F) for the
-# reconstruction, absolute for the Z and Q residuals
+# reconstruction and to the magnification of F Z's rounding for the Q residual
 VERIFY_TOL = 1e-8
 # largest principal angle verify_factorization accepts between Ker F and Z
 # applied to the pattern's kernel columns
@@ -402,9 +402,11 @@ def verify_factorization(F, fact: SymplecticFactorization,
                          policy: TolerancePolicy | None = None) -> FactorizationChecks:
     """Check every postcondition of a factorization, reporting residuals.
 
-    Reconstruction is judged against VERIFY_TOL * max(1, ||F||_F); the Q
-    residual against VERIFY_TOL directly, and Z by is_symplectic's verdict,
-    relative to ||Z||_F^2.  The kernel check compares
+    Reconstruction is judged against VERIFY_TOL * max(1, ||F||_F), and Z by
+    is_symplectic's verdict, relative to ||Z||_F^2.  Column j of Q_lead is
+    F z_j / e_j, which carries the rounding of F z_j magnified by
+    ||F||_F ||z_j|| / |e_j|, at least 1; the Q residual is judged against
+    VERIFY_TOL times the largest of these.  The kernel check compares
     Ker F with Z applied to the pattern's kernel columns through principal
     angles.
     The Q checks read Q_lead, read off F Z through the one nonzero of each
@@ -418,11 +420,15 @@ def verify_factorization(F, fact: SymplecticFactorization,
     if A.shape[1] != cols or A.shape[0] < p:
         raise StructureError(f"F has shape {A.shape} but the factorization expects {cols} "
                              f"columns and at least {p} rows")
-    scale = max(1.0, float(np.linalg.norm(A)))
+    norm_f = float(np.linalg.norm(A))
+    scale = max(1.0, norm_f)
     k, l, d = fact.E.k, fact.E.l, fact.E.d
     FZ = A @ fact.Z
     obs = slot_indices(k, l, d, OBSERVABLE)
-    Q_lead = FZ[:, obs] / E_mat[np.arange(p), obs]
+    e = E_mat[np.arange(p), obs]
+    Q_lead = FZ[:, obs] / e
+    q_scale = float(np.max(norm_f * np.linalg.norm(fact.Z[:, obs], axis=0) / np.abs(e),
+                           initial=1.0))
     reconstruction = float(np.linalg.norm(FZ - Q_lead @ E_mat))
     z_check = is_symplectic(fact.Z)
     q_residual = float(np.linalg.norm(Q_lead.T @ Q_lead - np.eye(p)))
@@ -442,7 +448,7 @@ def verify_factorization(F, fact: SymplecticFactorization,
         z_symplectic_residual=z_check.residual,
         z_symplectic_ok=z_check.ok,
         q_residual=q_residual,
-        q_ok=q_residual <= VERIFY_TOL,
+        q_ok=q_residual <= VERIFY_TOL * q_scale,
         q_condition=q_condition,
         k=k,
         l=l,

@@ -13,6 +13,8 @@ The check reads only V and the transformed matrices.  Its Hautus test of
 the block claimed observable is certified from the singular values of
 C_obs when C_obs has at least as many rows as columns and sigma_min(C_obs)
 / ||C_obs||_F reaches MIN_PBH_MARGIN; any other block takes one QZ of A_obs.
+scipy's dggev, which runs that QZ, is imported on its first call, so a
+certified result loads no scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dggev as _dggev
 
 from .errors import (
     ConsistencyError,
@@ -198,6 +199,12 @@ class KalmanDecomposition:
 def _transformed(sys: QuadratureSystem, V: np.ndarray):
     V_inv = sharp_adjoint(V)
     return V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv, sys.D
+
+
+def _dggev(*args, **kwargs):
+    """scipy's dggev, loaded by the first call that runs a QZ."""
+    from scipy.linalg.lapack import dggev
+    return dggev(*args, **kwargs)
 
 
 @lru_cache(maxsize=128)

@@ -3,6 +3,11 @@
 Conventions used throughout the package: a vector in R^{2k} is ordered as k
 positions followed by k momenta, and the symplectic form is
 omega(u, v) = u^T J v with J = [[0, I_k], [-I_k, 0]].
+
+Like every scipy routine the package uses, skew_canonical's LAPACK
+reduction (dgehrd, dorghr) is imported by the call that runs it, so that
+importing the package and the decompositions that take no skew form never
+load scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgehrd, dorghr
 
 from .errors import RankAmbiguityError, StructureError, ValidationError
 
@@ -329,6 +333,7 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
                                  decision=policy.decide(np.zeros(0), 0.0, "skew_canonical"))
     K = 0.5 * (A - A.T)
 
+    from scipy.linalg.lapack import dgehrd, dorghr
     # the wrappers' minimal workspace selects the unblocked reduction, which
     # LAPACK takes below order 128 in any case
     h, tau, _ = dgehrd(K)

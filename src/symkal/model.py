@@ -4,6 +4,8 @@ A system is the data (R, C, Sigma): a symmetric energy matrix R on the
 2n-dimensional phase space, a real coupling matrix C into 2m field
 quadratures, and a symplectic feedthrough Sigma.  The drift and input
 matrices A = J R - C# C / 2 and B = -C# Sigma are derived on demand.
+random_system imports scipy's expm and t0_matrix its block_diag when
+called, so that building a system from arrays loads no scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 from .errors import StructureError, ValidationError
 from .linalg import (
@@ -245,6 +246,7 @@ def t0_matrix(n: int, m: int, D) -> np.ndarray:
     check = is_symplectic(Dm)
     if not check.ok:
         raise ValidationError("D symplectic", residual=check.residual)
+    from scipy.linalg import block_diag
     J2m = jmat(m)
     signs = block_diag(*[J2m if i % 2 == 0 else -J2m for i in range(2 * n)])
     stacked = block_diag(*([Dm] * (2 * n)))
@@ -262,6 +264,7 @@ def random_system(n: int, m: int, seed: int) -> QuadratureSystem:
         raise StructureError(f"random_system needs n, m >= 1, got n={n}, m={m}")
     if seed < 0:
         raise StructureError(f"random_system needs seed >= 0, got seed={seed}")
+    from scipy.linalg import expm
     rng = np.random.default_rng(seed)
     R0 = rng.standard_normal((2 * n, 2 * n))
     R = 0.5 * (R0 + R0.T)

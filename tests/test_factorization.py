@@ -203,6 +203,29 @@ class TestVerifyFactorization:
             verify_factorization(np.ones((1, 2)), fact)
         assert verify_factorization(np.vstack([np.eye(2), np.zeros((3, 2))]), fact).passed
 
+    def test_q_rounding_of_a_large_stack_passes(self):
+        # Q_lead = F z_j / e_j carries the rounding of F z_j magnified by
+        # ||F||_F ||z_j|| / |e_j|, here 1.5e10; its q_residual of about 1e-6
+        # failed an absolute bound of 1e-8 with every other check passing
+        sys, _ = structured_split_input(21, 159)
+        dec = kalman_decompose(sys)
+        report = verify_factorization(krylov_matrices(sys, variant="jr").observability,
+                                      dec.factorization)
+        assert report.q_residual > 1e-7
+        assert report.passed, report.as_dict()
+
+    def test_non_orthogonal_q_lead_fails(self):
+        F, policy, _ = _tall_stacks()[1]
+        fact = one_sided_symplectic_svd(F, policy=policy)
+        assert verify_factorization(F, fact, policy=policy).passed
+        # one observable column of Z made 1e-6 longer lengthens its column
+        # of Q_lead alike
+        Z = np.array(fact.Z)
+        Z[:, slot_indices(fact.E.k, fact.E.l, fact.E.d, OBSERVABLE)[0]] *= 1.0 + 1e-6
+        report = verify_factorization(F, dataclasses.replace(fact, Z=Z), policy=policy)
+        assert report.q_residual == pytest.approx(2e-6, rel=1e-3)
+        assert not report.q_ok and not report.passed
+
 
 class _InconsistentPolicy(TolerancePolicy):
     """Counts every spectral value, however tiny, as significant."""

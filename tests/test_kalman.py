@@ -606,6 +606,20 @@ class TestObservabilityMargin:
             return
         assert (dec.k, dec.l, dec.d) == truth
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the pattern bound CHECK_TOL (1 + ||A_hat||) ignores cond(V): structured_split seed 17 "
+        "input 247, truly (19, 3, 5), decomposes as (19, 5, 3) with ||V||_2 7.4e6 and "
+        "cond(V) 5.6e13, and the bound reads 6.0e5"))
+    def test_wrong_sizes_within_min_rcond_rejected(self):
+        # the one known wrong answer kalman_decompose returns and its
+        # verifier passes; MIN_RCOND does not stop it
+        sys, truth = structured_split_input(17, 247)
+        try:
+            dec = kalman_decompose(sys)
+        except (ConsistencyError, RankAmbiguityError):
+            return
+        assert (dec.k, dec.l, dec.d) == truth
+
     def test_ncno_pair_claimed_co(self):
         sys = structured_system(9, 1, 0, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)

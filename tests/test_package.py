@@ -1,6 +1,8 @@
 import ast
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import symkal
@@ -180,3 +182,74 @@ def test_no_general_eigensolver():
     uses = {path.name: _eig_uses(ast.parse(path.read_text()))
             for path in sorted(SOURCE.glob("*.py"))}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def _module_level_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) of every import that runs when the module is
+    imported: any outside a function body."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        found += _module_level_imports(node)
+    return found
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # each scipy routine is loaded by the first call that runs it, so that
+    # importing the package and the wide route do not pay for scipy.linalg
+    uses = {path.name: [line for line, module in _module_level_imports(ast.parse(path.read_text()))
+                        if module.split(".")[0] == "scipy"]
+            for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_module_level_imports_reader():
+    source = """
+import os
+from scipy import linalg
+if True:
+    import scipy.linalg
+class Holder:
+    from scipy.linalg import expm
+def f():
+    from scipy.linalg import block_diag
+"""
+    assert _module_level_imports(ast.parse(source)) == [
+        (2, "os"), (3, "scipy"), (5, "scipy.linalg"), (7, "scipy.linalg")]
+
+
+def test_wide_route_loads_no_scipy():
+    # a fresh interpreter: the import, --version and a wide decomposition
+    # leave scipy unloaded, and a narrow one loads it for the QZ margin
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import symkal
+        import symkal.cli
+        from symkal import build_system, kalman_decompose
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        try:
+            symkal.cli.main(["--version"])
+        except SystemExit:
+            pass
+        rng = np.random.default_rng(7)
+        R0 = rng.standard_normal((6, 6))
+        wide = kalman_decompose(build_system(0.5 * (R0 + R0.T), rng.standard_normal((8, 6))))
+        assert (wide.k, wide.l, wide.d) == (3, 0, 0)
+        assert loaded() == [], loaded()
+        narrow = kalman_decompose(build_system(0.5 * (R0 + R0.T), rng.standard_normal((2, 6))))
+        assert narrow.residual_report.passed
+        assert "scipy.linalg.lapack" in loaded(), loaded()
+        """)
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
