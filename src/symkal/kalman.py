@@ -8,13 +8,13 @@ observability classes while keeping conjugate coordinate pairs together.
 A stack of full rank 2n has no unobservable subspace; it is not factored,
 and V = I.  Nor is it built when its first block C already has rank 2n.
 
-Every result is checked by verify_transformation before it is returned.
-The check reads only V and the transformed matrices.  Its Hautus test of
-the block claimed observable is certified from the singular values of
-C_obs when C_obs has at least as many rows as columns and sigma_min(C_obs)
-/ ||C_obs||_F reaches MIN_PBH_MARGIN; any other block takes one QZ of A_obs.
-scipy's dggev, which runs that QZ, is imported on its first call, so a
-certified result loads no scipy.
+Every result is checked by verify_transformation before it is returned,
+in the input's own coordinates: V must be symplectic, and the subspace it
+claims unobservable must be invariant under G = J R and dark to C, with a
+quotient pair (W^T G W, C W) whose Hautus margin reaches MIN_PBH_MARGIN.
+The margin is certified from the singular values of C W where they can;
+otherwise one QZ of W^T G W runs, through scipy's dggev, which is imported
+on its first call, so a certified result loads no scipy.
 """
 
 from __future__ import annotations
@@ -56,11 +56,13 @@ from .linalg import (
 )
 from .model import QuadratureSystem, krylov_matrices
 
-# relative tolerance of the block-zero checks of the verifier and of refine
+# relative tolerance of refine's pattern check of X E Y, and of the stored
+# matrices of a report against those recomputed from its V in symkal verify
 CHECK_TOL = 1e-8
-# smallest Hautus observability margin of the block claimed observable;
-# correct decompositions sit above 1e-5, an nco/cno pair misread as co at
-# rounding level, or up to about 3e-7 where its eigenvalues form a Jordan pair
+# the verifier's cut: largest backward error of the claimed unobservable
+# subspace, and smallest Hautus margin of the quotient.  Correct answers sit
+# below 1e-8 and above 2e-3; an nco/cno pair misread as co has a margin at
+# rounding level, or up to about 6e-8 where its eigenvalues form a Jordan pair
 MIN_PBH_MARGIN = 1e-6
 
 LABEL_CO = "co"
@@ -133,19 +135,23 @@ def pattern_violations(E: CanonicalE, T: np.ndarray) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class DecompositionChecks:
-    """Residuals and the observability margin of one decomposition."""
+    """The verdicts on one decomposition and the numbers they read.  The
+    pattern residuals, the largest entries in the mandated zero blocks of
+    A_hat, B_hat and C_hat, are reported but decide nothing."""
 
     ccr_residual: float
     ccr_ok: bool
     pattern_a: float
     pattern_b: float
     pattern_c: float
-    pattern_scale: float
-    pattern_ok: bool
+    invariance_residual: float
+    invariance_ok: bool
+    kernel_residual: float
+    kernel_ok: bool
     observability_margin: float
     observability_ok: bool
     # True when observability_margin is the bound certified from the
-    # singular values of C_obs, False when it is the QZ margin itself
+    # singular values of C W, False when it is the QZ margin itself
     observability_certified: bool
     k: int
     l: int
@@ -157,7 +163,7 @@ class DecompositionChecks:
 
     @property
     def passed(self) -> bool:
-        return self.ccr_ok and self.pattern_ok and self.observability_ok
+        return self.ccr_ok and self.invariance_ok and self.kernel_ok and self.observability_ok
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -217,34 +223,30 @@ def _identity_pencil(order: int) -> tuple[np.ndarray, int]:
     return eye, int(_dggev(eye, eye, lwork=-1)[-2][0])
 
 
-def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
-    """Hautus margin of the transformed states claimed observable.
+def observability_margin(G_q, C_q: np.ndarray) -> tuple[float, bool]:
+    """Hautus margin of the pair (G_q(), C_q), and whether it is certified.
 
-    The block is the slots (q_a, q_b, p_a).  The margin is the smallest
-    ||C_obs x|| / ||C_obs||_F over the unit right eigenvectors x of A_obs:
-    0 when some eigenvector of the block is invisible in the output, inf
-    for an empty block.
+    The margin is the smallest ||C_q x|| / sigma_max(C_q) over the unit
+    right eigenvectors x of G_q(): 0 when one is invisible in the output,
+    inf for a pair with no state.  smallest_gain's bound on sigma_min /
+    sigma_max(C_q) bounds it from below whatever G_q() is; a bound of at
+    least MIN_PBH_MARGIN is returned as certified, and G_q is not called.
     """
-    obs = slot_indices(k, l, A_hat.shape[0] // 2 - k - l, OBSERVABLE)
-    if obs.size == 0:
-        return float("inf")
-    # gathered even when obs takes every column: the gather lays C_obs out
-    # column by column, and its norm and product below sum in that order
-    C_obs = C_hat[:, obs]
-    scale = float(np.linalg.norm(C_obs))
-    if scale == 0.0:
-        return 0.0
+    if C_q.shape[1] == 0:
+        return float("inf"), False
+    bound, top = smallest_gain(C_q)
+    if not top:
+        return 0.0, False
+    if bound >= MIN_PBH_MARGIN:
+        return bound, True
     # QZ on the identity pencil only permutes; geev's scaling balance can
-    # return a wrong eigenvector when a row of A_obs is near 1e-34, as in
-    # the refined optomechanical demo.  The call and its workspace query
-    # are those of scipy.linalg.eig(A_obs, I), so X holds the same
+    # return a wrong eigenvector when a row of the matrix is near 1e-34, as
+    # in the refined optomechanical demo.  The call and its workspace query
+    # are those of scipy.linalg.eig(G_q, I), so X holds the same
     # eigenvectors; they are normalized below through squared norms, all
-    # columns at once.  ggev works on a copy, so the whole A_hat is passed
-    # without a gather.
-    A_obs = np.asarray_chkfinite(A_hat if obs.size == A_hat.shape[0]
-                                 else A_hat[np.ix_(obs, obs)])
-    eye, lwork = _identity_pencil(obs.size)
-    _, alphai, _, _, X, _, info = _dggev(A_obs, eye, compute_vl=0, lwork=lwork)
+    # columns at once
+    eye, lwork = _identity_pencil(C_q.shape[1])
+    _, alphai, _, _, X, _, info = _dggev(G_q(), eye, compute_vl=0, lwork=lwork)
     if info:
         raise np.linalg.LinAlgError(
             f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
@@ -252,7 +254,7 @@ def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
     # two columns; both x and its conjugate take the pair's summed squared
     # norms (the pair mask is scipy's)
     x_sq = np.sum(X * X, axis=0)
-    cx = C_obs @ X
+    cx = C_q @ X
     cx_sq = np.sum(cx * cx, axis=0)
     pair = alphai > 0
     pair[:-1] |= alphai[1:] < 0
@@ -260,47 +262,30 @@ def observability_margin(A_hat, C_hat, k: int, l: int) -> float:
     for sq in (x_sq, cx_sq):
         sq[first] += sq[first + 1]
         sq[first + 1] = sq[first]
-    return float(np.sqrt(np.min(cx_sq / x_sq))) / scale
+    return float(np.sqrt(np.min(cx_sq / x_sq))) / top, False
 
 
-def _certified_margin(C_hat, k: int, l: int, d: int) -> float:
-    """A lower bound on the Hautus margin of the states claimed observable,
-    read from the transformed C alone.
-
-    Every x has ||C_obs x|| >= sigma_min(C_obs) ||x||, the eigenvectors of
-    A_obs included, so smallest_gain(C_obs) / ||C_obs||_F bounds
-    observability_margin from below whatever A_obs is.  Only a 2m x p
-    C_obs with 2m >= p > 0 can have sigma_min > 0; any other block, and a
-    C_obs that is zero or not finite, gives 0, which certifies nothing.
-    """
-    obs = slot_indices(k, l, d, OBSERVABLE)
-    if not 0 < obs.size <= C_hat.shape[0]:
-        return 0.0
-    C_obs = C_hat if obs.size == C_hat.shape[1] else C_hat[:, obs]
-    scale = float(np.linalg.norm(C_obs))
-    if not 0.0 < scale < np.inf:
-        return 0.0
-    return smallest_gain(C_obs) / scale
+def _backward_error(residual: float, scale: float) -> tuple[float, bool]:
+    """residual / scale, and whether it is at most MIN_PBH_MARGIN, judged on
+    products: a zero G or C has residual 0 too, and passes."""
+    return (residual / scale if residual else 0.0), residual <= MIN_PBH_MARGIN * scale
 
 
 def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,
                           A_hat, B_hat, C_hat) -> DecompositionChecks:
     """Check a state transformation V and its claimed (k, l, d) on a system.
 
-    Judges the symplecticity of V, the block-zero pattern of the given
-    transformed matrices and the Hautus observability margin of the block
-    they claim observable.  The pattern makes (p_b, q_c, p_c) an invariant
-    subspace inside Ker C_hat, and a positive margin leaves no other
-    unobservable mode, so those slots are the unobservable subspace.  Its
-    symplectic complement, span(q_a, p_a, p_b) under a symplectic V, is the
-    controllable subspace of a quadrature system; so the three checks fix
-    (k, l, d) without reading the Krylov stacks the algorithm factors.
-
-    The margin is first bounded from below by sigma_min(C_obs) /
-    ||C_obs||_F, less its rounding.  A bound of at least MIN_PBH_MARGIN
-    proves the block observable with no eigenvectors, and the report holds
-    that bound with observability_certified True.  Otherwise the report
-    holds observability_margin's QZ margin.
+    Once V is symplectic, (k, l, d) is fixed by N, the span of V#'s columns
+    on the slots claimed unobservable: the form on N has the p_b slots as
+    its radical, and its symplectic complement is the controllable
+    subspace.  So N is judged through orthonormal bases, U of N and W of
+    its orthogonal complement, and cond(V) enters no verdict.  The backward
+    errors ||G U - U U^T G U||_F / ||G||_F, with G = J R, and
+    ||C U||_F / ||C||_F measure the smallest changes to G and C that make N
+    invariant and unobservable; the Hautus margin of (W^T G W, C W) leaves
+    no other unobservable mode.  No verdict reads the Krylov stacks or the
+    given transformed matrices.  N = {0} takes no QR, and forms G only for
+    a QZ.
     """
     n = sys.n
     V = np.asarray(V)
@@ -313,36 +298,35 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     # the bound divides rather than scales: a V whose norm overflows gives
     # inf / inf = nan, a failure, never an infinite bound
     v = max(1.0, scaled_norm(V))
+    unobs = slot_indices(k, l, d, UNOBSERVABLE)
+    if unobs.size:
+        Q = np.linalg.qr(sharp_adjoint(V)[:, unobs], mode="complete").Q
+        U, W = Q[:, :unobs.size], Q[:, unobs.size:]
+        G = J @ sys.R
+        GU = G @ U
+        invariance = _backward_error(scaled_norm(GU - U @ (U.T @ GU)), scaled_norm(G))
+        kernel = _backward_error(scaled_norm(sys.C @ U), scaled_norm(sys.C))
+        margin, certified = observability_margin(lambda: W.T @ G @ W, sys.C @ W)
+    else:
+        invariance = kernel = (0.0, True)
+        margin, certified = observability_margin(lambda: J @ sys.R, sys.C)
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
-    pattern_scale = CHECK_TOL * (1.0 + scaled_norm(A_hat))
-    margin = _certified_margin(C_hat, k, l, d)
-    certified = margin >= MIN_PBH_MARGIN
-    if not certified:
-        margin = observability_margin(A_hat, C_hat, k, l)
     return DecompositionChecks(
-        ccr_residual=ccr_residual,
-        ccr_ok=ccr_residual / v / v <= SYMPLECTIC_TOL,
-        pattern_a=pattern_a,
-        pattern_b=pattern_b,
-        pattern_c=pattern_c,
-        pattern_scale=pattern_scale,
-        pattern_ok=max(pattern_a, pattern_b, pattern_c) <= pattern_scale,
-        observability_margin=margin,
-        observability_ok=margin >= MIN_PBH_MARGIN,
-        observability_certified=certified,
-        k=k,
-        l=l,
-        d=d,
-    )
+        ccr_residual=ccr_residual, ccr_ok=ccr_residual / v / v <= SYMPLECTIC_TOL,
+        pattern_a=pattern_a, pattern_b=pattern_b, pattern_c=pattern_c,
+        invariance_residual=invariance[0], invariance_ok=invariance[1],
+        kernel_residual=kernel[0], kernel_ok=kernel[1],
+        observability_margin=margin, observability_ok=margin >= MIN_PBH_MARGIN,
+        observability_certified=certified, k=k, l=l, d=d)
 
 
 def kalman_decompose(sys: QuadratureSystem,
                      policy: TolerancePolicy | None = None) -> KalmanDecomposition:
     """Decompose a system into its four controllability/observability classes.
 
-    Factors the observability stack, takes V = Z^{-1}, and verifies the
-    block-zero pattern, the symplecticity of V, and the observability margin
-    of the transformed system.  When the stack's rank decision gives
+    Factors the observability stack, takes V = Z^{-1}, and judges V and the
+    unobservable subspace it claims with verify_transformation.  When the
+    stack's rank decision gives
     rank F = 2n, the unobservable subspace Ker F is {0}, (k, l, d) = (n, 0, 0)
     and V = I: the factorization is then Xu's form of the orthonormal basis
     I of Ker F's complement, E = I and Z = I, and no skew form is taken.

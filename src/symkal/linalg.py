@@ -147,13 +147,16 @@ def scaled_norm(X) -> float:
     return big * float(np.sqrt(unit.dot(unit)))
 
 
-def smallest_gain(X) -> float:
-    """A lower bound on min ||X x|| / ||x|| over nonzero x, for a finite
-    rows x cols X with rows >= cols: the computed sigma_min less
-    rows * EPS * sigma_max, which covers the rounding of the singular
-    values.  Negative when X may have a kernel."""
+def smallest_gain(X) -> tuple[float, float]:
+    """A lower bound on min ||X x|| / (sigma_max ||x||) over nonzero x, and
+    sigma_max, from one values-only SVD of a finite X: sigma_min / sigma_max
+    less rows * EPS, which covers the rounding of the singular values.
+    Negative when X may have a kernel, and 0 when X is zero or wider than
+    tall."""
+    rows, cols = X.shape
     sv = np.linalg.svd(X, compute_uv=False)
-    return float(sv[-1] - X.shape[0] * EPS * sv[0])
+    top = float(sv[0])
+    return (float(sv[-1] / top - rows * EPS) if top and rows >= cols else 0.0), top
 
 
 def sharp_adjoint(X) -> np.ndarray:

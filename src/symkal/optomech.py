@@ -6,13 +6,14 @@ H = (omega/2)(q3^2 + p3^2) + lam q1 q3 + lam q2 q3 and the coupling
 operator is L = (gamma/sqrt 2)(q3 + i p3), so only the mechanical mode is
 damped.  The system splits its six states into one co pair, one conjugate
 nco/cno pair, and one ncno pair for every positive choice of the
-parameters.  The library reproduces that split numerically only inside the
-range its tests cover: omega and gamma from 1e-3 to 1e2 and lambda from
-1e-5 to 1e3, one at a time with the others at 1.  Past it the
-decomposition or its refinement fails: omega = 1e3 or gamma = 1e3 fails
-verification, omega = 1e4 decomposes as (1, 0, 2), lambda = 1e-6 fails
-verification of the refined decomposition and lambda = 1e-8 the check that
-Y is symplectic.
+parameters.  One parameter at a time, the others at 1, at every power of
+ten from 1e-9 to 1e8, the library reproduces that split numerically for
+omega up to 1e2, lambda from 1e-6 to 1e6 and every gamma.  Past that,
+omega from 1e3 to 1e6 decomposes as (1, 0, 2), which fails verification,
+and from 1e7 on as a (1, 0, 2) that passes it, since C sees the subspace it
+adds at 1/omega, below the cut; lambda at 1e-7 and below fails
+verification on a Hautus margin of 1.4 lambda, lambda = 1e7 fails it after
+refinement and lambda = 1e8 raises a RankAmbiguityError.
 """
 
 from __future__ import annotations

@@ -507,17 +507,21 @@ class TestLazyQ:
         # the form on Ker F, and the whitening; the directions paired with
         # the radical take none, and the rank check of Q's leading columns
         # is certified from ||Q_core^T Q_core - I|| without one.  The
-        # verifier takes the fifth, of the 4 x 3 C_obs, to bound its margin
+        # verifier takes the fifth, of C on the 3-dimensional quotient, 4 x 3,
+        # to bound its margin
         (lambda: structured_system(13, 1, 1, 1), (1, 1, 1), 5),
         # no kernel: the stack alone; rank F = 2n decides V = I, and no skew
-        # form, polish or certificate follows.  C_obs is 4 x 12, too wide
-        # for the verifier's bound, which then takes no SVD
-        (lambda: random_system(6, 2, seed=3), (6, 0, 0), 1),
+        # form, polish or certificate follows.  The verifier's margin takes
+        # the second, values only, for sigma_max of the 4 x 12 C, too wide
+        # to certify, and then its QZ
+        (lambda: random_system(6, 2, seed=3), (6, 0, 0), 2),
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
         # each skew form costs one SVD, of its half-size bidiagonal; the
         # kernel columns of U need none.  One QR compresses the stack, and
-        # when l > 0 the whitening takes one more and inverts its l x l factor
+        # when l > 0 the whitening takes one more and inverts its l x l factor.
+        # When N is not {0}, the verifier takes one complete QR of the
+        # columns of V# that span it
         system = make()
         calls = {"svd": [], "qr": [], "inv": [], "skew_canonical": [],
                  "symplectic_gram_schmidt": []}
@@ -534,10 +538,10 @@ class TestLazyQ:
         dec = kalman_decompose(system)
         assert (dec.k, dec.l, dec.d) == counts
         assert len(calls["svd"]) == svd_calls, calls
-        assert len(calls["qr"]) == 1 + (dec.l > 0), calls
-        assert len(calls["inv"]) == (dec.l > 0), calls
         # F J F^T and the form on Ker F, and one polish, only when F has a kernel
         factored = dec.k < system.n
+        assert len(calls["qr"]) == 1 + (dec.l > 0) + factored, calls
+        assert len(calls["inv"]) == (dec.l > 0), calls
         assert len(calls["skew_canonical"]) == 2 * factored, calls
         assert len(calls["symplectic_gram_schmidt"]) == factored, calls
 

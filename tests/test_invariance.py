@@ -61,14 +61,13 @@ RELATIONS = {
 
 # Relations under which some base-verified inputs are lost today, with the
 # outcome counts of the 100 inputs (verified / RankAmbiguityError /
-# ConsistencyError; the base gives 96 / 2 / 2).  The raw powers C G^j of the
+# ConsistencyError; the base gives 98 / 2 / 0).  The raw powers C G^j of the
 # observability stack grow as ||G||^j, so the rank decisions depend on units.
 LOSSES = {
     "R*1e-3": "51 / 49 / 0",
-    "R*1e3": "0 / 64 / 36",
-    "C*1e3": "35 / 2 / 63",
+    "R*1e3": "28 / 64 / 8",
     "time*1e-3": "51 / 49 / 0",
-    "time*1e3": "0 / 66 / 34",
+    "time*1e3": "26 / 66 / 8",
 }
 
 

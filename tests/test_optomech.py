@@ -3,7 +3,6 @@ import pytest
 
 from symkal import (
     ConsistencyError,
-    RefinementRejectedError,
     ValidationError,
     is_symplectic,
     jmat,
@@ -23,15 +22,17 @@ PARAMETER_TRIPLES = [
     (3.1, 0.2, 2.2),
 ]
 
-# the ends of the range where the split is reproduced numerically: one
-# parameter at a time, the others at 1
+# cells at and near the ends of the range where the split is reproduced
+# numerically: one parameter at a time, the others at 1
 RANGE_EDGES = [
     (1e-3, 1.0, 1.0),
     (1e2, 1.0, 1.0),
     (1.0, 1e-5, 1.0),
+    (1.0, 1e-6, 1.0),
     (1.0, 1e3, 1.0),
     (1.0, 1.0, 1e-3),
     (1.0, 1.0, 1e2),
+    (1.0, 1.0, 1e3),
 ]
 
 
@@ -42,15 +43,14 @@ def _past_the_range(omega, lam, gamma, error, reason):
 
 # the system still splits as (1, 1, 1) here, and refines to REFERENCE_V
 PAST_THE_RANGE = [
-    _past_the_range(1e3, 1.0, 1.0, ConsistencyError, "the decomposition fails verification"),
-    _past_the_range(1.0, 1.0, 1e3, ConsistencyError, "the decomposition fails verification"),
-    _past_the_range(1e4, 1.0, 1.0, ValidationError, "decomposed as (1, 0, 2)"),
-    _past_the_range(1.0, 1e-6, 1.0, ConsistencyError,
-                    "the refined decomposition fails verification"),
+    _past_the_range(1e3, 1.0, 1.0, ConsistencyError,
+                    "decomposed as (1, 0, 2), whose unobservable subspace C sees at 1e-3"),
+    _past_the_range(1e4, 1.0, 1.0, ConsistencyError,
+                    "decomposed as (1, 0, 2), whose unobservable subspace C sees at 1e-4"),
     _past_the_range(1.0, 1e-7, 1.0, ConsistencyError,
-                    "the refined decomposition fails verification"),
-    _past_the_range(1.0, 1e-8, 1.0, RefinementRejectedError,
-                    "X E Y misses the canonical pattern at block (1, 1)"),
+                    "the decomposition fails verification: Hautus margin 1.4e-7"),
+    _past_the_range(1.0, 1e-8, 1.0, ConsistencyError,
+                    "the decomposition fails verification: Hautus margin 1.4e-8"),
 ]
 
 

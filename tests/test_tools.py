@@ -1,8 +1,13 @@
+import dataclasses
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import structured_split_input
+from symkal import ConsistencyError, kalman_decompose, random_system, verify_decomposition
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTCOMES = ROOT / "tools" / "outcomes.py"
@@ -89,3 +94,30 @@ def test_diff_of_a_flip_exits_1(tmp_path):
     assert done.returncode == 1
     assert done.stdout.splitlines()[-2:] == [
         "flips: 1", "11/1\tn=4 kld=2,1,1\tRankAmbiguityError [-] -> ok [-]"]
+
+
+@pytest.fixture
+def outcomes(monkeypatch):
+    """tools/outcomes.py as a module.  Importing it pins BLAS to one thread
+    through the environment, which monkeypatch puts back afterwards."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("outcomes", OUTCOMES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_failing_checks_name_every_false_ok_field(outcomes):
+    dec = kalman_decompose(structured_split_input(11, 0)[0])
+    assert outcomes._failing_checks(ConsistencyError("passed", dec.residual_report)) == "-"
+    # a decomposition of another system: its subspace is neither invariant
+    # nor dark, while V stays symplectic
+    report = verify_decomposition(random_system(3, 2, seed=5), dec)
+    assert outcomes._failing_checks(ConsistencyError("other", report)) == "invariance,kernel"
+    # any report with *_ok fields, whatever their names
+    Report = dataclasses.make_dataclass("Report", [("a_ok", bool), ("value", float),
+                                                   ("b_ok", bool), ("c_ok", bool)])
+    failing = ConsistencyError("made up", Report(a_ok=False, value=0.0, b_ok=True, c_ok=False))
+    assert outcomes._failing_checks(failing) == "a,c"
+    assert outcomes._failing_checks(ValueError("no report")) == "-"

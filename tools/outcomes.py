@@ -13,12 +13,13 @@ prints one tab-separated line per input:
 The outcome is ``ok``, ``exit_<code>`` for a CLI call that exits nonzero,
 the class of the exception a library call raised, or ``incorrect.<reason>``
 for an output the check rejects.  The failing checks name the
-``*_ok`` fields of a ConsistencyError's report, ``-`` otherwise.  The first
-hash covers V, A_hat, B_hat, C_hat, Z, (k, l, d) and the factorization
-residual of a library result, the bytes of the file a CLI case writes, or
-the class and message of the exception a failed op raised.  The second
-covers the repr of a library result's residual report, and is ``-`` for
-every other outcome, so a field added to the report moves only it.
+``*_ok`` fields of a ConsistencyError's report that are False, ``-``
+otherwise.  The first hash covers V, A_hat, B_hat, C_hat, Z, (k, l, d)
+and the factorization residual of a library result, the bytes of the file
+a CLI case writes, or the class and message of the exception a failed op
+raised.  The second covers the repr of a library result's residual
+report, and is ``-`` for every other outcome, so a field added to the
+report moves only it.
 
 ``diff`` reads two such files of the same inputs and prints the count of
 each outcome on both sides, the verified count per seed, the number of
@@ -64,11 +65,13 @@ def _hashes(result) -> tuple:
 
 
 def _failing_checks(exc) -> str:
+    """The ``*_ok`` fields of the exception's report that are False, in
+    field order, without their suffix; ``-`` for none or no report."""
     report = getattr(exc, "report", None)
     if report is None:
         return "-"
-    failing = [name[:-3] for name in ("ccr_ok", "pattern_ok", "observability_ok")
-               if not getattr(report, name)]
+    failing = [name[:-3] for name, ok in vars(report).items()
+               if name.endswith("_ok") and not ok]
     return ",".join(failing) or "-"
 
 
