@@ -38,7 +38,7 @@ class DocumentError(ValidationError):
 
 
 class RankAmbiguityError(SymkalError):
-    """Rank decisions near the tolerance are mutually inconsistent.
+    """Rank decisions of the tolerance policy are mutually inconsistent.
 
     Carries the rank decisions that conflicted, each with its values, cutoff
     and margin, and lists them one per line in the message, so the caller

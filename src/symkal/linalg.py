@@ -316,8 +316,7 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     so the eigenvalues of 1j*K are the +-sigma, with one 0 more for odd s.
     The pairs are those the policy decides against ``bound``, by default
     the size times the largest sigma; callers that build M as a product
-    should pass the bound of that product's rounding.  More pairs than
-    floor(s/2) raise a RankAmbiguityError.  The kernel columns of ``U``
+    should pass the bound of that product's rounding.  The kernel columns of ``U``
     are the unkept columns of Q_even X and Q_odd Y, interleaved as the
     pairs are.
     """
@@ -354,10 +353,6 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
     decision = policy.decide(np.concatenate([sigma, np.zeros(s_dim % 2), -sigma[::-1]]),
                              bound, "skew_canonical")
     k = decision.rank
-    if k > half:
-        raise RankAmbiguityError(
-            f"skew_canonical decides {k} pairs, more than a {s_dim} x {s_dim} form holds",
-            decision)
     Q_even, Q_odd, Y = Q[:, 0::2], Q[:, 1::2], Yh.T
     u = Q_even @ X[:, :k]
     v = Q_odd @ Y[:, :k]

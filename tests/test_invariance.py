@@ -61,13 +61,13 @@ RELATIONS = {
 
 # Relations under which some base-verified inputs are lost today, with the
 # outcome counts of the 100 inputs (verified / RankAmbiguityError /
-# ConsistencyError; the base gives 98 / 2 / 0).  The raw powers C G^j of the
+# ConsistencyError; the base gives 98 / 1 / 1).  The raw powers C G^j of the
 # observability stack grow as ||G||^j, so the rank decisions depend on units.
 LOSSES = {
-    "R*1e-3": "51 / 49 / 0",
-    "R*1e3": "28 / 64 / 8",
-    "time*1e-3": "51 / 49 / 0",
-    "time*1e3": "26 / 66 / 8",
+    "R*1e-3": "53 / 42 / 5",
+    "R*1e3": "30 / 42 / 28",
+    "time*1e-3": "53 / 42 / 5",
+    "time*1e3": "28 / 42 / 30",
 }
 
 

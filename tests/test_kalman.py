@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import symkal.factorization
 import symkal.kalman
 
 from helpers import (
@@ -626,28 +625,31 @@ class TestObservabilityMargin:
         assert not report.observability_ok
 
     @pytest.mark.parametrize("index", [42, 145])
-    def test_wrong_sizes_past_min_rcond_rejected(self, monkeypatch, index):
-        # structured_split seed 11 inputs that factorization.MIN_RCOND keeps
-        # out: without it the route returns one l too many, with ||V||_F up
-        # to 6.3e12, and the invariance check rejects the subspace
-        monkeypatch.setattr(symkal.factorization, "MIN_RCOND", 0.0)
-        sys, truth = structured_split_input(11, index)
-        try:
-            dec = kalman_decompose(sys)
-        except (ConsistencyError, RankAmbiguityError):
-            return
-        assert (dec.k, dec.l, dec.d) == truth
+    def test_one_l_too_many_rejected(self, index):
+        # structured_split seed 11: the l-block image is ill conditioned, and
+        # the route returns one l too many, with ||V||_F up to 6.3e12; the
+        # claimed subspace is neither invariant nor dark
+        sys, (k, l, d) = structured_split_input(11, index)
+        with pytest.raises(ConsistencyError) as info:
+            kalman_decompose(sys)
+        report = info.value.report
+        assert (report.k, report.l, report.d) == (k, l + 1, d - 1)
+        assert not report.invariance_ok and not report.kernel_ok
 
-    def test_wrong_sizes_within_min_rcond_rejected(self):
+    def test_two_l_too_many_rejected(self):
         # structured_split seed 17 input 247, truly (19, 3, 5): the route
-        # returns (19, 5, 3) with cond(V) 5.6e13, which MIN_RCOND lets
-        # through, and the invariance check rejects the subspace
+        # returns (19, 5, 3) with cond(V) 5.6e13; the claimed subspace is
+        # dark but not invariant, and its quotient is not observable
         sys, truth = structured_split_input(17, 247)
-        try:
-            dec = kalman_decompose(sys)
-        except (ConsistencyError, RankAmbiguityError):
-            return
-        assert (dec.k, dec.l, dec.d) == truth
+        assert truth == (19, 3, 5)
+        with pytest.raises(ConsistencyError) as info:
+            kalman_decompose(sys)
+        report = info.value.report
+        assert (report.k, report.l, report.d) == (19, 5, 3)
+        assert report.invariance_residual == pytest.approx(0.10, abs=0.01)
+        assert not report.invariance_ok and report.kernel_ok
+        assert report.observability_margin == pytest.approx(5.1e-10, rel=0.05)
+        assert not report.observability_ok
 
     def test_ncno_pair_claimed_co(self):
         sys = structured_system(9, 1, 0, 1)

@@ -384,14 +384,16 @@ class TestRealRoute:
             assert np.max(np.abs(U.T @ U - np.eye(size))) <= 1e-13
             assert np.max(np.abs(U.T @ M @ U - _block_matrix(form))) <= 1e-12 * norm
 
-    def test_more_pairs_than_fit_raise(self):
-        class CountEverything(TolerancePolicy):
-            def cutoff(self, bound):
-                return -1.0
-
-        with pytest.raises(RankAmbiguityError) as info:
-            skew_canonical(np.zeros((3, 3)), policy=CountEverything())
-        assert info.value.decisions[0].rank == 3
+    def test_pairs_fit_the_form(self):
+        # the cutoff is never negative, and only the floor(s/2) values sigma
+        # can exceed it, so no form holds more pairs than fit, even at the
+        # smallest scale and bound, where the cutoff underflows to 0
+        for size in range(1, 8):
+            for M in _skew_cases(size, 700 + size) + [np.zeros((size, size))]:
+                for policy, bound in ((TolerancePolicy(5e-324), 1.0), (TolerancePolicy(), 0.0)):
+                    form = skew_canonical(M, policy=policy, bound=bound)
+                    assert 2 * form.k <= size
+                    assert form.U.shape == (size, size) and form.mus.size == form.k
 
 
 class TestBatchedPairs:

@@ -3,6 +3,7 @@ import pytest
 
 from symkal import (
     ConsistencyError,
+    RankAmbiguityError,
     ValidationError,
     is_symplectic,
     jmat,
@@ -51,6 +52,10 @@ PAST_THE_RANGE = [
                     "the decomposition fails verification: Hautus margin 1.4e-7"),
     _past_the_range(1.0, 1e-8, 1.0, ConsistencyError,
                     "the decomposition fails verification: Hautus margin 1.4e-8"),
+    _past_the_range(1.0, 1e7, 1.0, ConsistencyError,
+                    "the refined V' = Y# V fails the CCR check: its rounding grows as ||Y|| ||V||"),
+    _past_the_range(1.0, 1e8, 1.0, RankAmbiguityError,
+                    "the symplectic polish loses column pair 0"),
 ]
 
 

@@ -88,12 +88,15 @@ def test_diff_of_an_edited_report_hash_exits_1_and_names_the_input(tmp_path):
 
 def test_diff_of_a_flip_exits_1(tmp_path):
     flipped = list(ROWS)
+    flipped[0] = ("11/0", "n=3 kld=1,1,1", "incorrect.dims", "-", "d" * 64, "f" * 64)
     flipped[1] = ("11/1", "n=4 kld=2,1,1", "ok", "-", "e" * 64, "f" * 64)
     done = _outcomes("diff", _write(tmp_path / "a.tsv", ROWS), _write(tmp_path / "b.tsv", flipped),
                      check=False)
     assert done.returncode == 1
-    assert done.stdout.splitlines()[-2:] == [
-        "flips: 1", "11/1\tn=4 kld=2,1,1\tRankAmbiguityError [-] -> ok [-]"]
+    lines = done.stdout.splitlines()
+    assert "flips leaving ok: 1, reaching ok: 1, reaching incorrect: 1" in lines
+    assert lines[-3:] == ["flips: 2", "11/0\tn=3 kld=1,1,1\tok [-] -> incorrect.dims [-]",
+                          "11/1\tn=4 kld=2,1,1\tRankAmbiguityError [-] -> ok [-]"]
 
 
 @pytest.fixture

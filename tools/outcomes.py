@@ -22,7 +22,8 @@ report, and is ``-`` for every other outcome, so a field added to the
 report moves only it.
 
 ``diff`` reads two such files of the same inputs and prints the count of
-each outcome on both sides, the verified count per seed, the number of
+each outcome on both sides, the verified count per seed, how many flips
+leave ``ok``, reach ``ok`` and reach ``incorrect.*``, the number of
 successes whose hashes all agree, and the number of failures whose failing
 checks moved.  It then lists every input whose outcome is the same on both
 sides but whose first hash is not, every one whose first hash agrees but
@@ -130,10 +131,14 @@ def diff_lines(a: dict, b: dict):
         ok_a, ok_b = (sum(row[1] == "ok" for key, row in side.items()
                           if key.split("/")[0] == seed) for side in (a, b))
         yield f"{seed}\t{ok_a}\t{ok_b}"
+    flips = [key for key in a if a[key][1] != b[key][1]]
+    left = sum(a[key][1] == "ok" for key in flips)
+    reached = sum(b[key][1] == "ok" for key in flips)
+    wrong = sum(b[key][1].startswith("incorrect.") for key in flips)
+    yield f"flips leaving ok: {left}, reaching ok: {reached}, reaching incorrect: {wrong}"
     both = [key for key in a if a[key][1] == b[key][1] == "ok"]
     same = sum(a[key][3:] == b[key][3:] for key in both)
     yield f"byte-identical successes: {same} of {len(both)}"
-    flips = [key for key in a if a[key][1] != b[key][1]]
     moved = sum(a[key][1] == b[key][1] and a[key][2] != b[key][2] for key in a)
     yield f"same outcome, other failing checks: {moved}"
     kept = [key for key in a if a[key][1] == b[key][1]]
