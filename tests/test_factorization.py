@@ -20,6 +20,7 @@ from helpers import (
 )
 from symkal import (
     CanonicalE,
+    ConsistencyError,
     RankAmbiguityError,
     StructureError,
     TolerancePolicy,
@@ -433,6 +434,24 @@ class TestStrictWhitening:
         assert shape == truth
         dec = kalman_decompose(system)
         assert (dec.k, dec.l, dec.d) == truth
+
+    @pytest.mark.parametrize("index, truth", [(42, (2, 4, 1)), (145, (9, 7, 1))])
+    def test_min_rcond_keeps_wrong_sizes_out(self, index, truth):
+        # structured_split seed 11, once stopped by a reciprocal-condition
+        # floor on the l-block image: the stack's counts and their oracle
+        # both read one l too many, the reconstruction holds, and only the
+        # kernel angle and the decomposition's checks keep the sizes out
+        system, (k, l, d) = structured_split_input(11, index)
+        assert (k, l, d) == truth
+        F = krylov_matrices(system, variant="jr").observability
+        fact = one_sided_symplectic_svd(F)
+        assert (fact.E.k, fact.E.l) == factor_count_oracles(F) == (k, l + 1)
+        report = verify_factorization(F, fact)
+        assert report.reconstruction_ok and report.q_ok and report.counts_ok
+        assert not report.kernel_ok
+        with pytest.raises(ConsistencyError) as info:
+            kalman_decompose(system)
+        assert (info.value.report.k, info.value.report.l) == (k, l + 1)
 
 
 class TestLazyQ:

@@ -625,7 +625,7 @@ class TestObservabilityMargin:
         assert not report.observability_ok
 
     @pytest.mark.parametrize("index", [42, 145])
-    def test_one_l_too_many_rejected(self, index):
+    def test_wrong_sizes_past_min_rcond_rejected(self, index):
         # structured_split seed 11: the l-block image is ill conditioned, and
         # the route returns one l too many, with ||V||_F up to 6.3e12; the
         # claimed subspace is neither invariant nor dark
