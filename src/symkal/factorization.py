@@ -21,6 +21,7 @@ import numpy as np
 from .errors import RankAmbiguityError, StructureError, ValidationError
 from .linalg import (
     DEFAULT_POLICY,
+    ORTHONORMAL_TOL,
     RankDecision,
     TolerancePolicy,
     as_matrix,
@@ -34,8 +35,8 @@ from .linalg import (
     symplectic_gram_schmidt,
 )
 
-# residual bound of verify_factorization: relative to max(1, ||F||_F) for the
-# reconstruction and to the magnification of F Z's rounding for the Q residual
+# residual bound of verify_factorization's reconstruction, relative to
+# max(1, ||F||_F)
 VERIFY_TOL = 1e-8
 # largest principal angle verify_factorization accepts between Ker F and Z
 # applied to the pattern's kernel columns
@@ -397,7 +398,7 @@ def verify_factorization(F, fact: SymplecticFactorization,
     is_symplectic's verdict, relative to ||Z||_F^2.  Column j of Q_lead is
     F z_j / e_j, which carries the rounding of F z_j magnified by
     ||F||_F ||z_j|| / |e_j|, at least 1; the Q residual is judged against
-    VERIFY_TOL times the largest of these.  The kernel check compares
+    ORTHONORMAL_TOL times the largest of these.  The kernel check compares
     Ker F with Z applied to the pattern's kernel columns through principal
     angles.
     The Q checks read Q_lead, read off F Z through the one nonzero of each
@@ -439,7 +440,7 @@ def verify_factorization(F, fact: SymplecticFactorization,
         z_symplectic_residual=z_check.residual,
         z_symplectic_ok=z_check.ok,
         q_residual=q_residual,
-        q_ok=q_residual <= VERIFY_TOL * q_scale,
+        q_ok=q_residual <= ORTHONORMAL_TOL * q_scale,
         q_condition=q_condition,
         k=k,
         l=l,

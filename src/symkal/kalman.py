@@ -14,7 +14,9 @@ claims unobservable must be invariant under G = J R and dark to C, with a
 quotient pair (W^T G W, C W) whose Hautus margin reaches MIN_PBH_MARGIN.
 The margin is certified from the singular values of C W where they can;
 otherwise one QZ of W^T G W runs, through scipy's dggev, which is imported
-on its first call, so a certified result loads no scipy.
+on its first call, so a certified result loads no scipy.  When N = {0},
+W = I and the verifier reads the singular values of C that decided rank C,
+so a wide decomposition of full rank C takes one SVD in all.
 """
 
 from __future__ import annotations
@@ -88,22 +90,28 @@ def state_labels(k: int, l: int, d: int) -> tuple[str, ...]:
     return tuple(_SLOT_LABELS[slot] for slot in SLOTS for _ in slot_indices(k, l, d, (slot,)))
 
 
-def _largest(values) -> float:
-    return float(np.abs(values).max(initial=0.0))
-
-
 @lru_cache(maxsize=512)
 def _zero_masks(k: int, l: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only masks of the mandated zeros of A_hat, of the rows of
-    B_hat and of the columns of C_hat, built once per shape."""
+    """The read-only positions of the mandated zeros: flat, in row-major
+    order, in A_hat, and those of B_hat's uncontrollable rows and of C_hat's
+    unobservable columns; built once per shape."""
     ctl = np.zeros(2 * (k + l + d), dtype=bool)
     unobs = np.zeros(2 * (k + l + d), dtype=bool)
     ctl[slot_indices(k, l, d, CONTROLLABLE)] = True
     unobs[slot_indices(k, l, d, UNOBSERVABLE)] = True
-    masks = ((ctl[None, :] & ~ctl[:, None]) | (unobs[None, :] & ~unobs[:, None]), ~ctl, unobs)
-    for mask in masks:
-        mask.setflags(write=False)
-    return masks
+    a_zero = (ctl[None, :] & ~ctl[:, None]) | (unobs[None, :] & ~unobs[:, None])
+    positions = (np.flatnonzero(a_zero), np.flatnonzero(~ctl), np.flatnonzero(unobs))
+    for index in positions:
+        index.setflags(write=False)
+    return positions
+
+
+def _largest_at(arr, index: np.ndarray, axis: int | None) -> float:
+    """The largest magnitude of ``arr`` at ``index`` along ``axis`` (flat
+    when None); 0.0 for no index, without a numpy call."""
+    if not index.size:
+        return 0.0
+    return float(np.abs(np.take(arr, index, axis=axis)).max(initial=0.0))
 
 
 def pattern_residuals(A_hat, B_hat, C_hat, k: int, l: int, d: int) -> tuple[float, float, float]:
@@ -115,7 +123,8 @@ def pattern_residuals(A_hat, B_hat, C_hat, k: int, l: int, d: int) -> tuple[floa
     unobservable columns.
     """
     a_zero, b_zero, c_zero = _zero_masks(k, l, d)
-    return _largest(A_hat[a_zero]), _largest(B_hat[b_zero]), _largest(C_hat[:, c_zero])
+    return (_largest_at(A_hat, a_zero, None), _largest_at(B_hat, b_zero, 0),
+            _largest_at(C_hat, c_zero, 1))
 
 
 def pattern_violations(E: CanonicalE, T: np.ndarray) -> list[tuple[int, int]]:
@@ -223,18 +232,19 @@ def _identity_pencil(order: int) -> tuple[np.ndarray, int]:
     return eye, int(_dggev(eye, eye, lwork=-1)[-2][0])
 
 
-def observability_margin(G_q, C_q: np.ndarray) -> tuple[float, bool]:
+def observability_margin(G_q, C_q: np.ndarray, sv_q: np.ndarray) -> tuple[float, bool]:
     """Hautus margin of the pair (G_q(), C_q), and whether it is certified.
 
     The margin is the smallest ||C_q x|| / sigma_max(C_q) over the unit
     right eigenvectors x of G_q(): 0 when one is invisible in the output,
     inf for a pair with no state.  smallest_gain's bound on sigma_min /
-    sigma_max(C_q) bounds it from below whatever G_q() is; a bound of at
-    least MIN_PBH_MARGIN is returned as certified, and G_q is not called.
+    sigma_max(C_q), read off C_q's descending singular values ``sv_q``,
+    bounds it from below whatever G_q() is; a bound of at least
+    MIN_PBH_MARGIN is returned as certified, and G_q is not called.
     """
     if C_q.shape[1] == 0:
         return float("inf"), False
-    bound, top = smallest_gain(C_q)
+    bound, top = smallest_gain(sv_q, C_q.shape)
     if not top:
         return 0.0, False
     if bound >= MIN_PBH_MARGIN:
@@ -287,6 +297,21 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     given transformed matrices.  N = {0} takes no QR, and forms G only for
     a QZ.
     """
+    two_n, two_m = 2 * sys.n, sys.C.shape[0]
+    for name, arr, shape in (("A_hat", A_hat, (two_n, two_n)), ("B_hat", B_hat, (two_n, two_m)),
+                             ("C_hat", C_hat, (two_m, two_n))):
+        # the pattern residuals read flat positions, which fit one shape only
+        if np.shape(arr) != shape:
+            raise StructureError(f"{name} has shape {np.shape(arr)}, expected {shape}")
+    return _verify_transformation(sys, V, k, l, d, A_hat, B_hat, C_hat, None)
+
+
+def _verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,
+                           A_hat, B_hat, C_hat, sv_c: np.ndarray | None) -> DecompositionChecks:
+    """verify_transformation, given sv_c, the descending singular values of
+    sys.C when a route has taken them, or None.  Only the margin of
+    N = {0} reads them, and it takes them itself when they are None: the
+    same call on the same read-only C gives the same values."""
     n = sys.n
     V = np.asarray(V)
     if V.shape != (2 * n, 2 * n):
@@ -306,10 +331,14 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
         GU = G @ U
         invariance = _backward_error(scaled_norm(GU - U @ (U.T @ GU)), scaled_norm(G))
         kernel = _backward_error(scaled_norm(sys.C @ U), scaled_norm(sys.C))
-        margin, certified = observability_margin(lambda: W.T @ G @ W, sys.C @ W)
+        C_q = sys.C @ W
+        margin, certified = observability_margin(lambda: W.T @ G @ W, C_q,
+                                                 np.linalg.svd(C_q, compute_uv=False))
     else:
         invariance = kernel = (0.0, True)
-        margin, certified = observability_margin(lambda: J @ sys.R, sys.C)
+        if sv_c is None:
+            sv_c = np.linalg.svd(sys.C, compute_uv=False)
+        margin, certified = observability_margin(lambda: J @ sys.R, sys.C, sv_c)
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
     return DecompositionChecks(
         ccr_residual=ccr_residual, ccr_ok=ccr_residual / v / v <= SYMPLECTIC_TOL,
@@ -341,17 +370,21 @@ def kalman_decompose(sys: QuadratureSystem,
     two_m = sys.C.shape[0]
     # C is the stack's first block, so N lies in Ker C: a C of rank 2n leaves
     # N = {0} with no power of G.  Its overflow test is the stack's, and also
-    # keeps C# C in A finite
-    if two_m >= 2 * n and decide_rank(np.linalg.svd(sys.C, compute_uv=False), two_m, policy,
-                                      "C").rank == 2 * n:
-        return _without_kernel(sys)
+    # keeps C# C in A finite.  Its values also give the verifier the margin
+    # of N = {0}
+    sv_c = None
+    if two_m >= 2 * n:
+        sv_c = np.linalg.svd(sys.C, compute_uv=False)
+        if decide_rank(sv_c, two_m, policy, "C").rank == 2 * n:
+            return _without_kernel(sys, sv_c)
     # krylov_matrices has tested the stack for finiteness
     compressed = compress(krylov_matrices(sys, variant="jr").observability, policy)
     if compressed.rank_f.rank == 2 * n:
-        return _without_kernel(sys)
+        return _without_kernel(sys, sv_c)
     fact = factor(compressed, policy)
     V = sharp_adjoint(fact.Z)
-    return _verified(sys, fact, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V))
+    return _verified(sys, fact, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V),
+                     None)
 
 
 @lru_cache(maxsize=128)
@@ -364,24 +397,28 @@ def _identity_factorization(n: int) -> SymplecticFactorization:
                                    residual=0.0)
 
 
-def _without_kernel(sys: QuadratureSystem) -> KalmanDecomposition:
+def _without_kernel(sys: QuadratureSystem, sv_c: np.ndarray | None) -> KalmanDecomposition:
     """The decomposition (n, 0, 0) of a system with N = {0}: V = I, and the
     factorization is Xu's form of I, the orthonormal basis of N's
     complement, E = I and Z = I.  Every such result of one n shares the
-    same read-only V and factorization."""
+    same read-only V and factorization.  sv_c, C's singular values or None,
+    goes to the verifier."""
     n = sys.n
     fact = _identity_factorization(n)
     # V = I leaves the system as it is: no product is taken
-    return _verified(sys, fact, fact.Z, n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D))
+    return _verified(sys, fact, fact.Z, n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D),
+                     sv_c)
 
 
 def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarray,
-              k: int, l: int, what: str, transformed: tuple) -> KalmanDecomposition:
+              k: int, l: int, what: str, transformed: tuple,
+              sv_c: np.ndarray | None) -> KalmanDecomposition:
     """The decomposition of ``sys`` by V with counts (k, l) and the
     ``transformed`` (A_hat, B_hat, C_hat, D), once these pass
-    verify_transformation; a ConsistencyError naming ``what`` otherwise."""
+    verify_transformation, given C's singular values sv_c or None; a
+    ConsistencyError naming ``what`` otherwise."""
     A_hat, B_hat, C_hat, D = transformed
-    checks = verify_transformation(sys, V, k, l, sys.n - k - l, A_hat, B_hat, C_hat)
+    checks = _verify_transformation(sys, V, k, l, sys.n - k - l, A_hat, B_hat, C_hat, sv_c)
     if not checks.passed:
         raise ConsistencyError(f"{what} failed verification", report=checks)
     # V and the transformed matrices are fresh arrays that nothing else
@@ -455,4 +492,4 @@ def refine(dec: KalmanDecomposition, pair: RefinementPair,
             "X E Y does not match the canonical pattern", blocks=violations)
     V = sharp_adjoint(pair.Y) @ dec.V
     return _verified(dec.system, dec.factorization, V, dec.k, dec.l, "refined decomposition",
-                     _transformed(dec.system, V))
+                     _transformed(dec.system, V), None)

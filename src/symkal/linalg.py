@@ -27,6 +27,9 @@ ZERO_LEVEL = 1e-300
 SKEW_TOL = 1e-9
 # bound on ||T T^sharp - I||_F / max(1, ||T||_F)^2 for a symplectic T
 SYMPLECTIC_TOL = 1e-9
+# bound on ||Q^T Q - I||_F per unit of the magnification of the rounding
+# that Q's columns carry: a few thousand eps, 9.1e-13
+ORTHONORMAL_TOL = 2 ** 12 * EPS
 # smallest pairing omega(z_i, z_{r+i}) the symplectic polish accepts, and
 # largest residual entry it may leave
 MIN_PAIRING = 0.1
@@ -147,14 +150,13 @@ def scaled_norm(X) -> float:
     return big * float(np.sqrt(unit.dot(unit)))
 
 
-def smallest_gain(X) -> tuple[float, float]:
+def smallest_gain(sv, shape: tuple[int, int]) -> tuple[float, float]:
     """A lower bound on min ||X x|| / (sigma_max ||x||) over nonzero x, and
-    sigma_max, from one values-only SVD of a finite X: sigma_min / sigma_max
-    less rows * EPS, which covers the rounding of the singular values.
-    Negative when X may have a kernel, and 0 when X is zero or wider than
-    tall."""
-    rows, cols = X.shape
-    sv = np.linalg.svd(X, compute_uv=False)
+    sigma_max, read off the descending singular values ``sv`` of a finite X
+    of the given shape: sigma_min / sigma_max less rows * EPS, which covers
+    the rounding of the singular values.  Negative when X may have a
+    kernel, and 0 when X is zero or wider than tall."""
+    rows, cols = shape
     top = float(sv[0])
     return (float(sv[-1] / top - rows * EPS) if top and rows >= cols else 0.0), top
 

@@ -37,6 +37,7 @@ from symkal import (
 from symkal.factorization import (
     OBSERVABLE,
     UNOBSERVABLE,
+    VERIFY_TOL,
     _check_leading_columns,
     factor_count_oracles,
     slot_indices,
@@ -226,6 +227,26 @@ class TestVerifyFactorization:
         report = verify_factorization(F, dataclasses.replace(fact, Z=Z), policy=policy)
         assert report.q_residual == pytest.approx(2e-6, rel=1e-3)
         assert not report.q_ok and not report.passed
+
+    def test_q_bound_keeps_its_meaning_past_q_scale_1e8(self):
+        # structured_split seed 21 input 129: the magnification q_scale is
+        # 1.3e8, where VERIFY_TOL * q_scale = 1.3 passed any Q_lead.
+        # ORTHONORMAL_TOL * q_scale = 1.2e-4 passes its rounding, 6.1e-7,
+        # and fails one column of Q_lead made 1e-3 longer
+        sys, _ = structured_split_input(21, 129)
+        F = np.asarray(krylov_matrices(sys, variant="jr").observability)
+        fact = kalman_decompose(sys).factorization
+        obs = slot_indices(fact.E.k, fact.E.l, fact.E.d, OBSERVABLE)
+        e = fact.E.materialize()[np.arange(obs.size), obs]
+        q_scale = np.linalg.norm(F) * np.max(np.linalg.norm(fact.Z[:, obs], axis=0) / np.abs(e))
+        assert 1e8 <= q_scale <= 1e9
+        assert verify_factorization(F, fact).passed
+        Z = np.array(fact.Z)
+        Z[:, obs[0]] *= 1.0 + 1e-3
+        report = verify_factorization(F, dataclasses.replace(fact, Z=Z))
+        assert report.q_residual == pytest.approx(2e-3, rel=1e-2)
+        assert report.q_residual < VERIFY_TOL * q_scale
+        assert not report.q_ok
 
 
 class _InconsistentPolicy(TolerancePolicy):
@@ -533,6 +554,9 @@ class TestLazyQ:
         # the second, values only, for sigma_max of the 4 x 12 C, too wide
         # to certify, and then its QZ
         (lambda: random_system(6, 2, seed=3), (6, 0, 0), 2),
+        # wide C of rank 2n: its one SVD, values only, decides N = {0}, and
+        # the verifier certifies the margin from the same values; no stack
+        (lambda: random_system(6, 16, seed=3), (6, 0, 0), 1),
     ])
     def test_svd_count(self, monkeypatch, make, counts, svd_calls):
         # each skew form costs one SVD, of its half-size bidiagonal; the
@@ -541,6 +565,8 @@ class TestLazyQ:
         # When N is not {0}, the verifier takes one complete QR of the
         # columns of V# that span it
         system = make()
+        # each wide C here has rank 2n, so no stack is built or compressed
+        stacked = system.C.shape[0] < 2 * system.n
         calls = {"svd": [], "qr": [], "inv": [], "skew_canonical": [],
                  "symplectic_gram_schmidt": []}
 
@@ -558,7 +584,7 @@ class TestLazyQ:
         assert len(calls["svd"]) == svd_calls, calls
         # F J F^T and the form on Ker F, and one polish, only when F has a kernel
         factored = dec.k < system.n
-        assert len(calls["qr"]) == 1 + (dec.l > 0) + factored, calls
+        assert len(calls["qr"]) == stacked + (dec.l > 0) + factored, calls
         assert len(calls["inv"]) == (dec.l > 0), calls
         assert len(calls["skew_canonical"]) == 2 * factored, calls
         assert len(calls["symplectic_gram_schmidt"]) == factored, calls
@@ -566,16 +592,15 @@ class TestLazyQ:
     def test_wide_system_of_full_rank_c_reads_c_alone(self, monkeypatch):
         # 2m >= 2n and rank C = 2n: one SVD of C, values only, decides
         # N = {0}; no stack is built, compressed or factored.  The verifier
-        # takes one more, of C_obs = C_hat = C, values only, to bound the
-        # Hautus margin
+        # bounds the Hautus margin from the same values, and takes no SVD
         system = random_system(6, 16, seed=3)
         calls = self._recorded_linalg(monkeypatch)
         stacks = self._recorded_stacks(monkeypatch)
         dec = kalman_decompose(system)
         assert stacks == []
         assert [(name, shape, kwargs) for name, shape, kwargs in calls
-                if name in ("svd", "qr")] == 2 * [("svd", system.C.shape,
-                                                   {"compute_uv": False})], calls
+                if name in ("svd", "qr")] == [("svd", system.C.shape,
+                                               {"compute_uv": False})], calls
         assert dec.residual_report.observability_certified
         assert (dec.k, dec.l, dec.d) == (6, 0, 0)
         assert np.array_equal(dec.V, np.eye(12))

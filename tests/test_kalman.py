@@ -271,11 +271,14 @@ class TestPerShapeCaches:
             idx[0] = 5
 
     def test_zero_masks_are_read_only(self):
-        masks = symkal.kalman._zero_masks(2, 1, 1)
-        assert symkal.kalman._zero_masks(2, 1, 1) is masks
-        for mask in masks:
+        positions = symkal.kalman._zero_masks(2, 1, 1)
+        assert symkal.kalman._zero_masks(2, 1, 1) is positions
+        for index in positions:
+            assert index.size and index.dtype.kind == "i"
             with pytest.raises(ValueError):
-                mask[0] = True
+                index[0] = 0
+        # N = {0}: nothing is mandated zero
+        assert all(index.size == 0 for index in symkal.kalman._zero_masks(3, 0, 0))
 
     def test_identity_pencil_is_read_only(self):
         eye, lwork = symkal.kalman._identity_pencil(5)
@@ -368,6 +371,17 @@ class TestVerifyDecomposition:
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         with pytest.raises(StructureError, match="k \\+ l \\+ d = 2, expected n = 3"):
             verify_transformation(sys, dec.V, 1, 1, 0, dec.A_hat, dec.B_hat, dec.C_hat)
+
+    def test_transformed_matrices_must_fit_the_system(self):
+        # the pattern residuals read A_hat at flat positions, so a larger
+        # A_hat would be read at the wrong entries rather than raise
+        sys = structured_system(9, 1, 1, 1)
+        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
+        given = {"A_hat": dec.A_hat, "B_hat": dec.B_hat, "C_hat": dec.C_hat}
+        for name, arr in given.items():
+            wrong = dict(given, **{name: np.zeros((arr.shape[0] + 2, arr.shape[1]))})
+            with pytest.raises(StructureError, match=f"{name} has shape"):
+                verify_transformation(sys, dec.V, dec.k, dec.l, dec.d, **wrong)
 
     @pytest.mark.filterwarnings("error")
     def test_large_representable_a_hat(self):
@@ -605,7 +619,8 @@ def _uncertified_margin(G_q, C_q) -> float:
     every pair takes the QZ."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(symkal.kalman, "MIN_PBH_MARGIN", np.inf)
-        margin, certified = observability_margin(lambda: G_q, C_q)
+        margin, certified = observability_margin(lambda: G_q, C_q,
+                                                 np.linalg.svd(C_q, compute_uv=False))
     assert not certified
     return margin
 
@@ -754,7 +769,7 @@ class TestMarginAgainstQZ:
         G_q, C_q = _quotient(dec.system, dec.V, dec.k, dec.l, dec.d)
         monkeypatch.setattr(symkal.kalman, "_dggev", failing)
         with pytest.raises(np.linalg.LinAlgError, match=r"\(ggev\) did not converge \(LAPACK info=3\)"):
-            observability_margin(lambda: G_q, C_q)
+            observability_margin(lambda: G_q, C_q, np.linalg.svd(C_q, compute_uv=False))
 
 
 class TestCertifiedMargin:
@@ -820,11 +835,17 @@ class TestCertifiedMargin:
         assert not checks.observability_certified and not checks.passed
 
     def test_certified_result_takes_no_qz(self, monkeypatch):
+        # over the wide_stack grid, the margin the route certifies from the
+        # singular values of C it decided on is the one the verifier
+        # recomputes from scratch
         def failing(*args, **kwargs):
             raise AssertionError("ggev called")
 
         monkeypatch.setattr(symkal.kalman, "_dggev", failing)
-        dec = kalman_decompose(random_system(6, 16, seed=3))
-        report = dec.residual_report
-        assert report.passed and report.observability_certified
-        assert report == verify_decomposition(dec.system, dec)
+        for n in range(4, 7):
+            for m in range(8, 17):
+                for seed in range(3):
+                    dec = kalman_decompose(random_system(n, m, seed=seed))
+                    report = dec.residual_report
+                    assert report.passed and report.observability_certified
+                    assert report == verify_decomposition(dec.system, dec), (n, m, seed)

@@ -17,8 +17,30 @@ def test_all_names_resolve():
     assert len(set(symkal.__all__)) == len(symkal.__all__)
 
 
+def _subscripted(node: ast.AST) -> set[str]:
+    """The arrays an expression subscripts, as source text; a shape is not
+    one."""
+    return {ast.unparse(sub.value) for sub in ast.walk(node) if isinstance(sub, ast.Subscript)
+            and not (isinstance(sub.value, ast.Attribute) and sub.value.attr == "shape")}
+
+
+def _compares_entries_of_one_array(node: ast.AST) -> bool:
+    """Whether a comparison has two sides that subscript the same array, as
+    a ratio test of singular values such as sv[-1] < tol * sv[0] does."""
+    if not isinstance(node, ast.Compare):
+        return False
+    seen = set()
+    for side in [node.left, *node.comparators]:
+        arrays = _subscripted(side)
+        if arrays & seen:
+            return True
+        seen |= arrays
+    return False
+
+
 def _threshold_sites(tree: ast.AST, function: str = "") -> list[str]:
-    """Functions that read EPS or call .cutoff(, one entry per use."""
+    """Functions that read EPS, call .cutoff( or compare two entries of one
+    array, one entry per use."""
     sites = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -29,12 +51,26 @@ def _threshold_sites(tree: ast.AST, function: str = "") -> list[str]:
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr == "cutoff"):
             sites.append(function)
+        elif _compares_entries_of_one_array(node):
+            sites.append(function)
         sites += _threshold_sites(node, function)
     return sites
 
 
+def test_threshold_sites_include_ratio_tests():
+    source = """
+def ratio(sv_b):
+    if sv_b[-1] < MIN_RCOND * sv_b[0]:
+        raise ValueError
+    return sv_b[0] > 0.5 and other[0] <= sv_b[1] and sv_b.shape[0] == sv_b.shape[1]
+"""
+    assert _threshold_sites(ast.parse(source)) == ["ratio"]
+
+
 def test_rank_cutoffs_live_in_policy():
-    # every rank decision goes through TolerancePolicy.decide
+    # every rank decision goes through TolerancePolicy.decide: outside
+    # linalg, nothing reads EPS, calls .cutoff( or tests one entry of an
+    # array against another
     sites = {path.name: _threshold_sites(ast.parse(path.read_text()))
              for path in sorted(SOURCE.glob("*.py")) if path.name != "linalg.py"}
     assert {name: found for name, found in sites.items() if found} == {}
