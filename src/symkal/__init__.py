@@ -25,12 +25,12 @@ from .linalg import (
     skew_canonical,
 )
 from .model import (
-    KrylovMatrices,
     PhysicalSpec,
     QuadratureSystem,
     build_system,
+    controllability_stack,
     from_physical,
-    krylov_matrices,
+    observability_stack,
     random_system,
     t0_matrix,
     transfer_matrix,
@@ -67,8 +67,9 @@ __all__ = [
     "jmat", "sharp_adjoint", "is_symplectic", "numerical_rank", "skew_canonical",
     "largest_angle",
     # model
-    "QuadratureSystem", "PhysicalSpec", "KrylovMatrices", "build_system",
-    "from_physical", "krylov_matrices", "t0_matrix", "random_system", "transfer_matrix",
+    "QuadratureSystem", "PhysicalSpec", "build_system", "from_physical",
+    "observability_stack", "controllability_stack", "t0_matrix", "random_system",
+    "transfer_matrix",
     # factorization
     "CanonicalE", "SymplecticFactorization", "FactorizationChecks",
     "one_sided_symplectic_svd", "verify_factorization", "factor_count_oracles",

@@ -56,7 +56,7 @@ from .linalg import (
     sharp_adjoint,
     smallest_gain,
 )
-from .model import QuadratureSystem, krylov_matrices
+from .model import QuadratureSystem, observability_stack
 
 # relative tolerance of refine's pattern check of X E Y, and of the stored
 # matrices of a report against those recomputed from its V in symkal verify
@@ -94,13 +94,15 @@ def state_labels(k: int, l: int, d: int) -> tuple[str, ...]:
 def _zero_masks(k: int, l: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The read-only positions of the mandated zeros: flat, in row-major
     order, in A_hat, and those of B_hat's uncontrollable rows and of C_hat's
-    unobservable columns; built once per shape."""
+    unobservable columns; built once per shape.  They are held as int32,
+    half the bytes of numpy's default index: flat positions in A_hat stay
+    below 2^31 up to n = 23,170, where A_hat alone takes 17 GB."""
     ctl = np.zeros(2 * (k + l + d), dtype=bool)
     unobs = np.zeros(2 * (k + l + d), dtype=bool)
     ctl[slot_indices(k, l, d, CONTROLLABLE)] = True
     unobs[slot_indices(k, l, d, UNOBSERVABLE)] = True
     a_zero = (ctl[None, :] & ~ctl[:, None]) | (unobs[None, :] & ~unobs[:, None])
-    positions = (np.flatnonzero(a_zero), np.flatnonzero(~ctl), np.flatnonzero(unobs))
+    positions = tuple(np.flatnonzero(mask).astype(np.int32) for mask in (a_zero, ~ctl, unobs))
     for index in positions:
         index.setflags(write=False)
     return positions
@@ -290,12 +292,11 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
     its radical, and its symplectic complement is the controllable
     subspace.  So N is judged through orthonormal bases, U of N and W of
     its orthogonal complement, and cond(V) enters no verdict.  The backward
-    errors ||G U - U U^T G U||_F / ||G||_F, with G = J R, and
+    errors ||G U - U U^T G U||_F / ||G||_F, with the system's G = J R, and
     ||C U||_F / ||C||_F measure the smallest changes to G and C that make N
     invariant and unobservable; the Hautus margin of (W^T G W, C W) leaves
     no other unobservable mode.  No verdict reads the Krylov stacks or the
-    given transformed matrices.  N = {0} takes no QR, and forms G only for
-    a QZ.
+    given transformed matrices.  N = {0} takes no QR.
     """
     two_n, two_m = 2 * sys.n, sys.C.shape[0]
     for name, arr, shape in (("A_hat", A_hat, (two_n, two_n)), ("B_hat", B_hat, (two_n, two_m)),
@@ -327,7 +328,7 @@ def _verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int,
     if unobs.size:
         Q = np.linalg.qr(sharp_adjoint(V)[:, unobs], mode="complete").Q
         U, W = Q[:, :unobs.size], Q[:, unobs.size:]
-        G = J @ sys.R
+        G = sys.G
         GU = G @ U
         invariance = _backward_error(scaled_norm(GU - U @ (U.T @ GU)), scaled_norm(G))
         kernel = _backward_error(scaled_norm(sys.C @ U), scaled_norm(sys.C))
@@ -338,7 +339,7 @@ def _verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int,
         invariance = kernel = (0.0, True)
         if sv_c is None:
             sv_c = np.linalg.svd(sys.C, compute_uv=False)
-        margin, certified = observability_margin(lambda: J @ sys.R, sys.C, sv_c)
+        margin, certified = observability_margin(lambda: sys.G, sys.C, sv_c)
     pattern_a, pattern_b, pattern_c = pattern_residuals(A_hat, B_hat, C_hat, k, l, d)
     return DecompositionChecks(
         ccr_residual=ccr_residual, ccr_ok=ccr_residual / v / v <= SYMPLECTIC_TOL,
@@ -377,8 +378,8 @@ def kalman_decompose(sys: QuadratureSystem,
         sv_c = np.linalg.svd(sys.C, compute_uv=False)
         if decide_rank(sv_c, two_m, policy, "C").rank == 2 * n:
             return _without_kernel(sys, sv_c)
-    # krylov_matrices has tested the stack for finiteness
-    compressed = compress(krylov_matrices(sys, variant="jr").observability, policy)
+    # observability_stack has tested the stack for finiteness
+    compressed = compress(observability_stack(sys, "jr"), policy)
     if compressed.rank_f.rank == 2 * n:
         return _without_kernel(sys, sv_c)
     fact = factor(compressed, policy)
@@ -422,8 +423,8 @@ def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarra
     if not checks.passed:
         raise ConsistencyError(f"{what} failed verification", report=checks)
     # V and the transformed matrices are fresh arrays that nothing else
-    # holds, or read-only already, as the system's own C is under V = I:
-    # they are frozen in place rather than copied
+    # holds, or read-only already, as the system's own B, C and D are
+    # under V = I: they are frozen in place rather than copied
     for arr in (V, A_hat, B_hat, C_hat, D):
         arr.setflags(write=False)
     return KalmanDecomposition(system=sys, factorization=fact, V=V, k=k, l=l, A_hat=A_hat,

@@ -2,8 +2,10 @@
 
 A system is the data (R, C, Sigma): a symmetric energy matrix R on the
 2n-dimensional phase space, a real coupling matrix C into 2m field
-quadratures, and a symplectic feedthrough Sigma.  The drift and input
-matrices A = J R - C# C / 2 and B = -C# Sigma are derived on demand.
+quadratures, and a symplectic feedthrough Sigma.  The generator G = J R,
+the sharp adjoint C# and the input matrix B = -C# Sigma are built with the
+system; the drift A = G - C# C / 2 is formed on each read.  The Krylov
+stacks are built by observability_stack and controllability_stack.
 random_system imports scipy's expm and t0_matrix its block_diag when
 called, so that building a system from arrays loads no scipy.
 """
@@ -11,7 +13,6 @@ called, so that building a system from arrays loads no scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,10 @@ class QuadratureSystem:
     R: np.ndarray
     C: np.ndarray
     Sigma: np.ndarray
+    # derived from the three above and read-only; set by __post_init__ alone
+    G: np.ndarray = field(init=False, repr=False, compare=False)
+    C_sharp: np.ndarray = field(init=False, repr=False, compare=False)
+    B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R = as_matrix(self.R, "R")
@@ -64,12 +69,17 @@ class QuadratureSystem:
         object.__setattr__(self, "R", readonly(R))
         object.__setattr__(self, "C", readonly(C))
         object.__setattr__(self, "Sigma", readonly(Sigma))
+        C_sharp = sharp_adjoint(self.C)
         # a symplectic Sigma can hold entries near 1e200, so B = -C# Sigma
         # can overflow where R, C and Sigma do not
         with np.errstate(over="ignore", invalid="ignore"):
-            B = self.B
+            B = -C_sharp @ self.Sigma
         if not np.isfinite(B).all():
             raise ValidationError("B within float64 range", detail="-C# Sigma overflows")
+        # fresh arrays that nothing else holds: frozen in place, not copied
+        for name, arr in (("G", jmat(self.n) @ self.R), ("C_sharp", C_sharp), ("B", B)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -79,22 +89,15 @@ class QuadratureSystem:
     def m(self) -> int:
         return self.C.shape[0] // 2
 
-    @cached_property
-    def C_sharp(self) -> np.ndarray:
-        """The sharp adjoint C# shared by A and B."""
-        return readonly(sharp_adjoint(self.C))
-
     @property
     def A(self) -> np.ndarray:
-        return jmat(self.n) @ self.R - 0.5 * self.C_sharp @ self.C
-
-    @property
-    def B(self) -> np.ndarray:
-        return -self.C_sharp @ self.Sigma
+        """G - C# C / 2, formed on each read: C# C can overflow where C
+        does not."""
+        return self.G - 0.5 * self.C_sharp @ self.C
 
     @property
     def D(self) -> np.ndarray:
-        return np.array(self.Sigma)
+        return self.Sigma
 
 
 def build_system(R, C, Sigma=None) -> QuadratureSystem:
@@ -172,47 +175,20 @@ def from_physical(spec: PhysicalSpec) -> tuple[np.ndarray, np.ndarray]:
     return C, Sigma
 
 
-@dataclass(frozen=True)
-class KrylovMatrices:
-    """Stacked controllability/observability matrices for one power basis.
-
-    The observability stack is built eagerly; the controllability stack is
-    built from the same ``generator`` G on first read.  Arrays that are
-    already read-only and own their data are kept as given, anything else
-    is copied.
-    """
-
-    system: QuadratureSystem = field(repr=False)
-    generator: np.ndarray = field(repr=False)
-    observability: np.ndarray
-    depth: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "generator", readonly(self.generator))
-        object.__setattr__(self, "observability", readonly(self.observability))
-
-    @cached_property
-    def controllability(self) -> np.ndarray:
-        """[B, G B, ..., G^{d-1} B]."""
-        blocks = [self.system.B]
-        for _ in range(self.depth - 1):
-            blocks.append(self.generator @ blocks[-1])
-        return readonly(np.hstack(blocks))
-
-
-def krylov_matrices(sys: QuadratureSystem, variant: str) -> KrylovMatrices:
-    """Build the stacked [C; C G; ...; C G^{d-1}], and on first read of
-    ``controllability`` the matrix [B, G B, ..., G^{d-1} B].
-
-    ``variant`` selects the power basis G: the drift matrix A ("a") or the
-    closed-loop-free generator J R ("jr").  Both give the same image and
-    kernel.  The depth is d = 2n.  A block of the observability stack that
-    overflows float64 raises a ValidationError naming its power.
-    """
+def _generator(sys: QuadratureSystem, variant: str) -> np.ndarray:
+    """The power basis G of the Krylov stacks: the drift matrix A ("a") or
+    the closed-loop-free generator J R ("jr").  Both give the same image and
+    kernel."""
     if variant not in ("a", "jr"):
         raise StructureError(f"variant must be 'a' or 'jr', got {variant!r}")
-    G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
-    G.setflags(write=False)
+    return sys.A if variant == "a" else sys.G
+
+
+def observability_stack(sys: QuadratureSystem, variant: str) -> np.ndarray:
+    """The read-only [C; C G; ...; C G^{2n-1}] for the power basis G that
+    ``variant`` selects.  A block that overflows float64 raises a
+    ValidationError naming its power."""
+    G = _generator(sys, variant)
     depth = 2 * sys.n
     # each block C G^j is written into its place in the stack, one product
     # of the block above it
@@ -227,15 +203,25 @@ def krylov_matrices(sys: QuadratureSystem, variant: str) -> KrylovMatrices:
         raise ValidationError("observability stack within float64 range",
                               detail=f"C G^{j} overflows, G = {'A' if variant == 'a' else 'J R'}")
     observability.setflags(write=False)
-    return KrylovMatrices(system=sys, generator=G, observability=observability, depth=depth)
+    return observability
+
+
+def controllability_stack(sys: QuadratureSystem, variant: str) -> np.ndarray:
+    """The read-only [B, G B, ..., G^{2n-1} B] for the power basis G that
+    ``variant`` selects."""
+    G = _generator(sys, variant)
+    blocks = [sys.B]
+    for _ in range(2 * sys.n - 1):
+        blocks.append(G @ blocks[-1])
+    return readonly(np.hstack(blocks))
 
 
 def t0_matrix(n: int, m: int, D) -> np.ndarray:
     """The fixed full-rank matrix relating the two structured Krylov stacks.
 
     T0 = diag(D, ..., D) diag(J_2m, -J_2m, ...) J_4nm satisfies
-    observability = T0 @ sharp_adjoint(controllability) for the "jr" variant
-    of any system whose feedthrough is D.  T0 T0# equals (-1)^n D D^T tiled,
+    observability_stack(sys, "jr") = T0 @ sharp_adjoint(controllability_stack(sys, "jr"))
+    for any system whose feedthrough is D.  T0 T0# equals (-1)^n D D^T tiled,
     so T0 is symplectic exactly when n is even and D is orthogonal.
     """
     if n < 1 or m < 1:

@@ -11,11 +11,12 @@ import numpy as np
 from helpers import POPULATION_POLICY, factor_population, mixed_population
 from symkal import (
     build_system,
+    controllability_stack,
     jmat,
     kalman_decompose,
-    krylov_matrices,
     largest_angle,
     numerical_rank,
+    observability_stack,
     one_sided_symplectic_svd,
     sharp_adjoint,
     t0_matrix,
@@ -60,9 +61,8 @@ def test_criterion_1_demo_reproduction():
         dec = kalman_decompose(system)
         worst_runtime = max(worst_runtime, time.perf_counter() - start)
         assert (dec.k, dec.l, dec.d) == (1, 1, 1)
-        kry = krylov_matrices(system, variant="jr")
-        controllable = numerical_rank(kry.controllability).image
-        unobservable = numerical_rank(kry.observability).kernel
+        controllable = numerical_rank(controllability_stack(system, "jr")).image
+        unobservable = numerical_rank(observability_stack(system, "jr")).kernel
         assert controllable.dim == 3 and unobservable.dim == 3
         worst_angle = max(worst_angle,
                           largest_angle(controllable, ctl_ref),
@@ -97,10 +97,9 @@ def test_criterion_3_krylov_duality_identity():
     worst = 0.0
     population = _system_population(200)
     for sys in population:
-        kry = krylov_matrices(sys, variant="jr")
-        obs = np.asarray(kry.observability)
+        obs = observability_stack(sys, "jr")
         T0 = t0_matrix(sys.n, sys.m, sys.Sigma)
-        resid = np.linalg.norm(obs - T0 @ sharp_adjoint(kry.controllability))
+        resid = np.linalg.norm(obs - T0 @ sharp_adjoint(controllability_stack(sys, "jr")))
         worst = max(worst, resid / np.linalg.norm(obs))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10
@@ -111,12 +110,10 @@ def test_criterion_3_krylov_duality_identity():
 def test_criterion_4_power_basis_equivalence():
     worst = 0.0
     for sys in _system_population(200):
-        kry_a = krylov_matrices(sys, variant="a")
-        kry_jr = krylov_matrices(sys, variant="jr")
-        img_a = numerical_rank(kry_a.controllability, POPULATION_POLICY).image
-        img_jr = numerical_rank(kry_jr.controllability, POPULATION_POLICY).image
-        ker_a = numerical_rank(kry_a.observability, POPULATION_POLICY).kernel
-        ker_jr = numerical_rank(kry_jr.observability, POPULATION_POLICY).kernel
+        img_a = numerical_rank(controllability_stack(sys, "a"), POPULATION_POLICY).image
+        img_jr = numerical_rank(controllability_stack(sys, "jr"), POPULATION_POLICY).image
+        ker_a = numerical_rank(observability_stack(sys, "a"), POPULATION_POLICY).kernel
+        ker_jr = numerical_rank(observability_stack(sys, "jr"), POPULATION_POLICY).kernel
         assert img_a.dim == img_jr.dim
         assert ker_a.dim == ker_jr.dim
         if img_a.dim:

@@ -297,7 +297,7 @@ class TestOneVerifier:
 
     @pytest.fixture()
     def stacks(self, monkeypatch):
-        return self._count(monkeypatch, "krylov_matrices")
+        return self._count(monkeypatch, "observability_stack")
 
     def test_kalman_decompose(self, calls, stacks):
         kalman_decompose(random_system(2, 1, seed=11))

@@ -43,7 +43,7 @@ from symkal.factorization import (
     slot_indices,
 )
 from symkal.linalg import DEFAULT_POLICY
-from symkal.model import krylov_matrices
+from symkal.model import observability_stack
 
 
 class TestCanonicalE:
@@ -211,8 +211,7 @@ class TestVerifyFactorization:
         # failed an absolute bound of 1e-8 with every other check passing
         sys, _ = structured_split_input(21, 159)
         dec = kalman_decompose(sys)
-        report = verify_factorization(krylov_matrices(sys, variant="jr").observability,
-                                      dec.factorization)
+        report = verify_factorization(observability_stack(sys, "jr"), dec.factorization)
         assert report.q_residual > 1e-7
         assert report.passed, report.as_dict()
 
@@ -234,7 +233,7 @@ class TestVerifyFactorization:
         # ORTHONORMAL_TOL * q_scale = 1.2e-4 passes its rounding, 6.1e-7,
         # and fails one column of Q_lead made 1e-3 longer
         sys, _ = structured_split_input(21, 129)
-        F = np.asarray(krylov_matrices(sys, variant="jr").observability)
+        F = observability_stack(sys, "jr")
         fact = kalman_decompose(sys).factorization
         obs = slot_indices(fact.E.k, fact.E.l, fact.E.d, OBSERVABLE)
         e = fact.E.materialize()[np.arange(obs.size), obs]
@@ -292,9 +291,8 @@ def _tall_stacks():
     wide = random_system(6, 16, seed=3)
     structured = structured_system(5, 2, 2, 1, m_core=2)
     return [
-        (np.asarray(krylov_matrices(wide, variant="jr").observability), TolerancePolicy(), None),
-        (np.asarray(krylov_matrices(structured, variant="jr").observability), POPULATION_POLICY,
-         (2, 2)),
+        (observability_stack(wide, "jr"), TolerancePolicy(), None),
+        (observability_stack(structured, "jr"), POPULATION_POLICY, (2, 2)),
     ]
 
 
@@ -370,14 +368,13 @@ class TestPairsAgainstEigh:
 
     def test_mixed_population(self):
         for system in mixed_population(200, base_seed=2026):
-            F = np.asarray(krylov_matrices(system, variant="jr").observability)
+            F = observability_stack(system, "jr")
             assert self._decided_k(F, POPULATION_POLICY) == _eigh_pairs(F, POPULATION_POLICY)
 
     @pytest.mark.parametrize("shape", STRUCTURED_SHAPES)
     def test_structured_shapes(self, shape):
         for seed in (3, 77, *range(40, 44), *range(100, 130)):
-            F = np.asarray(krylov_matrices(structured_system(seed, *shape),
-                                           variant="jr").observability)
+            F = observability_stack(structured_system(seed, *shape), "jr")
             k = self._decided_k(F, POPULATION_POLICY)
             assert k == _eigh_pairs(F, POPULATION_POLICY) == shape[0]
 
@@ -411,7 +408,7 @@ class TestStrictWhitening:
     the triangular factor of that image, not a Cholesky of its Gram matrix."""
 
     def test_image_rank_short_of_l_raises_with_decision(self):
-        F = krylov_matrices(structured_system(13, 1, 1, 1), variant="jr").observability
+        F = observability_stack(structured_system(13, 1, 1, 1), "jr")
         assert one_sided_symplectic_svd(F).E.l == 1
         with pytest.raises(RankAmbiguityError) as info:
             one_sided_symplectic_svd(F, policy=_ImageCutoffPolicy())
@@ -464,7 +461,7 @@ class TestStrictWhitening:
         # kernel angle and the decomposition's checks keep the sizes out
         system, (k, l, d) = structured_split_input(11, index)
         assert (k, l, d) == truth
-        F = krylov_matrices(system, variant="jr").observability
+        F = observability_stack(system, "jr")
         fact = one_sided_symplectic_svd(F)
         assert (fact.E.k, fact.E.l) == factor_count_oracles(F) == (k, l + 1)
         report = verify_factorization(F, fact)
@@ -537,7 +534,7 @@ class TestLazyQ:
             F = np.eye(2 * system.n)
             assert np.array_equal(dec.V, F)
         else:
-            F = np.asarray(krylov_matrices(system, variant="jr").observability)
+            F = observability_stack(system, "jr")
         report = verify_factorization(F, dec.factorization)
         assert report.passed, report.as_dict()
 
@@ -609,15 +606,14 @@ class TestLazyQ:
 
     @staticmethod
     def _recorded_stacks(monkeypatch) -> list:
-        """The observability stack of every krylov_matrices call kalman makes."""
+        """The stack of every observability_stack call kalman makes."""
         stacks = []
 
         def recording(*args, **kwargs):
-            out = krylov_matrices(*args, **kwargs)
-            stacks.append(out.observability)
-            return out
+            stacks.append(observability_stack(*args, **kwargs))
+            return stacks[-1]
 
-        monkeypatch.setattr(symkal.kalman, "krylov_matrices", recording)
+        monkeypatch.setattr(symkal.kalman, "observability_stack", recording)
         return stacks
 
     def test_wide_system_of_deficient_c_takes_the_stack_route(self, monkeypatch):
@@ -652,7 +648,7 @@ class TestLazyQ:
         # kalman_decompose factors the compression it made of the stack, with
         # the same bits as one_sided_symplectic_svd on that stack
         system = structured_system(13, 1, 1, 1)
-        F = krylov_matrices(system, variant="jr").observability
+        F = observability_stack(system, "jr")
         fact = one_sided_symplectic_svd(F)
         dec = kalman_decompose(system)
         assert dec.factorization.E == fact.E
@@ -719,11 +715,11 @@ class TestLazyQ:
         refs = []
 
         def recording(*args, **kwargs):
-            out = krylov_matrices(*args, **kwargs)
-            refs.append(weakref.ref(out.observability))
+            out = observability_stack(*args, **kwargs)
+            refs.append(weakref.ref(out))
             return out
 
-        monkeypatch.setattr(symkal.kalman, "krylov_matrices", recording)
+        monkeypatch.setattr(symkal.kalman, "observability_stack", recording)
         dec = kalman_decompose(random_system(6, 2, seed=3))
         gc.collect()
         # the decomposition is alive, the stack it was factored from is not

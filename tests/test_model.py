@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -13,16 +14,18 @@ from helpers import (
 )
 from symkal import (
     PhysicalSpec,
+    QuadratureSystem,
     StructureError,
     ValidationError,
     build_system,
+    controllability_stack,
     from_physical,
     is_symplectic,
     jmat,
     kalman_decompose,
-    krylov_matrices,
     largest_angle,
     numerical_rank,
+    observability_stack,
     random_system,
     sharp_adjoint,
     t0_matrix,
@@ -111,6 +114,46 @@ class TestBuildSystem:
         assert np.array_equal(A1, A2)
 
 
+class TestDerivedFields:
+    """G = J R, C# and B = -C# Sigma are built with the system, once."""
+
+    def test_bit_equal_to_their_definitions(self):
+        sys = random_system(3, 2, seed=5)
+        assert sys.G.tobytes() == (jmat(3) @ sys.R).tobytes()
+        assert sys.C_sharp.tobytes() == sharp_adjoint(sys.C).tobytes()
+        assert sys.B.tobytes() == (-sharp_adjoint(sys.C) @ sys.Sigma).tobytes()
+        assert sys.D is sys.Sigma
+
+    def test_read_only(self):
+        sys = random_system(2, 1, seed=0)
+        for name in ("G", "C_sharp", "B", "D"):
+            arr = getattr(sys, name)
+            assert getattr(sys, name) is arr
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sys, name, np.zeros_like(arr))
+
+    def test_not_given_to_the_constructor(self):
+        sys = random_system(1, 1, seed=0)
+        for name in ("G", "C_sharp", "B"):
+            with pytest.raises(TypeError):
+                QuadratureSystem(R=sys.R, C=sys.C, Sigma=sys.Sigma, **{name: sys.R})
+            assert f"{name}=" not in repr(sys)
+
+    def test_replace_rebuilds_them(self):
+        sys = random_system(3, 2, seed=5)
+        scaled = dataclasses.replace(sys, C=2 * sys.C)
+        assert scaled.G is not sys.G
+        assert scaled.G.tobytes() == (jmat(3) @ sys.R).tobytes()
+        assert scaled.C_sharp.tobytes() == sharp_adjoint(2 * sys.C).tobytes()
+        assert scaled.B.tobytes() == (-sharp_adjoint(2 * sys.C) @ sys.Sigma).tobytes()
+        assert not np.array_equal(scaled.B, sys.B)
+        shifted = dataclasses.replace(sys, R=sys.R + np.eye(6))
+        assert shifted.G.tobytes() == (jmat(3) @ (sys.R + np.eye(6))).tobytes()
+        assert shifted.B.tobytes() == sys.B.tobytes()
+
+
 class TestFromPhysical:
     def test_identity_scattering(self):
         spec = PhysicalSpec(S=np.eye(3, dtype=complex),
@@ -172,25 +215,24 @@ class TestFromPhysical:
 class TestKrylov:
     def test_zero_coupling(self):
         sys = build_system(np.eye(4), np.zeros((2, 4)), np.eye(2))
-        kry = krylov_matrices(sys, variant="jr")
-        assert not kry.controllability.any()
-        assert not kry.observability.any()
+        assert not controllability_stack(sys, "jr").any()
+        assert not observability_stack(sys, "jr").any()
 
     def test_demo_observability_rank(self):
-        kry = krylov_matrices(build_demo(1.0, 1.0, 1.0), variant="jr")
-        assert kry.observability.shape == (12, 6)
-        assert numerical_rank(kry.observability).rank == 3
+        obs = observability_stack(build_demo(1.0, 1.0, 1.0), "jr")
+        assert obs.shape == (12, 6)
+        assert numerical_rank(obs).rank == 3
 
     def test_depth(self):
+        # 2n = 4 blocks of B and of C
         sys = random_system(2, 1, seed=1)
-        kry = krylov_matrices(sys, variant="jr")
-        assert kry.depth == 4
-        assert kry.controllability.shape == (4, 8)
-        assert kry.observability.shape == (8, 4)
+        assert controllability_stack(sys, "jr").shape == (4, 8)
+        assert observability_stack(sys, "jr").shape == (8, 4)
 
     def test_bad_variant(self):
-        with pytest.raises(StructureError):
-            krylov_matrices(random_system(1, 1, seed=0), variant="b")
+        for stack in (observability_stack, controllability_stack):
+            with pytest.raises(StructureError, match="variant must be 'a' or 'jr', got 'b'"):
+                stack(random_system(1, 1, seed=0), "b")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_variants_share_spans(self, seed):
@@ -199,15 +241,13 @@ class TestKrylov:
         n = 1 + seed % 5
         m = 1 + seed % 3
         sys = random_system(n, m, seed=seed)
-        kry_a = krylov_matrices(sys, variant="a")
-        kry_jr = krylov_matrices(sys, variant="jr")
-        img_a = numerical_rank(kry_a.controllability).image
-        img_jr = numerical_rank(kry_jr.controllability).image
+        img_a = numerical_rank(controllability_stack(sys, "a")).image
+        img_jr = numerical_rank(controllability_stack(sys, "jr")).image
         assert img_a.dim == img_jr.dim
         if img_a.dim:
             assert largest_angle(img_a, img_jr) <= 1e-7
-        ker_a = numerical_rank(kry_a.observability).kernel
-        ker_jr = numerical_rank(kry_jr.observability).kernel
+        ker_a = numerical_rank(observability_stack(sys, "a")).kernel
+        ker_jr = numerical_rank(observability_stack(sys, "jr")).kernel
         assert ker_a.dim == ker_jr.dim
         if ker_a.dim:
             assert largest_angle(ker_a, ker_jr) <= 1e-7
@@ -219,49 +259,49 @@ class TestStackInPlace:
     @pytest.mark.parametrize("variant", ["a", "jr"])
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 8), (5, 1), (6, 16)])
     def test_equals_list_and_vstack(self, variant, n, m):
-        # reference: the list of powers C G^j stacked once at the end
+        # reference: the list of powers C G^j stacked once at the end, with
+        # G = J R formed here rather than read off the system
         sys = random_system(n, m, seed=10 * n + m)
-        G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
+        JR = jmat(n) @ sys.R
+        assert sys.G.tobytes() == JR.tobytes()
+        G = sys.A if variant == "a" else JR
         blocks = [sys.C]
         for _ in range(2 * n - 1):
             blocks.append(blocks[-1] @ G)
-        kry = krylov_matrices(sys, variant=variant)
-        assert kry.observability.tobytes() == np.vstack(blocks).tobytes()
-        assert kry.generator.tobytes() == G.tobytes()
-        assert not kry.observability.flags.writeable
+        obs = observability_stack(sys, variant)
+        assert obs.tobytes() == np.vstack(blocks).tobytes()
+        assert not obs.flags.writeable
 
 
 class TestLazyControllability:
-    """Only the observability stack is built eagerly."""
+    """The controllability stack is built only by its own function, which
+    the decomposition never calls."""
 
     @pytest.mark.parametrize("variant", ["a", "jr"])
     def test_equals_eager_stack(self, variant):
         # reference: the loop that built both stacks together
         sys = random_system(3, 2, seed=4)
-        kry = krylov_matrices(sys, variant=variant)
-        assert "controllability" not in vars(kry)
         G = sys.A if variant == "a" else jmat(sys.n) @ sys.R
-        blocks = [sys.B]
+        blocks = [-sharp_adjoint(sys.C) @ sys.Sigma]
         for _ in range(2 * sys.n - 1):
             blocks.append(G @ blocks[-1])
-        ctl = kry.controllability
+        ctl = controllability_stack(sys, variant)
         assert ctl.tobytes() == np.hstack(blocks).tobytes()
-        assert kry.controllability is ctl and not ctl.flags.writeable
+        assert not ctl.flags.writeable
 
     def test_decompose_never_builds_it(self, monkeypatch):
-        built = []
-        original = symkal.kalman.krylov_matrices
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decomposition built a controllability stack")
 
-        def recording(*args, **kwargs):
-            built.append(original(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(symkal.kalman, "krylov_matrices", recording)
-        # the kernel branch, and a narrow system (2m < 2n) of full rank F
-        kalman_decompose(structured_system(13, 1, 1, 1))
-        kalman_decompose(random_system(6, 2, seed=3))
-        assert len(built) == 2
-        assert all("controllability" not in vars(kry) for kry in built)
+        original = symkal.model.controllability_stack
+        for module in (symkal, symkal.model, symkal.factorization, symkal.kalman):
+            if getattr(module, "controllability_stack", None) is original:
+                monkeypatch.setattr(module, "controllability_stack", refuse)
+        # the rank-C route (2m >= 2n), a narrow system (2m < 2n) of full
+        # rank F, and the kernel branch
+        assert kalman_decompose(random_system(3, 4, seed=1)).k == 3
+        assert kalman_decompose(random_system(6, 2, seed=3)).k == 6
+        assert kalman_decompose(structured_system(13, 1, 1, 1)).l == 1
 
 
 class TestT0:
@@ -279,17 +319,15 @@ class TestT0:
         n = 1 + seed % 5
         m = 1 + seed % 3
         sys = random_system(n, m, seed=seed)
-        kry = krylov_matrices(sys, variant="jr")
+        ctl = controllability_stack(sys, "jr")
         T0 = t0_matrix(n, m, sys.Sigma)
-        obs = np.asarray(kry.observability)
-        resid = np.linalg.norm(obs - T0 @ sharp_adjoint(kry.controllability))
+        obs = observability_stack(sys, "jr")
+        resid = np.linalg.norm(obs - T0 @ sharp_adjoint(ctl))
         assert resid <= 1e-10 * np.linalg.norm(obs)
         # equivalently, the controllability stack comes back through the
         # sharp inverse of T0
-        resid2 = np.linalg.norm(
-            np.asarray(kry.controllability)
-            - sharp_adjoint(obs) @ np.linalg.inv(sharp_adjoint(T0)))
-        assert resid2 <= 1e-9 * np.linalg.norm(kry.controllability)
+        resid2 = np.linalg.norm(ctl - sharp_adjoint(obs) @ np.linalg.inv(sharp_adjoint(T0)))
+        assert resid2 <= 1e-9 * np.linalg.norm(ctl)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_symplectic_for_even_modes_orthogonal_feedthrough(self, n):
@@ -340,9 +378,8 @@ class TestClassDimensionPairing:
     @pytest.mark.parametrize("idx", range(10))
     def test_observability_and_controllability_counts_agree(self, idx):
         sys = mixed_population(10, base_seed=300)[idx]
-        kry = krylov_matrices(sys, variant="jr")
-        obs = np.asarray(kry.observability)
-        ctl = np.asarray(kry.controllability)
+        obs = observability_stack(sys, "jr")
+        ctl = controllability_stack(sys, "jr")
         k_obs, l_obs = factor_count_oracles(obs, None)
         k_ctl, l_ctl = factor_count_oracles(ctl.T, None)
         assert (k_obs, l_obs) == (k_ctl, l_ctl)
@@ -350,7 +387,7 @@ class TestClassDimensionPairing:
     def test_structured_counts(self):
         # the construction fixes (1, 2, 1), and the count oracle must find it
         sys = structured_system(7, 1, 2, 1)
-        obs = krylov_matrices(sys, variant="jr").observability
+        obs = observability_stack(sys, "jr")
         assert factor_count_oracles(obs, POPULATION_POLICY) == (1, 2)
 
     def test_populations_call_no_rank_code(self, monkeypatch):
@@ -359,9 +396,10 @@ class TestClassDimensionPairing:
         def refuse(*args, **kwargs):
             raise AssertionError("a test population called the library's rank code")
 
+        rank_code = (factor_count_oracles, observability_stack, controllability_stack)
         for module in (symkal, symkal.factorization, symkal.model, symkal.kalman, helpers):
             for name, value in list(vars(module).items()):
-                if value is factor_count_oracles or value is krylov_matrices:
+                if any(value is code for code in rank_code):
                     monkeypatch.setattr(module, name, refuse)
         assert structured_system(7, 1, 2, 1).n == 4
         assert len(mixed_population(20, 2026)) == 20

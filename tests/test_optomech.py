@@ -5,12 +5,13 @@ from symkal import (
     ConsistencyError,
     RankAmbiguityError,
     ValidationError,
+    controllability_stack,
     is_symplectic,
     jmat,
     kalman_decompose,
-    krylov_matrices,
     largest_angle,
     numerical_rank,
+    observability_stack,
 )
 from symkal import optomech
 
@@ -130,9 +131,8 @@ class TestDecomposition:
     @pytest.mark.parametrize("omega,lam,gamma", PARAMETER_TRIPLES)
     def test_subspaces(self, omega, lam, gamma):
         sys = optomech.build(omega, lam, gamma)
-        kry = krylov_matrices(sys, variant="jr")
-        controllable = numerical_rank(kry.controllability).image
-        unobservable = numerical_rank(kry.observability).kernel
+        controllable = numerical_rank(controllability_stack(sys, "jr")).image
+        unobservable = numerical_rank(observability_stack(sys, "jr")).kernel
         e = np.eye(6)
         # controllable: q3, p3, p1 + p2; unobservable: q1 - q2, p1, p2
         ctl_ref = numerical_rank(

@@ -138,6 +138,7 @@ def test_settable_counts_only_fields_with_defaults():
 class Spec:
     plain: int
     hidden: int = field(repr=False)
+    derived: int = field(init=False, repr=False)
     valued: int = field(default=0, repr=False)
     made: list = field(default_factory=list)
     given: int = 1
@@ -164,10 +165,7 @@ def _cached_properties(tree: ast.AST, module: str) -> list[tuple[str, str]]:
 
 # Every result computed on first read rather than when its owner is built.
 # A new one has to be added here, with a measurement that it pays for itself.
-CACHED_PROPERTIES = [
-    ("model", "QuadratureSystem.C_sharp"),
-    ("model", "KrylovMatrices.controllability"),
-]
+CACHED_PROPERTIES = []
 
 
 def test_cached_properties():
