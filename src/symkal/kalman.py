@@ -13,8 +13,9 @@ in the input's own coordinates: V must be symplectic, and the subspace it
 claims unobservable must be invariant under G = J R and dark to C, with a
 quotient pair (W^T G W, C W) whose Hautus margin reaches MIN_PBH_MARGIN.
 The margin is certified from the singular values of C W where they can;
-otherwise one QZ of W^T G W runs, through scipy's dggev, which is imported
-on its first call, so a certified result loads no scipy.  When N = {0},
+otherwise one QZ of W^T G W runs, through the dggev of scipy's compiled
+LAPACK module, loaded on its first call without the scipy.linalg package,
+so a certified result loads no scipy.  When N = {0},
 W = I and the verifier reads the singular values of C that decided rank C,
 so a wide decomposition of full rank C takes one SVD in all.
 """
@@ -48,6 +49,7 @@ from .linalg import (
     DEFAULT_POLICY,
     SYMPLECTIC_TOL,
     TolerancePolicy,
+    _lapack,
     as_matrix,
     is_symplectic,
     jmat,
@@ -219,9 +221,8 @@ def _transformed(sys: QuadratureSystem, V: np.ndarray):
 
 
 def _dggev(*args, **kwargs):
-    """scipy's dggev, loaded by the first call that runs a QZ."""
-    from scipy.linalg.lapack import dggev
-    return dggev(*args, **kwargs)
+    """scipy's compiled dggev, loaded by the first call that runs a QZ."""
+    return _lapack().dggev(*args, **kwargs)
 
 
 @lru_cache(maxsize=128)

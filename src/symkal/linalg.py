@@ -4,16 +4,21 @@ Conventions used throughout the package: a vector in R^{2k} is ordered as k
 positions followed by k momenta, and the symplectic form is
 omega(u, v) = u^T J v with J = [[0, I_k], [-I_k, 0]].
 
-Like every scipy routine the package uses, skew_canonical's LAPACK
-reduction (dgehrd, dorghr) is imported by the call that runs it, so that
-importing the package and the decompositions that take no skew form never
-load scipy.
+The LAPACK routines the package calls directly (dgehrd and dorghr for
+skew_canonical, dggev for the Hautus margin) come from scipy's compiled
+module scipy.linalg._flapack, which _lapack loads on first use without
+running scipy/linalg/__init__.py.  Importing the package and the
+decompositions that take no skew form and no QZ load no scipy at all.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +115,28 @@ def as_complex_matrix(value, name: str) -> np.ndarray:
     if arr.size and not np.isfinite(arr).all():
         raise StructureError(f"{name} contains non-finite entries")
     return arr
+
+
+@lru_cache(maxsize=1)
+def _lapack():
+    """scipy's compiled LAPACK wrappers, scipy.linalg._flapack, whose
+    functions scipy.linalg.lapack re-exports.  The module is loaded from its
+    file and registered under its own name, so the scipy.linalg package,
+    which costs most of scipy's import time, stays unloaded until something
+    else imports it, and then binds this same module."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    # the top-level package is cheap, and readies the bundled BLAS
+    import scipy
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = FileFinder(path, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled module _flapack in {path}", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
@@ -337,11 +364,11 @@ def skew_canonical(M, policy: TolerancePolicy | None = None,
                                  decision=policy.decide(np.zeros(0), 0.0, "skew_canonical"))
     K = 0.5 * (A - A.T)
 
-    from scipy.linalg.lapack import dgehrd, dorghr
+    lapack = _lapack()
     # the wrappers' minimal workspace selects the unblocked reduction, which
     # LAPACK takes below order 128 in any case
-    h, tau, _ = dgehrd(K)
-    Q = dorghr(h, tau)[0] if s_dim > 1 else np.ones((1, 1))
+    h, tau, _ = lapack.dgehrd(K)
+    Q = lapack.dorghr(h, tau)[0] if s_dim > 1 else np.ones((1, 1))
     e = 0.5 * (np.diagonal(h, 1) - np.diagonal(h, -1))
     half = s_dim // 2
     B = np.zeros((s_dim - half, half))

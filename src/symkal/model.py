@@ -2,9 +2,10 @@
 
 A system is the data (R, C, Sigma): a symmetric energy matrix R on the
 2n-dimensional phase space, a real coupling matrix C into 2m field
-quadratures, and a symplectic feedthrough Sigma.  The generator G = J R,
-the sharp adjoint C# and the input matrix B = -C# Sigma are built with the
-system; the drift A = G - C# C / 2 is formed on each read.  The Krylov
+quadratures, and a symplectic feedthrough Sigma.  The sharp adjoint C# and
+the input matrix B = -C# Sigma are built with the system; the generator
+G = J R and the drift A = G - C# C / 2 are formed on each read, so a held
+system keeps no copy of the size of R.  The Krylov
 stacks are built by observability_stack and controllability_stack.
 random_system imports scipy's expm and t0_matrix its block_diag when
 called, so that building a system from arrays loads no scipy.
@@ -38,7 +39,6 @@ class QuadratureSystem:
     C: np.ndarray
     Sigma: np.ndarray
     # derived from the three above and read-only; set by __post_init__ alone
-    G: np.ndarray = field(init=False, repr=False, compare=False)
     C_sharp: np.ndarray = field(init=False, repr=False, compare=False)
     B: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -77,7 +77,7 @@ class QuadratureSystem:
         if not np.isfinite(B).all():
             raise ValidationError("B within float64 range", detail="-C# Sigma overflows")
         # fresh arrays that nothing else holds: frozen in place, not copied
-        for name, arr in (("G", jmat(self.n) @ self.R), ("C_sharp", C_sharp), ("B", B)):
+        for name, arr in (("C_sharp", C_sharp), ("B", B)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -88,6 +88,13 @@ class QuadratureSystem:
     @property
     def m(self) -> int:
         return self.C.shape[0] // 2
+
+    @property
+    def G(self) -> np.ndarray:
+        """The read-only generator J R, formed on each read."""
+        G = jmat(self.n) @ self.R
+        G.setflags(write=False)
+        return G
 
     @property
     def A(self) -> np.ndarray:

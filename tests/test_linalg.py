@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +19,7 @@ from symkal import (
     skew_canonical,
 )
 from symkal.errors import RankAmbiguityError, ValidationError
-from symkal.linalg import EPS, ZERO_LEVEL, symplectic_gram_schmidt
+from symkal.linalg import EPS, ZERO_LEVEL, _lapack, symplectic_gram_schmidt
 
 
 def _block_matrix(form) -> np.ndarray:
@@ -590,3 +593,15 @@ class TestInternalHelpers:
         _, scales = symplectic_gram_schmidt(Z, r)
         assert np.allclose(scales, 1.0 / np.sqrt(w), rtol=1e-14, atol=0)
         assert np.allclose(scales, 1.0 / c, rtol=1e-12, atol=0)
+
+
+class TestLapackLoader:
+    def test_is_scipys_own_module_once_scipy_linalg_is_loaded(self, monkeypatch):
+        flapack = sys.modules["scipy.linalg._flapack"]
+        assert _lapack() is flapack
+        # past the cache, which an earlier test may have filled: the
+        # registered module is returned without a search of scipy's files
+        monkeypatch.setattr("symkal.linalg.FileFinder", None)
+        assert _lapack.__wrapped__() is flapack
+        for name in ("dgehrd", "dorghr", "dggev"):
+            assert getattr(_lapack(), name) is getattr(scipy.linalg.lapack, name)

@@ -115,7 +115,8 @@ class TestBuildSystem:
 
 
 class TestDerivedFields:
-    """G = J R, C# and B = -C# Sigma are built with the system, once."""
+    """C# and B = -C# Sigma are built with the system, once; G = J R is
+    formed on each read."""
 
     def test_bit_equal_to_their_definitions(self):
         sys = random_system(3, 2, seed=5)
@@ -128,7 +129,8 @@ class TestDerivedFields:
         sys = random_system(2, 1, seed=0)
         for name in ("G", "C_sharp", "B", "D"):
             arr = getattr(sys, name)
-            assert getattr(sys, name) is arr
+            if name != "G":
+                assert getattr(sys, name) is arr
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):

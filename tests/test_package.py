@@ -257,15 +257,25 @@ def f():
         (2, "os"), (3, "scipy"), (5, "scipy.linalg"), (7, "scipy.linalg")]
 
 
+def _run_fresh(script: str) -> None:
+    """Run a script in a fresh interpreter that imports this symkal."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
 def test_wide_route_loads_no_scipy():
     # a fresh interpreter: the import, --version and a wide decomposition
-    # leave scipy unloaded, and a narrow one loads it for the QZ margin
-    script = textwrap.dedent("""
+    # leave scipy unloaded; a narrow one loads scipy's compiled LAPACK
+    # module alone, which a later import of scipy.linalg.lapack then binds
+    _run_fresh("""
         import sys
         import numpy as np
         import symkal
         import symkal.cli
         from symkal import build_system, kalman_decompose
+        from symkal.linalg import _lapack
 
         def loaded():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -281,9 +291,31 @@ def test_wide_route_loads_no_scipy():
         assert loaded() == [], loaded()
         narrow = kalman_decompose(build_system(0.5 * (R0 + R0.T), rng.standard_normal((2, 6))))
         assert narrow.residual_report.passed
-        assert "scipy.linalg.lapack" in loaded(), loaded()
+        assert "scipy.linalg._flapack" in loaded(), loaded()
+        assert "scipy.linalg" not in loaded() and "scipy.linalg.lapack" not in loaded(), loaded()
+        import scipy.linalg.lapack
+        for name in ("dgehrd", "dorghr", "dggev"):
+            assert getattr(scipy.linalg.lapack, name) is getattr(_lapack(), name), name
         """)
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    run = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_demo_loads_no_scipy_linalg():
+    # the demo takes the kernel route, the QZ margin and refine, all on the
+    # compiled LAPACK module
+    _run_fresh("""
+        import sys
+        from symkal import kalman, optomech
+
+        qz = []
+        dggev = kalman._dggev
+
+        def counted(*args, **kwargs):
+            qz.append(1)
+            return dggev(*args, **kwargs)
+
+        kalman._dggev = counted
+        optomech.run(1.0, 1.0, 1.0)
+        assert qz, "no QZ ran"
+        assert "scipy.linalg._flapack" in sys.modules
+        assert "scipy.linalg" not in sys.modules, sorted(sys.modules)
+        """)
