@@ -240,7 +240,6 @@ def decomposition_to_report(dec: KalmanDecomposition, policy: TolerancePolicy) -
         "residuals": {
             "symplecticity": checks.ccr_residual,
             "pattern": checks.pattern_residual,
-            "reconstruction": dec.factorization.residual,
         },
     }
 
@@ -273,7 +272,9 @@ def parse_report(data, m: int) -> dict:
         "D": _array(data, "D", (2 * m, 2 * m)),
     }
     residuals = _require(data, "residuals", dict)
-    for field in ("symplecticity", "pattern", "reconstruction"):
+    # reports written before the factorization left the decomposition also
+    # carry "reconstruction", which is not read
+    for field in ("symplecticity", "pattern"):
         value = _require(residuals, field, NUMBER)
         # exact for ints too, which may lie beyond float64
         if not abs(value) <= _FLOAT_MAX:

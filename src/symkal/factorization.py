@@ -30,7 +30,6 @@ from .linalg import (
     largest_angle,
     numerical_rank,
     readonly,
-    scaled_norm,
     skew_canonical,
     symplectic_gram_schmidt,
 )
@@ -113,7 +112,6 @@ class SymplecticFactorization:
 
     E: CanonicalE
     Z: np.ndarray
-    residual: float
 
     def __post_init__(self):
         object.__setattr__(self, "Z", readonly(self.Z))
@@ -206,7 +204,7 @@ def one_sided_symplectic_svd(F, policy: TolerancePolicy | None = None) -> Symple
     R_F, the triangular factor of F = Q_F R_F, so ``compress`` reduces the
     s x 2r input to at most 2r rows first, and ``factor`` works on those:
     the image of the paired directions on R_F, and the rank check of the
-    leading columns of Q and the residual on S = Sigma V^T, in
+    leading columns of Q on S = Sigma V^T, in
     U_F = Q_F U_R.  The directions paired with the kernel radical take no
     decomposition: they follow in closed form from the pairs already found.
 
@@ -290,7 +288,8 @@ def factor(c: Compression, policy: TolerancePolicy) -> SymplecticFactorization:
         # copies taken through slot_indices differ from these in the last bits
         Zb = Z[:, k:k + l]
         W0 = Z[:, r + k:r + k + l]
-        # F Zb whitens more closely through R_F and a QR than through S or an SVD
+        # F Zb whitens more closely through R_F and a QR than through S or an
+        # SVD; the demo's refinement at omega = 1e2 also relies on this whitening
         Qb_raw = R_F @ Zb
         stage = "image of the paired directions"
         sv_b = np.linalg.svd(Qb_raw, compute_uv=False)
@@ -310,11 +309,8 @@ def factor(c: Compression, policy: TolerancePolicy) -> SymplecticFactorization:
     if 0 < Q_core.shape[1] < s:
         _check_leading_columns(Q_core, s, policy)
 
-    E = CanonicalE(r=r, k=k, l=l, xi=xi)
-    # U_F keeps norms: ||F Z - Q_lead E|| = ||S Z - Q_core E||
-    residual = scaled_norm(S @ Z - Q_core @ E.materialize())
     Z.setflags(write=False)
-    return SymplecticFactorization(E=E, Z=Z, residual=residual)
+    return SymplecticFactorization(E=CanonicalE(r=r, k=k, l=l, xi=xi), Z=Z)
 
 
 def _paired_directions(J, Za, Za_partner, Zc, Zc_partner, W0):

@@ -5,6 +5,8 @@ V = Z^{-1} is symplectic, so the transformed system is again a valid
 quadrature model, and the canonical sparsity of E forces the transformed
 (A, B, C) into a block pattern that separates the four controllability and
 observability classes while keeping conjugate coordinate pairs together.
+A decomposition keeps V and its counts (k, l), not the factorization: the
+pattern that refine checks depends on the counts alone.
 A stack of full rank 2n has no unobservable subspace; it is not factored,
 and V = I.  Nor is it built when its first block C already has rank 2n.
 
@@ -39,7 +41,6 @@ from .factorization import (
     SLOTS,
     UNOBSERVABLE,
     CanonicalE,
-    SymplecticFactorization,
     compress,
     decide_rank,
     factor,
@@ -186,13 +187,14 @@ class DecompositionChecks:
 class KalmanDecomposition:
     """A symplectic V with the transformed system and state classification.
 
-    State ordering after the transformation is (q_a, q_b, q_c, p_a, p_b, p_c)
-    with block sizes (k, l, d, k, l, d); conjugate pairs stay aligned, and
-    the q_b block is conjugate to the p_b block.
+    The factorization V came from is not kept: refine and the report read
+    V and the counts alone.  State ordering after the transformation is
+    (q_a, q_b, q_c, p_a, p_b, p_c) with block sizes (k, l, d, k, l, d);
+    conjugate pairs stay aligned, and the q_b block is conjugate to the
+    p_b block.
     """
 
     system: QuadratureSystem
-    factorization: SymplecticFactorization
     V: np.ndarray
     k: int
     l: int
@@ -359,8 +361,7 @@ def kalman_decompose(sys: QuadratureSystem,
     unobservable subspace it claims with verify_transformation.  When the
     stack's rank decision gives
     rank F = 2n, the unobservable subspace Ker F is {0}, (k, l, d) = (n, 0, 0)
-    and V = I: the factorization is then Xu's form of the orthonormal basis
-    I of Ker F's complement, E = I and Z = I, and no skew form is taken.
+    and V = I, and no skew form is taken.
     Ker F lies in Ker C, so when C has 2m >= 2n rows and the decision on
     its singular values, stage "rank C", gives rank C = 2n, the same V = I
     is returned before the stack is built.
@@ -385,35 +386,27 @@ def kalman_decompose(sys: QuadratureSystem,
         return _without_kernel(sys, sv_c)
     fact = factor(compressed, policy)
     V = sharp_adjoint(fact.Z)
-    return _verified(sys, fact, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V),
-                     None)
+    return _verified(sys, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V), None)
 
 
 @lru_cache(maxsize=128)
-def _identity_factorization(n: int) -> SymplecticFactorization:
-    """Xu's form of the 2n x 2n identity, E = I and Z = I with residual 0,
-    built once per n; its Z is read-only and doubles as V = I."""
+def _identity(n: int) -> np.ndarray:
+    """The read-only 2n x 2n identity, V = I, built once per n."""
     eye = np.eye(2 * n)
     eye.setflags(write=False)
-    return SymplecticFactorization(E=CanonicalE(r=n, k=n, l=0, xi=np.ones(n)), Z=eye,
-                                   residual=0.0)
+    return eye
 
 
 def _without_kernel(sys: QuadratureSystem, sv_c: np.ndarray | None) -> KalmanDecomposition:
-    """The decomposition (n, 0, 0) of a system with N = {0}: V = I, and the
-    factorization is Xu's form of I, the orthonormal basis of N's
-    complement, E = I and Z = I.  Every such result of one n shares the
-    same read-only V and factorization.  sv_c, C's singular values or None,
-    goes to the verifier."""
-    n = sys.n
-    fact = _identity_factorization(n)
+    """The decomposition (n, 0, 0) of a system with N = {0}: V = I, shared
+    read-only by every such result of one n.  sv_c, C's singular values or
+    None, goes to the verifier."""
     # V = I leaves the system as it is: no product is taken
-    return _verified(sys, fact, fact.Z, n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D),
-                     sv_c)
+    return _verified(sys, _identity(sys.n), sys.n, 0, "decomposition",
+                     (sys.A, sys.B, sys.C, sys.D), sv_c)
 
 
-def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarray,
-              k: int, l: int, what: str, transformed: tuple,
+def _verified(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, what: str, transformed: tuple,
               sv_c: np.ndarray | None) -> KalmanDecomposition:
     """The decomposition of ``sys`` by V with counts (k, l) and the
     ``transformed`` (A_hat, B_hat, C_hat, D), once these pass
@@ -428,8 +421,8 @@ def _verified(sys: QuadratureSystem, fact: SymplecticFactorization, V: np.ndarra
     # under V = I: they are frozen in place rather than copied
     for arr in (V, A_hat, B_hat, C_hat, D):
         arr.setflags(write=False)
-    return KalmanDecomposition(system=sys, factorization=fact, V=V, k=k, l=l, A_hat=A_hat,
-                               B_hat=B_hat, C_hat=C_hat, D=D, residual_report=checks)
+    return KalmanDecomposition(system=sys, V=V, k=k, l=l, A_hat=A_hat, B_hat=B_hat, C_hat=C_hat,
+                               D=D, residual_report=checks)
 
 
 def verify_decomposition(sys: QuadratureSystem, dec: KalmanDecomposition) -> DecompositionChecks:
@@ -467,13 +460,14 @@ def refine(dec: KalmanDecomposition, pair: RefinementPair,
            policy: TolerancePolicy | None = None) -> KalmanDecomposition:
     """Rebuild the decomposition with V' = Y^{-1} V for a validated pair.
 
-    The pair is validated against the decomposition's canonical factor E,
-    its (2k + l) x 2r nonzero rows: Y symplectic, the (2k + l) x (2k + l)
-    X invertible under ``policy``, and X E Y matching the canonical pattern
-    with nonzero diagonals.  Counts and labels are preserved; every
-    invariant is re-verified on the result.
+    The pair is validated against the pattern the counts fix, Xu's form of
+    V's own observable rows: the (2k + l) x 2n E with every xi = 1, so that
+    E Y is Y's observable rows.  Y must be symplectic, the (2k + l) x
+    (2k + l) X invertible under ``policy``, and X E Y must match the
+    canonical pattern with nonzero diagonals.  Counts and labels are
+    preserved; every invariant is re-verified on the result.
     """
-    E = dec.factorization.E
+    E = CanonicalE(r=dec.system.n, k=dec.k, l=dec.l, xi=np.ones(dec.k))
     E_mat = E.materialize()
     p = E_mat.shape[0]
     if pair.X.shape[0] != p or pair.Y.shape[0] != 2 * E.r:
@@ -493,5 +487,5 @@ def refine(dec: KalmanDecomposition, pair: RefinementPair,
         raise RefinementRejectedError(
             "X E Y does not match the canonical pattern", blocks=violations)
     V = sharp_adjoint(pair.Y) @ dec.V
-    return _verified(dec.system, dec.factorization, V, dec.k, dec.l, "refined decomposition",
+    return _verified(dec.system, V, dec.k, dec.l, "refined decomposition",
                      _transformed(dec.system, V), None)

@@ -83,17 +83,20 @@ def refinement_pair(dec: KalmanDecomposition) -> RefinementPair:
     """Refinement pair steering this system's decomposition onto REFERENCE_V.
 
     Y = V Vref^T is symplectic because Vref is orthogonal symplectic, and
-    Y^{-1} V = Vref by construction.  X carries the three nonzero columns
-    of E Y, the 3 x 3 block lead, onto scaled unit columns: X is lead^{-1}
-    with row j scaled by the norm of column j of lead.  lead is invertible:
-    the observable rows of V and of Vref both annihilate the unobservable
-    subspace, so they differ by an invertible 3 x 3 factor.
+    Y^{-1} V = Vref by construction.  refine's E, fixed by the counts, has
+    every xi = 1, so the three nonzero columns of E Y are the 3 x 3 block
+    lead of Y on the observable slots.  X carries lead onto scaled unit
+    columns: X is lead^{-1} with row j scaled by the norm of column j of
+    lead.  lead is invertible: the observable rows of V and of Vref both
+    annihilate the unobservable subspace, so they differ by an invertible
+    3 x 3 factor.
     """
     if (dec.k, dec.l, dec.d) != (1, 1, 1):
         raise ValidationError("demo decomposition has (k, l, d) = (1, 1, 1)",
                               detail=f"got {(dec.k, dec.l, dec.d)}")
     Y = dec.V @ REFERENCE_V.T
-    lead = (dec.factorization.E.materialize() @ Y)[:, slot_indices(dec.k, dec.l, dec.d, OBSERVABLE)]
+    obs = slot_indices(dec.k, dec.l, dec.d, OBSERVABLE)
+    lead = Y[np.ix_(obs, obs)]
     X = np.linalg.norm(lead, axis=0)[:, None] * np.linalg.inv(lead)
     return RefinementPair(X=X, Y=Y)
 

@@ -205,6 +205,18 @@ class TestVerify:
         assert code == 0
         assert "all checks passed" in out
 
+    def test_report_with_reconstruction_key_exits_0(self, system_doc, tmp_path, capsys):
+        # reports written while a decomposition kept its factorization carry
+        # residuals.reconstruction; new reports do not
+        report_path = self._decompose(system_doc, tmp_path, capsys)
+        report = json.loads(report_path.read_text())
+        assert set(report["residuals"]) == {"symplecticity", "pattern"}
+        report["residuals"]["reconstruction"] = 3.1e-16
+        report_path.write_text(canonical_json(report))
+        code, out, _ = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 0
+        assert "all checks passed" in out
+
     def test_perturbed_v_exits_5(self, system_doc, tmp_path, capsys):
         report_path = self._decompose(system_doc, tmp_path, capsys)
         report = json.loads(report_path.read_text())
@@ -315,10 +327,10 @@ class TestOneVerifier:
 
     def test_refine(self, calls, stacks):
         dec = kalman_decompose(random_system(2, 1, seed=11))
-        E = dec.factorization.E
         calls.clear()
         stacks.clear()
-        refine(dec, RefinementPair(X=np.eye(2 * E.k + E.l), Y=np.eye(2 * E.r)))
+        # the counts' pattern is (2k + l) x 2n
+        refine(dec, RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=np.eye(2 * dec.system.n)))
         assert len(calls) == 1
         assert len(stacks) == 0
 

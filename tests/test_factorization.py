@@ -210,8 +210,8 @@ class TestVerifyFactorization:
         # ||F||_F ||z_j|| / |e_j|, here 1.5e10; its q_residual of about 1e-6
         # failed an absolute bound of 1e-8 with every other check passing
         sys, _ = structured_split_input(21, 159)
-        dec = kalman_decompose(sys)
-        report = verify_factorization(observability_stack(sys, "jr"), dec.factorization)
+        F = observability_stack(sys, "jr")
+        report = verify_factorization(F, one_sided_symplectic_svd(F))
         assert report.q_residual > 1e-7
         assert report.passed, report.as_dict()
 
@@ -234,7 +234,7 @@ class TestVerifyFactorization:
         # and fails one column of Q_lead made 1e-3 longer
         sys, _ = structured_split_input(21, 129)
         F = observability_stack(sys, "jr")
-        fact = kalman_decompose(sys).factorization
+        fact = one_sided_symplectic_svd(F)
         obs = slot_indices(fact.E.k, fact.E.l, fact.E.d, OBSERVABLE)
         e = fact.E.materialize()[np.arange(obs.size), obs]
         q_scale = np.linalg.norm(F) * np.max(np.linalg.norm(fact.Z[:, obs], axis=0) / np.abs(e))
@@ -521,8 +521,8 @@ class TestLazyQ:
     def test_stack_rows_read_once(self, monkeypatch, make):
         # one Householder QR compresses the stack and computes no vectors;
         # every later step reads its triangular factor.  With no kernel,
-        # V = I and the factorization is Xu's form of I, the orthonormal
-        # basis of Ker F's complement
+        # V = I; with one, V = Z^{-1} of a factorization of the stack that
+        # passes verify_factorization
         system = make()
         s = 4 * system.n * system.m
         calls = self._recorded_linalg(monkeypatch)
@@ -531,12 +531,13 @@ class TestLazyQ:
         assert [(name, kwargs) for name, shape, kwargs in calls
                 if shape[:1] == (s,)] == [("qr", {"mode": "r"})], calls
         if dec.k == system.n:
-            F = np.eye(2 * system.n)
-            assert np.array_equal(dec.V, F)
+            assert np.array_equal(dec.V, np.eye(2 * system.n))
         else:
             F = observability_stack(system, "jr")
-        report = verify_factorization(F, dec.factorization)
-        assert report.passed, report.as_dict()
+            fact = one_sided_symplectic_svd(F)
+            assert np.array_equal(dec.V, sharp_adjoint(fact.Z))
+            report = verify_factorization(F, fact)
+            assert report.passed, report.as_dict()
 
     @pytest.mark.parametrize("make, counts, svd_calls", [
         # the kernel branch: the stack, the bidiagonal of F J F^T and that of
@@ -600,9 +601,9 @@ class TestLazyQ:
                                                {"compute_uv": False})], calls
         assert dec.residual_report.observability_certified
         assert (dec.k, dec.l, dec.d) == (6, 0, 0)
+        # the V = I that every result of n = 6 with N = {0} shares
         assert np.array_equal(dec.V, np.eye(12))
-        report = verify_factorization(np.eye(12), dec.factorization)
-        assert report.passed, report.as_dict()
+        assert dec.V is symkal.kalman._identity(6)
 
     @staticmethod
     def _recorded_stacks(monkeypatch) -> list:
@@ -625,11 +626,7 @@ class TestLazyQ:
         assert (dec.k, dec.l, dec.d) == (2, 1, 1)
         assert len(stacks) == 1
         fact = one_sided_symplectic_svd(stacks[0])
-        E = dec.factorization.E
-        assert (E.r, E.k, E.l) == (fact.E.r, fact.E.k, fact.E.l)
-        assert np.array_equal(E.xi, fact.E.xi)
-        assert np.array_equal(dec.factorization.Z, fact.Z)
-        assert dec.factorization.residual == fact.residual
+        assert (dec.k, dec.l) == (fact.E.k, fact.E.l)
         assert np.array_equal(dec.V, sharp_adjoint(fact.Z))
 
     def test_wide_system_at_a_coarse_cutoff_takes_the_stack_route(self, monkeypatch):
@@ -651,9 +648,8 @@ class TestLazyQ:
         F = observability_stack(system, "jr")
         fact = one_sided_symplectic_svd(F)
         dec = kalman_decompose(system)
-        assert dec.factorization.E == fact.E
-        assert np.array_equal(dec.factorization.Z, fact.Z)
-        assert dec.factorization.residual == fact.residual
+        assert (dec.k, dec.l) == (fact.E.k, fact.E.l)
+        assert np.array_equal(dec.V, sharp_adjoint(fact.Z))
 
     @staticmethod
     def _svd_rank(Q_core, s, policy):
@@ -723,7 +719,7 @@ class TestLazyQ:
         dec = kalman_decompose(random_system(6, 2, seed=3))
         gc.collect()
         # the decomposition is alive, the stack it was factored from is not
-        assert dec.factorization.Z.shape == (12, 12)
+        assert dec.V.shape == (12, 12)
         assert len(refs) == 1 and refs[0]() is None
 
     @pytest.mark.parametrize("case", range(2))

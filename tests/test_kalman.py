@@ -288,17 +288,15 @@ class TestPerShapeCaches:
         with pytest.raises(ValueError):
             eye[0, 0] = 2.0
 
-    def test_results_without_kernel_share_v_and_factorization(self):
+    def test_results_without_kernel_share_v(self):
         # N = {0} for both, one from C alone, one from the stack
         first = kalman_decompose(random_system(3, 4, seed=1))
         second = kalman_decompose(random_system(3, 1, seed=2))
         assert (first.k, second.k) == (3, 3)
-        assert second.V is first.V and second.factorization is first.factorization
-        assert first.factorization.Z is first.V
+        assert second.V is first.V and first.V is symkal.kalman._identity(3)
         assert np.array_equal(first.V, np.eye(6))
-        for arr in (first.V, first.factorization.E.xi):
-            with pytest.raises(ValueError):
-                arr[0] = 2.0
+        with pytest.raises(ValueError):
+            first.V[0] = 2.0
 
     def test_same_v_as_a_fresh_process(self):
         kalman_decompose(random_system(6, 16, seed=3))
@@ -447,18 +445,18 @@ class TestRefine:
     def test_identity_pair(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        E = dec.factorization.E
-        pair = RefinementPair(X=np.eye(2 * E.k + E.l), Y=np.eye(2 * E.r))
+        # the pattern the counts fix is (2k + l) x 2n
+        pair = RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=np.eye(2 * sys.n))
         out = refine(dec, pair, policy=POPULATION_POLICY)
         assert np.allclose(out.V, dec.V)
         assert out.labels == dec.labels
         assert (out.k, out.l, out.d) == (dec.k, dec.l, dec.d)
 
     def test_x_is_sized_by_the_nonzero_rows_of_e(self):
-        # a 384-row stack factors to a 12 x 12 E: X is 12 x 12, and an X of
-        # the stack's height is rejected
+        # a 384-row stack of N = {0} gives (k, l) = (6, 0), so E is 12 x 12:
+        # X is 12 x 12, and an X of the stack's height is rejected
         dec = kalman_decompose(random_system(6, 16, 3))
-        assert dec.factorization.E.materialize().shape == (12, 12)
+        assert (2 * dec.k + dec.l, 2 * dec.system.n) == (12, 12)
         out = refine(dec, RefinementPair(X=np.eye(12), Y=np.eye(12)))
         assert np.array_equal(out.V, dec.V)
         with pytest.raises(StructureError, match=r"do not match E \(12 x 12\)"):
@@ -477,7 +475,6 @@ class TestRefine:
         # canonical pattern untouched
         sys = structured_system(13, 1, 1, 2)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        E = dec.factorization.E
         n, d = sys.n, dec.d
         rng = np.random.default_rng(4)
         Sd = random_symplectic(d, rng)
@@ -485,37 +482,36 @@ class TestRefine:
         slots = list(range(dec.k + dec.l, n)) + list(range(n + dec.k + dec.l, 2 * n))
         Y[np.ix_(slots, slots)] = Sd
         assert is_symplectic(Y).ok
-        out = refine(dec, RefinementPair(X=np.eye(2 * E.k + E.l), Y=Y), policy=POPULATION_POLICY)
+        out = refine(dec, RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=Y),
+                     policy=POPULATION_POLICY)
         assert out.labels == dec.labels
         assert out.residual_report.passed
 
     def test_pattern_violation_rejected(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        E = dec.factorization.E
-        n = sys.n
         rng = np.random.default_rng(8)
-        Y = random_symplectic(n, rng)  # generic symplectic scrambles the pattern
+        Y = random_symplectic(sys.n, rng)  # generic symplectic scrambles the pattern
         with pytest.raises(RefinementRejectedError) as info:
-            refine(dec, RefinementPair(X=np.eye(2 * E.k + E.l), Y=Y), policy=POPULATION_POLICY)
+            refine(dec, RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=Y),
+                   policy=POPULATION_POLICY)
         assert info.value.blocks
 
     def test_rejected_blocks_pinned(self):
         # E's rows split as (k, l, k) and its columns as the six slots.
         # Scaling row k, the unit on slot q_b, by 1e-12 leaves X invertible
         # but puts that diagonal below the pattern bound: a vanished diagonal
-        # in block (1, 1).  Adding row 2k + l - 1, whose xi sits on p_a, into
-        # row 0 puts an entry off the pattern in (0, 3).
+        # in block (1, 1).  Adding row 2k + l - 1, whose unit sits on p_a,
+        # into row 0 puts an entry off the pattern in (0, 3).
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        E = dec.factorization.E
-        k, l = E.k, E.l
+        k, l = dec.k, dec.l
         assert (k, l) == (1, 1)
         X = np.eye(2 * k + l)
         X[k, k] = 1e-12
         X[0, 2 * k + l - 1] = 0.5
         with pytest.raises(RefinementRejectedError) as info:
-            refine(dec, RefinementPair(X=X, Y=np.eye(2 * E.r)), policy=POPULATION_POLICY)
+            refine(dec, RefinementPair(X=X, Y=np.eye(2 * sys.n)), policy=POPULATION_POLICY)
         assert info.value.blocks == ((0, 3), (1, 1))
         assert all(type(index) is int for block in info.value.blocks for index in block)
         assert str(info.value) == ("refinement rejected: X E Y does not match the canonical "
@@ -524,15 +520,14 @@ class TestRefine:
     def test_nonsymplectic_y_rejected(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        E = dec.factorization.E
         with pytest.raises(ValidationError, match="Y symplectic"):
-            refine(dec, RefinementPair(X=np.eye(2 * E.k + E.l), Y=2.0 * np.eye(2 * sys.n)))
+            refine(dec, RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=2.0 * np.eye(2 * sys.n)))
 
     def test_singular_x_rejected(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        E = dec.factorization.E
-        X = np.zeros((2 * E.k + E.l, 2 * E.k + E.l))
+        p = 2 * dec.k + dec.l
+        X = np.zeros((p, p))
         with pytest.raises(ValidationError, match="X invertible"):
             refine(dec, RefinementPair(X=X, Y=np.eye(2 * sys.n)))
 
@@ -542,22 +537,22 @@ class TestRefine:
         # X E Y, whose square overflows or underflows, nor an absolute floor
         # on the pattern bound may make the check reject it
         dec = kalman_decompose(optomech.build(1.0, 1.0, 1.0))
-        E = dec.factorization.E
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = refine(dec, RefinementPair(X=scale * np.eye(2 * E.k + E.l), Y=np.eye(2 * E.r)))
+            out = refine(dec, RefinementPair(X=scale * np.eye(2 * dec.k + dec.l),
+                                             Y=np.eye(2 * dec.system.n)))
         assert np.array_equal(out.V, dec.V)
         assert out.labels == dec.labels
 
     def test_x_check_uses_the_policy(self):
-        # the demo's 3 x 3 X has singular values 3.39, 1 and 0.723, so a
-        # scale of 4e14 puts the cutoff scale * eps * 3 * 3.39 at 0.90,
+        # the demo's 3 x 3 X has singular values 1.75, 1 and 0.773, so a
+        # scale of 8e14 puts the cutoff scale * eps * 3 * 1.75 at 0.93,
         # above the smallest
         dec = kalman_decompose(optomech.build(1.0, 1.0, 1.0))
         pair = optomech.refinement_pair(dec)
         assert pair.X.shape == (3, 3)
         with pytest.raises(ValidationError, match="X invertible"):
-            refine(dec, pair, policy=TolerancePolicy(scale=4e14))
+            refine(dec, pair, policy=TolerancePolicy(scale=8e14))
 
 
 class TestClassifyStates:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symkal import (
+    CanonicalE,
     ConsistencyError,
     RankAmbiguityError,
     ValidationError,
@@ -207,7 +208,8 @@ class TestRefinement:
 
     def test_pair_validates_against_e(self):
         _, dec, _, pair, _, _ = optomech.run(1.0, 1.0, 1.0)
-        E = dec.factorization.E
+        # the pattern the counts fix: E with every xi = 1
+        E = CanonicalE(r=3, k=dec.k, l=dec.l, xi=np.ones(dec.k))
         transformed = pair.X @ E.materialize() @ pair.Y
         # canonical pattern with nonzero diagonals at (0,0), (1,1), (2,3)
         mask = np.zeros_like(transformed, dtype=bool)

@@ -14,8 +14,8 @@ The outcome is ``ok``, ``exit_<code>`` for a CLI call that exits nonzero,
 the class of the exception a library call raised, or ``incorrect.<reason>``
 for an output the check rejects.  The failing checks name the
 ``*_ok`` fields of a ConsistencyError's report that are False, ``-``
-otherwise.  The first hash covers V, A_hat, B_hat, C_hat, Z, (k, l, d)
-and the factorization residual of a library result, the bytes of the file
+otherwise.  The first hash covers V, A_hat, B_hat, C_hat and (k, l, d)
+of a library result, the bytes of the file
 a CLI case writes, or the class and message of the exception a failed op
 raised.  The second covers the repr of a library result's residual
 report, and is ``-`` for every other outcome, so a field added to the
@@ -59,9 +59,9 @@ def _hashes(result) -> tuple:
         with open(result, "rb") as handle:
             return _sha256(handle.read()), "-"
     import numpy as np
-    arrays = (result.V, result.A_hat, result.B_hat, result.C_hat, result.factorization.Z)
+    arrays = (result.V, result.A_hat, result.B_hat, result.C_hat)
     return (_sha256(*(np.ascontiguousarray(array, dtype=float).tobytes() for array in arrays),
-                    repr((result.k, result.l, result.d, result.factorization.residual)).encode()),
+                    repr((result.k, result.l, result.d)).encode()),
             _sha256(repr(result.residual_report).encode()))
 
 
