@@ -6,7 +6,6 @@ from .errors import (
     ConsistencyError,
     DocumentError,
     RankAmbiguityError,
-    RefinementRejectedError,
     StructureError,
     SymkalError,
     ValidationError,
@@ -47,7 +46,6 @@ from .kalman import (
     LABEL_MEANINGS,
     DecompositionChecks,
     KalmanDecomposition,
-    RefinementPair,
     kalman_decompose,
     refine,
     state_labels,
@@ -60,8 +58,7 @@ __all__ = [
     "__version__",
     # errors
     "SymkalError", "StructureError", "ValidationError",
-    "DocumentError", "RankAmbiguityError",
-    "RefinementRejectedError", "ConsistencyError",
+    "DocumentError", "RankAmbiguityError", "ConsistencyError",
     # linear algebra
     "TolerancePolicy", "RankDecision", "SubspaceBasis", "SkewCanonicalForm", "SymplecticCheck",
     "jmat", "sharp_adjoint", "is_symplectic", "numerical_rank", "skew_canonical",
@@ -74,7 +71,7 @@ __all__ = [
     "CanonicalE", "SymplecticFactorization", "FactorizationChecks",
     "one_sided_symplectic_svd", "verify_factorization", "factor_count_oracles",
     # kalman
-    "KalmanDecomposition", "RefinementPair", "DecompositionChecks",
+    "KalmanDecomposition", "DecompositionChecks",
     "LABEL_MEANINGS", "kalman_decompose", "verify_decomposition",
     "verify_transformation", "refine", "state_labels",
     # demo

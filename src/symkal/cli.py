@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
 
 def cmd_example(args) -> int:
     policy = TolerancePolicy(scale=args.tolerance)
-    system, dec, refined, pair, a, b = optomech.run(
+    system, dec, refined, Y, a, b = optomech.run(
         args.omega, args.lam, args.gamma, policy=policy)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -187,8 +187,7 @@ def cmd_example(args) -> int:
                                        optomech.hamiltonian_matrix(args.omega, args.lam)),
         "report": decomposition_to_report(dec, policy),
         "refinement": {
-            "X": matrix_to_lists(pair.X),
-            "Y": matrix_to_lists(pair.Y),
+            "Y": matrix_to_lists(Y),
             "report": decomposition_to_report(refined, policy),
         },
     }

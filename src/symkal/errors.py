@@ -51,17 +51,6 @@ class RankAmbiguityError(SymkalError):
                                       + [str(decision) for decision in decisions]))
 
 
-class RefinementRejectedError(SymkalError):
-    """A proposed refinement pair does not reproduce the required sparsity pattern.
-
-    ``blocks`` lists the offending (block_row, block_col) coordinates.
-    """
-
-    def __init__(self, detail: str, blocks):
-        self.blocks = tuple(blocks)
-        super().__init__(f"refinement rejected: {detail} at blocks {self.blocks}")
-
-
 class ConsistencyError(SymkalError):
     """Internal verification failed after an apparently successful computation."""
 

@@ -289,7 +289,7 @@ def factor(c: Compression, policy: TolerancePolicy) -> SymplecticFactorization:
         Zb = Z[:, k:k + l]
         W0 = Z[:, r + k:r + k + l]
         # F Zb whitens more closely through R_F and a QR than through S or an
-        # SVD; the demo's refinement at omega = 1e2 also relies on this whitening
+        # SVD; the whitening keeps Q orthonormal, which verify_factorization checks
         Qb_raw = R_F @ Zb
         stage = "image of the paired directions"
         sv_b = np.linalg.svd(Qb_raw, compute_uv=False)

@@ -5,15 +5,15 @@ V = Z^{-1} is symplectic, so the transformed system is again a valid
 quadrature model, and the canonical sparsity of E forces the transformed
 (A, B, C) into a block pattern that separates the four controllability and
 observability classes while keeping conjugate coordinate pairs together.
-A decomposition keeps V and its counts (k, l), not the factorization: the
-pattern that refine checks depends on the counts alone.
+A decomposition keeps V and its counts (k, l), not the factorization.
 A stack of full rank 2n has no unobservable subspace; it is not factored,
 and V = I.  Nor is it built when its first block C already has rank 2n.
 
-Every result is checked by verify_transformation before it is returned,
-in the input's own coordinates: V must be symplectic, and the subspace it
-claims unobservable must be invariant under G = J R and dark to C, with a
-quotient pair (W^T G W, C W) whose Hautus margin reaches MIN_PBH_MARGIN.
+Every result, refine's too, is checked by verify_transformation before it
+is returned, in the input's own coordinates: V must be symplectic, and the
+subspace it claims unobservable must be invariant under G = J R and dark
+to C, with a quotient pair (W^T G W, C W) whose Hautus margin reaches
+MIN_PBH_MARGIN.
 The margin is certified from the singular values of C W where they can;
 otherwise one QZ of W^T G W runs, through the dggev of scipy's compiled
 LAPACK module, loaded on its first call without the scipy.linalg package,
@@ -29,18 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    RefinementRejectedError,
-    StructureError,
-    ValidationError,
-)
+from .errors import ConsistencyError, StructureError, ValidationError
 from .factorization import (
     CONTROLLABLE,
-    OBSERVABLE,
     SLOTS,
     UNOBSERVABLE,
-    CanonicalE,
     compress,
     decide_rank,
     factor,
@@ -61,8 +54,8 @@ from .linalg import (
 )
 from .model import QuadratureSystem, observability_stack
 
-# relative tolerance of refine's pattern check of X E Y, and of the stored
-# matrices of a report against those recomputed from its V in symkal verify
+# relative tolerance of the stored matrices of a report against those
+# recomputed from its V in symkal verify
 CHECK_TOL = 1e-8
 # the verifier's cut: largest backward error of the claimed unobservable
 # subspace, and smallest Hautus margin of the quotient.  Correct answers sit
@@ -130,21 +123,6 @@ def pattern_residuals(A_hat, B_hat, C_hat, k: int, l: int, d: int) -> tuple[floa
     a_zero, b_zero, c_zero = _zero_masks(k, l, d)
     return (_largest_at(A_hat, a_zero, None), _largest_at(B_hat, b_zero, 0),
             _largest_at(C_hat, c_zero, 1))
-
-
-def pattern_violations(E: CanonicalE, T: np.ndarray) -> list[tuple[int, int]]:
-    """(row block, slot) coordinates, in row-major order, where a
-    (2k + l) x 2r T breaks the pattern of E: an entry above
-    CHECK_TOL * ||T|| off the support of E, or one at or below it on the
-    support.  Rows split into one block per observable slot, holding E's
-    run on that slot's columns."""
-    support = E.materialize() != 0
-    scale = CHECK_TOL * scaled_norm(T)
-    bad = np.where(support, np.abs(T) <= scale, np.abs(T) > scale)
-    sizes = [slot_indices(E.k, E.l, E.d, (slot,)).size for slot in SLOTS]
-    row_block = np.repeat(np.arange(len(OBSERVABLE)), [sizes[slot] for slot in OBSERVABLE])
-    col_slot = np.repeat(SLOTS, sizes)
-    return sorted({(int(row_block[i]), int(col_slot[j])) for i, j in zip(*np.nonzero(bad))})
 
 
 @dataclass(frozen=True)
@@ -436,56 +414,20 @@ def verify_decomposition(sys: QuadratureSystem, dec: KalmanDecomposition) -> Dec
     return verify_transformation(sys, dec.V, dec.k, dec.l, dec.d, A_hat, B_hat, C_hat)
 
 
-@dataclass(frozen=True)
-class RefinementPair:
-    """A left factor X and a symplectic Y that reshape E while keeping the
-    decomposition valid: X E Y must match the canonical pattern with all
-    stored diagonal entries nonzero."""
+def refine(dec: KalmanDecomposition, Y) -> KalmanDecomposition:
+    """Rebuild the decomposition with V' = Y^{-1} V for a symplectic Y.
 
-    X: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        X = as_matrix(self.X, "X")
-        Y = as_matrix(self.Y, "Y")
-        if X.shape[0] != X.shape[1]:
-            raise StructureError(f"X must be square, got {X.shape}")
-        if Y.shape[0] != Y.shape[1] or Y.shape[0] % 2:
-            raise StructureError(f"Y must be square and even-dimensional, got {Y.shape}")
-        object.__setattr__(self, "X", readonly(X))
-        object.__setattr__(self, "Y", readonly(Y))
-
-
-def refine(dec: KalmanDecomposition, pair: RefinementPair,
-           policy: TolerancePolicy | None = None) -> KalmanDecomposition:
-    """Rebuild the decomposition with V' = Y^{-1} V for a validated pair.
-
-    The pair is validated against the pattern the counts fix, Xu's form of
-    V's own observable rows: the (2k + l) x 2n E with every xi = 1, so that
-    E Y is Y's observable rows.  Y must be symplectic, the (2k + l) x
-    (2k + l) X invertible under ``policy``, and X E Y must match the
-    canonical pattern with nonzero diagonals.  Counts and labels are
-    preserved; every invariant is re-verified on the result.
+    Y must have V's shape and be symplectic; the counts and labels are kept,
+    and V' is judged by verify_transformation like any decomposition.  So
+    Y must keep V's unobservable subspace, the span of V#'s columns on the
+    unobservable slots, which a symplectic V' then lays out slot by slot.
     """
-    E = CanonicalE(r=dec.system.n, k=dec.k, l=dec.l, xi=np.ones(dec.k))
-    E_mat = E.materialize()
-    p = E_mat.shape[0]
-    if pair.X.shape[0] != p or pair.Y.shape[0] != 2 * E.r:
-        raise StructureError(
-            f"pair shapes {pair.X.shape}, {pair.Y.shape} do not match E ({p} x {2 * E.r})")
-    y_check = is_symplectic(pair.Y)
+    Y = as_matrix(Y, "Y")
+    if Y.shape != dec.V.shape:
+        raise StructureError(f"Y has shape {Y.shape}, expected {dec.V.shape}")
+    y_check = is_symplectic(Y)
     if not y_check.ok:
         raise ValidationError("Y symplectic", residual=y_check.residual)
-    sv_x = np.linalg.svd(pair.X, compute_uv=False)
-    # an empty X (no observable state) is invertible: the bound 0 keeps no value
-    x_rank = (policy or DEFAULT_POLICY).decide(sv_x, p * sv_x.max(initial=0.0), "rank X")
-    if x_rank.rank < p:
-        raise ValidationError("X invertible", residual=float(sv_x[-1]), detail=str(x_rank))
-
-    violations = pattern_violations(E, pair.X @ E_mat @ pair.Y)
-    if violations:
-        raise RefinementRejectedError(
-            "X E Y does not match the canonical pattern", blocks=violations)
-    V = sharp_adjoint(pair.Y) @ dec.V
+    V = sharp_adjoint(Y) @ dec.V
     return _verified(dec.system, V, dec.k, dec.l, "refined decomposition",
                      _transformed(dec.system, V), None)

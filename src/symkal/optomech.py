@@ -8,12 +8,12 @@ damped.  The system splits its six states into one co pair, one conjugate
 nco/cno pair, and one ncno pair for every positive choice of the
 parameters.  One parameter at a time, the others at 1, at every power of
 ten from 1e-9 to 1e8, the library reproduces that split numerically for
-omega up to 1e2, lambda from 1e-6 to 1e6 and every gamma.  Past that,
-omega from 1e3 to 1e6 decomposes as (1, 0, 2), which fails verification,
-and from 1e7 on as a (1, 0, 2) that passes it, since C sees the subspace it
-adds at 1/omega, below the cut; lambda at 1e-7 and below fails
-verification on a Hautus margin of 1.4 lambda, lambda = 1e7 fails it after
-refinement and lambda = 1e8 raises a RankAmbiguityError.
+omega up to 1e2, lambda from 1e-6 to 1e6 and every gamma, 1e8 included.
+Past that, omega from 1e3 to 1e6 decomposes as (1, 0, 2), which fails
+verification, and from 1e7 on as a (1, 0, 2) that passes it, since C sees
+the subspace it adds at 1/omega, below the cut; lambda at 1e-7 and below
+fails verification on a Hautus margin of 1.4 lambda, lambda = 1e7 fails
+it after refinement and lambda = 1e8 raises a RankAmbiguityError.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .factorization import OBSERVABLE, slot_indices
-from .kalman import KalmanDecomposition, RefinementPair, kalman_decompose, refine
+from .kalman import KalmanDecomposition, kalman_decompose, refine
 from .linalg import TolerancePolicy
 from .model import PhysicalSpec, QuadratureSystem, build_system, from_physical
 
@@ -79,36 +78,29 @@ def aux_coefficients(omega: float) -> tuple[float, float]:
     return omega * even_powers / denom, 1.0 / denom
 
 
-def refinement_pair(dec: KalmanDecomposition) -> RefinementPair:
-    """Refinement pair steering this system's decomposition onto REFERENCE_V.
+def refinement_pair(dec: KalmanDecomposition) -> np.ndarray:
+    """The symplectic Y that refines this system's decomposition onto
+    REFERENCE_V.
 
     Y = V Vref^T is symplectic because Vref is orthogonal symplectic, and
-    Y^{-1} V = Vref by construction.  refine's E, fixed by the counts, has
-    every xi = 1, so the three nonzero columns of E Y are the 3 x 3 block
-    lead of Y on the observable slots.  X carries lead onto scaled unit
-    columns: X is lead^{-1} with row j scaled by the norm of column j of
-    lead.  lead is invertible: the observable rows of V and of Vref both
-    annihilate the unobservable subspace, so they differ by an invertible
-    3 x 3 factor.
+    Y^{-1} V = Vref by construction.  refine's verifier passes Vref because
+    its unobservable slots span the system's unobservable subspace, as V's
+    do.
     """
     if (dec.k, dec.l, dec.d) != (1, 1, 1):
         raise ValidationError("demo decomposition has (k, l, d) = (1, 1, 1)",
                               detail=f"got {(dec.k, dec.l, dec.d)}")
-    Y = dec.V @ REFERENCE_V.T
-    obs = slot_indices(dec.k, dec.l, dec.d, OBSERVABLE)
-    lead = Y[np.ix_(obs, obs)]
-    X = np.linalg.norm(lead, axis=0)[:, None] * np.linalg.inv(lead)
-    return RefinementPair(X=X, Y=Y)
+    return dec.V @ REFERENCE_V.T
 
 
 def run(omega: float, lam: float, gamma: float, policy: TolerancePolicy | None = None):
     """Build, decompose, and refine the demo system.
 
-    Returns (system, decomposition, refined decomposition, pair, a, b).
+    Returns (system, decomposition, refined decomposition, Y, a, b).
     """
     system = build(omega, lam, gamma)
     dec = kalman_decompose(system, policy=policy)
-    pair = refinement_pair(dec)
-    refined = refine(dec, pair, policy=policy)
+    Y = refinement_pair(dec)
+    refined = refine(dec, Y)
     a, b = aux_coefficients(omega)
-    return system, dec, refined, pair, a, b
+    return system, dec, refined, Y, a, b

@@ -12,7 +12,6 @@ import symkal.kalman
 from symkal import (
     QuadratureSystem,
     RankAmbiguityError,
-    RefinementPair,
     build_system,
     kalman_decompose,
     random_system,
@@ -329,8 +328,7 @@ class TestOneVerifier:
         dec = kalman_decompose(random_system(2, 1, seed=11))
         calls.clear()
         stacks.clear()
-        # the counts' pattern is (2k + l) x 2n
-        refine(dec, RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=np.eye(2 * dec.system.n)))
+        refine(dec, np.eye(2 * dec.system.n))
         assert len(calls) == 1
         assert len(stacks) == 0
 
@@ -358,7 +356,7 @@ class TestExample:
         s2 = 1 / np.sqrt(2)
         solid = np.abs(V_ref[np.abs(V_ref) > 1e-9])
         assert np.allclose(np.sort(solid), [s2] * 8 + [1.0] * 2, atol=1e-9)
-        assert "X" in payload["refinement"] and "Y" in payload["refinement"]
+        assert "Y" in payload["refinement"] and "X" not in payload["refinement"]
 
     def test_example_document_parses(self, capsys):
         code, out, _ = run_cli(capsys, "example")

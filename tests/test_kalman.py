@@ -1,7 +1,6 @@
 import dataclasses
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +27,7 @@ from symkal import (
     QuadratureSystem,
     random_system,
     RankAmbiguityError,
-    RefinementPair,
-    RefinementRejectedError,
     StructureError,
-    TolerancePolicy,
     ValidationError,
     ConsistencyError,
     build_system,
@@ -445,34 +441,32 @@ class TestRefine:
     def test_identity_pair(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        # the pattern the counts fix is (2k + l) x 2n
-        pair = RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=np.eye(2 * sys.n))
-        out = refine(dec, pair, policy=POPULATION_POLICY)
+        out = refine(dec, np.eye(2 * sys.n))
         assert np.allclose(out.V, dec.V)
         assert out.labels == dec.labels
         assert (out.k, out.l, out.d) == (dec.k, dec.l, dec.d)
 
-    def test_x_is_sized_by_the_nonzero_rows_of_e(self):
-        # a 384-row stack of N = {0} gives (k, l) = (6, 0), so E is 12 x 12:
-        # X is 12 x 12, and an X of the stack's height is rejected
+    def test_y_is_sized_by_v(self):
+        # a 384-row stack of N = {0} gives V = I of order 12; a Y of the
+        # stack's height is rejected before any product is taken
         dec = kalman_decompose(random_system(6, 16, 3))
-        assert (2 * dec.k + dec.l, 2 * dec.system.n) == (12, 12)
-        out = refine(dec, RefinementPair(X=np.eye(12), Y=np.eye(12)))
+        assert dec.V.shape == (12, 12)
+        out = refine(dec, np.eye(12))
         assert np.array_equal(out.V, dec.V)
-        with pytest.raises(StructureError, match=r"do not match E \(12 x 12\)"):
-            refine(dec, RefinementPair(X=np.eye(384), Y=np.eye(12)))
+        with pytest.raises(StructureError, match=r"Y has shape \(384, 384\), expected \(12, 12\)"):
+            refine(dec, np.eye(384))
 
-    def test_no_observable_state_refines_with_an_empty_x(self):
-        # C = 0 gives k = l = 0: E has no rows, and the empty X is invertible
+    def test_no_observable_state_refines_with_the_identity(self):
+        # C = 0 gives k = l = 0: every state is unobservable
         dec = kalman_decompose(build_system(np.eye(4), np.zeros((2, 4)), np.eye(2)))
         assert (dec.k, dec.l) == (0, 0)
-        out = refine(dec, RefinementPair(X=np.zeros((0, 0)), Y=np.eye(4)))
+        out = refine(dec, np.eye(4))
         assert np.array_equal(out.V, dec.V)
         assert out.labels == dec.labels
 
     def test_block_symplectic_on_decoupled_states(self):
         # mixing only the uncontrollable-unobservable pair slots keeps the
-        # canonical pattern untouched
+        # unobservable subspace and the slot layout
         sys = structured_system(13, 1, 1, 2)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         n, d = sys.n, dec.d
@@ -482,77 +476,27 @@ class TestRefine:
         slots = list(range(dec.k + dec.l, n)) + list(range(n + dec.k + dec.l, 2 * n))
         Y[np.ix_(slots, slots)] = Sd
         assert is_symplectic(Y).ok
-        out = refine(dec, RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=Y),
-                     policy=POPULATION_POLICY)
+        out = refine(dec, Y)
         assert out.labels == dec.labels
         assert out.residual_report.passed
 
     def test_pattern_violation_rejected(self):
+        # a generic symplectic Y moves the claimed unobservable subspace off
+        # the system's own, so the verifier fails the result
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         rng = np.random.default_rng(8)
-        Y = random_symplectic(sys.n, rng)  # generic symplectic scrambles the pattern
-        with pytest.raises(RefinementRejectedError) as info:
-            refine(dec, RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=Y),
-                   policy=POPULATION_POLICY)
-        assert info.value.blocks
-
-    def test_rejected_blocks_pinned(self):
-        # E's rows split as (k, l, k) and its columns as the six slots.
-        # Scaling row k, the unit on slot q_b, by 1e-12 leaves X invertible
-        # but puts that diagonal below the pattern bound: a vanished diagonal
-        # in block (1, 1).  Adding row 2k + l - 1, whose unit sits on p_a,
-        # into row 0 puts an entry off the pattern in (0, 3).
-        sys = structured_system(13, 1, 1, 1)
-        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        k, l = dec.k, dec.l
-        assert (k, l) == (1, 1)
-        X = np.eye(2 * k + l)
-        X[k, k] = 1e-12
-        X[0, 2 * k + l - 1] = 0.5
-        with pytest.raises(RefinementRejectedError) as info:
-            refine(dec, RefinementPair(X=X, Y=np.eye(2 * sys.n)), policy=POPULATION_POLICY)
-        assert info.value.blocks == ((0, 3), (1, 1))
-        assert all(type(index) is int for block in info.value.blocks for index in block)
-        assert str(info.value) == ("refinement rejected: X E Y does not match the canonical "
-                                   "pattern at blocks ((0, 3), (1, 1))")
+        Y = random_symplectic(sys.n, rng)
+        with pytest.raises(ConsistencyError, match="refined decomposition failed verification") as info:
+            refine(dec, Y)
+        report = info.value.report
+        assert not (report.invariance_ok and report.kernel_ok)
 
     def test_nonsymplectic_y_rejected(self):
         sys = structured_system(13, 1, 1, 1)
         dec = kalman_decompose(sys, policy=POPULATION_POLICY)
         with pytest.raises(ValidationError, match="Y symplectic"):
-            refine(dec, RefinementPair(X=np.eye(2 * dec.k + dec.l), Y=2.0 * np.eye(2 * sys.n)))
-
-    def test_singular_x_rejected(self):
-        sys = structured_system(13, 1, 1, 1)
-        dec = kalman_decompose(sys, policy=POPULATION_POLICY)
-        p = 2 * dec.k + dec.l
-        X = np.zeros((p, p))
-        with pytest.raises(ValidationError, match="X invertible"):
-            refine(dec, RefinementPair(X=X, Y=np.eye(2 * sys.n)))
-
-    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-300])
-    def test_huge_x_accepted(self, scale):
-        # X E Y = scale * E matches the pattern exactly; neither the norm of
-        # X E Y, whose square overflows or underflows, nor an absolute floor
-        # on the pattern bound may make the check reject it
-        dec = kalman_decompose(optomech.build(1.0, 1.0, 1.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = refine(dec, RefinementPair(X=scale * np.eye(2 * dec.k + dec.l),
-                                             Y=np.eye(2 * dec.system.n)))
-        assert np.array_equal(out.V, dec.V)
-        assert out.labels == dec.labels
-
-    def test_x_check_uses_the_policy(self):
-        # the demo's 3 x 3 X has singular values 1.75, 1 and 0.773, so a
-        # scale of 8e14 puts the cutoff scale * eps * 3 * 1.75 at 0.93,
-        # above the smallest
-        dec = kalman_decompose(optomech.build(1.0, 1.0, 1.0))
-        pair = optomech.refinement_pair(dec)
-        assert pair.X.shape == (3, 3)
-        with pytest.raises(ValidationError, match="X invertible"):
-            refine(dec, pair, policy=TolerancePolicy(scale=8e14))
+            refine(dec, 2.0 * np.eye(2 * sys.n))
 
 
 class TestClassifyStates:

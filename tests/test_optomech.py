@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from symkal import (
-    CanonicalE,
     ConsistencyError,
     RankAmbiguityError,
     ValidationError,
@@ -15,6 +14,7 @@ from symkal import (
     observability_stack,
 )
 from symkal import optomech
+from symkal.factorization import OBSERVABLE, UNOBSERVABLE, slot_indices
 
 SQRT2 = np.sqrt(2.0)
 
@@ -36,6 +36,7 @@ RANGE_EDGES = [
     (1.0, 1.0, 1e-3),
     (1.0, 1.0, 1e2),
     (1.0, 1.0, 1e3),
+    (1.0, 1.0, 1e8),
 ]
 
 
@@ -182,12 +183,6 @@ class TestRefinement:
             assert np.allclose(A[row], 0.0, atol=1e-9)
             assert np.allclose(B[row], 0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("omega,lam,gamma", PARAMETER_TRIPLES)
-    def test_x_acts_on_the_nonzero_rows_of_e(self, omega, lam, gamma):
-        # E keeps its 2k + l = 3 nonzero rows, so X is 3 x 3
-        dec = kalman_decompose(optomech.build(omega, lam, gamma))
-        assert optomech.refinement_pair(dec).X.shape == (3, 3)
-
     def test_rows_have_expected_entries(self):
         _, _, refined, _, _, _ = optomech.run(1.0, 1.0, 1.0)
         values = {0.0, 1.0, -1.0, 1 / SQRT2, -1 / SQRT2}
@@ -206,17 +201,16 @@ class TestRefinement:
         assert np.allclose(refined.V[4],
                            [0, 0, 0, 1 / SQRT2, 1 / SQRT2, 0], atol=1e-9)
 
-    def test_pair_validates_against_e(self):
-        _, dec, _, pair, _, _ = optomech.run(1.0, 1.0, 1.0)
-        # the pattern the counts fix: E with every xi = 1
-        E = CanonicalE(r=3, k=dec.k, l=dec.l, xi=np.ones(dec.k))
-        transformed = pair.X @ E.materialize() @ pair.Y
-        # canonical pattern with nonzero diagonals at (0,0), (1,1), (2,3)
-        mask = np.zeros_like(transformed, dtype=bool)
-        mask[0, 0] = mask[1, 1] = mask[2, 3] = True
-        assert np.min(np.abs(transformed[mask])) > 1e-6
-        assert np.max(np.abs(transformed[~mask])) < 1e-12
-        assert is_symplectic(pair.Y).ok
+    @pytest.mark.parametrize("omega,lam,gamma", PARAMETER_TRIPLES)
+    def test_pair_validates_against_e(self, omega, lam, gamma):
+        # Y keeps V's unobservable subspace: its observable rows vanish on the
+        # unobservable columns and are invertible on the observable ones
+        _, dec, _, Y, _, _ = optomech.run(omega, lam, gamma)
+        obs = slot_indices(dec.k, dec.l, dec.d, OBSERVABLE)
+        unobs = slot_indices(dec.k, dec.l, dec.d, UNOBSERVABLE)
+        assert is_symplectic(Y).ok
+        assert np.max(np.abs(Y[np.ix_(obs, unobs)])) <= 1e-12
+        assert np.linalg.svd(Y[np.ix_(obs, obs)], compute_uv=False)[-1] > 1e-6
 
     def test_wrong_shape_decomposition_rejected(self):
         from symkal import build_system

@@ -122,7 +122,6 @@ SETTABLE_VALUES = [
     ("factorization", "factor_count_oracles", "policy"),
     ("factorization", "verify_factorization", "policy"),
     ("kalman", "kalman_decompose", "policy"),
-    ("kalman", "refine", "policy"),
     ("linalg", "TolerancePolicy", "scale"),
     ("linalg", "numerical_rank", "policy"),
     ("linalg", "skew_canonical", "policy"),
