@@ -19,7 +19,10 @@ otherwise one QZ of W^T G W runs, through the dggev of scipy's compiled
 LAPACK module, loaded on its first call without the scipy.linalg package,
 so a certified result loads no scipy.  When N = {0},
 W = I and the verifier reads the singular values of C that decided rank C,
-so a wide decomposition of full rank C takes one SVD in all.
+so a wide decomposition of full rank C takes one SVD in all.  The numbers
+of the shared V = I's symplecticity verdict, ||I J I^T - J||_F and ||I||_F,
+are taken once per n as well, by the same function that takes them for
+any other V.
 """
 
 from __future__ import annotations
@@ -197,7 +200,9 @@ class KalmanDecomposition:
 
 def _transformed(sys: QuadratureSystem, V: np.ndarray):
     V_inv = sharp_adjoint(V)
-    return V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv, sys.D
+    # a V too large for float64 gives infinite entries, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return V @ sys.A @ V_inv, V @ sys.B, sys.C @ V_inv, sys.D
 
 
 def _dggev(*args, **kwargs):
@@ -285,26 +290,36 @@ def verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, 
         # the pattern residuals read flat positions, which fit one shape only
         if np.shape(arr) != shape:
             raise StructureError(f"{name} has shape {np.shape(arr)}, expected {shape}")
-    return _verify_transformation(sys, V, k, l, d, A_hat, B_hat, C_hat, None)
+    return _verify_transformation(sys, V, k, l, d, A_hat, B_hat, C_hat, None, None)
+
+
+def _ccr(V: np.ndarray) -> tuple[float, float]:
+    """The numbers of V's symplecticity verdict: ||V J V^T - J||_F and
+    max(1, ||V||_F), by which the residual is divided twice."""
+    J = jmat(V.shape[0] // 2)
+    # a V too large for float64 gives an infinite residual, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = scaled_norm(V @ J @ V.T - J)
+    # the bound divides rather than scales: a V whose norm overflows gives
+    # inf / inf = nan, a failure, never an infinite bound
+    return residual, max(1.0, scaled_norm(V))
 
 
 def _verify_transformation(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, d: int,
-                           A_hat, B_hat, C_hat, sv_c: np.ndarray | None) -> DecompositionChecks:
+                           A_hat, B_hat, C_hat, sv_c: np.ndarray | None,
+                           ccr: tuple[float, float] | None) -> DecompositionChecks:
     """verify_transformation, given sv_c, the descending singular values of
-    sys.C when a route has taken them, or None.  Only the margin of
-    N = {0} reads them, and it takes them itself when they are None: the
-    same call on the same read-only C gives the same values."""
+    sys.C when a route has taken them, and ccr, V's _ccr when V is the
+    shared V = I, each or None.  Only the margin of N = {0} reads sv_c, and
+    the verifier takes either itself when it is None: the same call on the
+    same read-only array gives the same values."""
     n = sys.n
     V = np.asarray(V)
     if V.shape != (2 * n, 2 * n):
         raise StructureError(f"V has shape {V.shape}, expected {(2 * n, 2 * n)}")
     if k + l + d != n:
         raise StructureError(f"k + l + d = {k + l + d}, expected n = {n}")
-    J = jmat(n)
-    ccr_residual = scaled_norm(V @ J @ V.T - J)
-    # the bound divides rather than scales: a V whose norm overflows gives
-    # inf / inf = nan, a failure, never an infinite bound
-    v = max(1.0, scaled_norm(V))
+    ccr_residual, v = _ccr(V) if ccr is None else ccr
     unobs = slot_indices(k, l, d, UNOBSERVABLE)
     if unobs.size:
         Q = np.linalg.qr(sharp_adjoint(V)[:, unobs], mode="complete").Q
@@ -364,7 +379,8 @@ def kalman_decompose(sys: QuadratureSystem,
         return _without_kernel(sys, sv_c)
     fact = factor(compressed, policy)
     V = sharp_adjoint(fact.Z)
-    return _verified(sys, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V), None)
+    return _verified(sys, V, fact.E.k, fact.E.l, "decomposition", _transformed(sys, V), None,
+                     None)
 
 
 @lru_cache(maxsize=128)
@@ -375,23 +391,31 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+@lru_cache(maxsize=128)
+def _identity_ccr(n: int) -> tuple[float, float]:
+    """_ccr of the shared V = I of order 2n, taken once per n."""
+    return _ccr(_identity(n))
+
+
 def _without_kernel(sys: QuadratureSystem, sv_c: np.ndarray | None) -> KalmanDecomposition:
     """The decomposition (n, 0, 0) of a system with N = {0}: V = I, shared
-    read-only by every such result of one n.  sv_c, C's singular values or
-    None, goes to the verifier."""
+    read-only by every such result of one n, as are the numbers of its
+    symplecticity verdict, taken once per n.  Those and sv_c, C's singular
+    values or None, go to the verifier."""
     # V = I leaves the system as it is: no product is taken
-    return _verified(sys, _identity(sys.n), sys.n, 0, "decomposition",
-                     (sys.A, sys.B, sys.C, sys.D), sv_c)
+    n = sys.n
+    return _verified(sys, _identity(n), n, 0, "decomposition", (sys.A, sys.B, sys.C, sys.D),
+                     sv_c, _identity_ccr(n))
 
 
 def _verified(sys: QuadratureSystem, V: np.ndarray, k: int, l: int, what: str, transformed: tuple,
-              sv_c: np.ndarray | None) -> KalmanDecomposition:
+              sv_c: np.ndarray | None, ccr: tuple[float, float] | None) -> KalmanDecomposition:
     """The decomposition of ``sys`` by V with counts (k, l) and the
     ``transformed`` (A_hat, B_hat, C_hat, D), once these pass
-    verify_transformation, given C's singular values sv_c or None; a
-    ConsistencyError naming ``what`` otherwise."""
+    verify_transformation, given C's singular values sv_c and V's _ccr,
+    each or None; a ConsistencyError naming ``what`` otherwise."""
     A_hat, B_hat, C_hat, D = transformed
-    checks = _verify_transformation(sys, V, k, l, sys.n - k - l, A_hat, B_hat, C_hat, sv_c)
+    checks = _verify_transformation(sys, V, k, l, sys.n - k - l, A_hat, B_hat, C_hat, sv_c, ccr)
     if not checks.passed:
         raise ConsistencyError(f"{what} failed verification", report=checks)
     # V and the transformed matrices are fresh arrays that nothing else
@@ -430,4 +454,4 @@ def refine(dec: KalmanDecomposition, Y) -> KalmanDecomposition:
         raise ValidationError("Y symplectic", residual=y_check.residual)
     V = sharp_adjoint(Y) @ dec.V
     return _verified(dec.system, V, dec.k, dec.l, "refined decomposition",
-                     _transformed(dec.system, V), None)
+                     _transformed(dec.system, V), None, None)

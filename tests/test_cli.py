@@ -225,6 +225,23 @@ class TestVerify:
         assert code == 5
         assert "symplecticity" in err
 
+    def test_large_v_fails_without_a_warning(self, tmp_path, capsys):
+        # V = 1e200 I is representable, but V J V^T and V A V# overflow:
+        # both checks fail on their infinite residuals, and the command
+        # prints only its verdict, with no RuntimeWarning
+        system_doc = tmp_path / "system.json"
+        assert run_cli(capsys, "generate", "--n", 2, "--m", 2, "--seed", 1,
+                       "--output", system_doc)[0] == 0
+        report_path = self._decompose(system_doc, tmp_path, capsys)
+        report = json.loads(report_path.read_text())
+        report["V"] = matrix_to_lists(1e200 * np.eye(4))
+        report_path.write_text(canonical_json(report))
+        code, out, err = run_cli(capsys, "verify", system_doc, report_path)
+        assert code == 5
+        assert err == "failed checks: symplecticity, transformed_matrices\n"
+        values = dict(line.split(": ", 1) for line in out.splitlines())
+        assert values["ccr_residual"] == values["transformed_matrices"] == "inf"
+
     def test_swapped_pairs_fail_observability(self, tmp_path, capsys):
         # swapping the co and ncno pairs keeps V symplectic; with the stored
         # matrices recomputed from the new V only the structure is wrong.

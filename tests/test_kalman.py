@@ -294,6 +294,38 @@ class TestPerShapeCaches:
         with pytest.raises(ValueError):
             first.V[0] = 2.0
 
+    # N = {0} from C alone (2m >= 2n) and from the stack (2m < 2n)
+    @pytest.mark.parametrize("n, m, seed", [(2, 2, 1), (3, 4, 1), (4, 6, 3),
+                                            (3, 1, 2), (3, 1, 5)])
+    def test_shared_symplecticity_verdict_equals_the_computed_one(self, n, m, seed):
+        sys = random_system(n, m, seed=seed)
+        dec = kalman_decompose(sys)
+        assert dec.k == n
+        # a fresh, writable identity is not the shared V = I: its verdict
+        # is computed
+        assert dec.residual_report == verify_transformation(
+            sys, np.eye(2 * n), n, 0, 0, dec.A_hat, dec.B_hat, dec.C_hat)
+
+    def test_results_without_kernel_share_the_symplecticity_verdict(self, monkeypatch):
+        original = symkal.kalman._ccr
+        calls = []
+
+        def counted(V):
+            calls.append(V)
+            return original(V)
+
+        monkeypatch.setattr(symkal.kalman, "_ccr", counted)
+        symkal.kalman._identity_ccr.cache_clear()
+        # N = {0} for both, one from C alone, one from the stack
+        first = kalman_decompose(random_system(3, 4, seed=1))
+        second = kalman_decompose(random_system(3, 1, seed=2))
+        assert (first.k, second.k) == (3, 3)
+        assert len(calls) == 1 and calls[0] is symkal.kalman._identity(3)
+        assert symkal.kalman._identity_ccr(3) == (0.0, np.sqrt(6.0)) and len(calls) == 1
+        # a result with a kernel has its own V, whose verdict is computed
+        dec = kalman_decompose(structured_system(13, 1, 1, 1))
+        assert len(calls) == 2 and calls[1] is dec.V
+
     def test_same_v_as_a_fresh_process(self):
         kalman_decompose(random_system(6, 16, seed=3))
         V = kalman_decompose(structured_system(13, 1, 1, 1)).V
